@@ -33,7 +33,9 @@ from .detectors import (
 from .engine import (
     PatternDistribution,
     PatternFamily,
+    PhaseSeries,
     choose_truncation,
+    click_probability_series,
     click_probability_tensor,
     detection_probability,
     detector_for_source,
@@ -47,12 +49,12 @@ from .engine import (
 )
 from .estimation import (
     BootstrapBand,
-    EstimateSummary,
     FringeFit,
     FringeSet,
     MLEstimate,
     MLFisherResult,
     PerformancePoint,
+    argmax_over_phase,
     bootstrap_fisher_band,
     derivative,
     fisher_curve,
@@ -107,7 +109,8 @@ __all__ = [
     "PovmTable", "DetectorModel",
     # engine
     "choose_truncation", "detector_for_source", "click_probability_tensor",
-    "detection_probability", "fourfold_distribution", "full_pattern_distribution",
+    "PhaseSeries", "click_probability_series", "detection_probability",
+    "fourfold_distribution", "full_pattern_distribution",
     "PatternDistribution", "PatternFamily", "fourfold_patterns", "fourfold_family",
     "fourfold_conditional_means", "mean_photon_numbers", "ideal_fisher_information",
     # estimation
@@ -115,7 +118,7 @@ __all__ = [
     "fit_fringes", "MLEstimate", "ml_estimate", "MLFisherResult",
     "monte_carlo_ml_fisher", "BootstrapBand", "bootstrap_fisher_band",
     "snl_fisher", "heisenberg_limit", "PerformancePoint", "performance_curve",
-    "EstimateSummary",
+    "argmax_over_phase",
     # calibration
     "CalibrationError", "RateSummary", "CalibrationResult",
     "efficiencies_from_rates", "tau_from_pair_probability",

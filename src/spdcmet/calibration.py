@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .fock import RotationSpec, SourceParams
+from .fock import SourceParams
 
 __all__ = [
     "CalibrationError",
@@ -136,33 +136,21 @@ def tau_from_pair_probability(p: float) -> float:
     return math.atanh(math.sqrt(t))
 
 
-def model_rate_summary(src: SourceParams, det, n_phi=32) -> RateSummary:
+def model_rate_summary(src: SourceParams, det) -> RateSummary:
     """Phase-averaged lone-click and twofold rates predicted by the model.
 
     Generates synthetic calibration inputs and closes the loop in tests.
     Path totals carry no phase dependence for number-resolving counters;
     multiplexed counters pick up a tiny phase wiggle through collision
-    statistics, which the average removes.
+    statistics, which the average (the exact zeroth harmonic) removes.
     """
-    n_max = engine.choose_truncation(src)
-    s_a = s_b = coinc = 0.0
-    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    for phi in phis:
-        rot = RotationSpec(phi=phi)
-        P, _ = engine.click_probability_tensor(src, rot, det, n_max)
-        clicks_a = np.add.outer(
-            np.arange(P.shape[0]), np.arange(P.shape[1])
-        )
-        clicks_b = np.add.outer(
-            np.arange(P.shape[2]), np.arange(P.shape[3])
-        )
-        one_a = clicks_a == 1
-        one_b = clicks_b == 1
-        zero_a = clicks_a == 0
-        zero_b = clicks_b == 0
-        s_a += P[one_a][:, zero_b].sum()
-        s_b += P[zero_a][:, one_b].sum()
-        coinc += P[one_a][:, one_b].sum()
+    P = engine.click_probability_series(src, det).mean()
+    clicks_a = np.add.outer(np.arange(P.shape[0]), np.arange(P.shape[1]))
+    clicks_b = np.add.outer(np.arange(P.shape[2]), np.arange(P.shape[3]))
+    one_a, zero_a = clicks_a == 1, clicks_a == 0
+    one_b, zero_b = clicks_b == 1, clicks_b == 0
     return RateSummary(
-        singles_a=s_a / n_phi, singles_b=s_b / n_phi, twofold=coinc / n_phi
+        singles_a=float(P[one_a][:, zero_b].sum()),
+        singles_b=float(P[zero_a][:, one_b].sum()),
+        twofold=float(P[one_a][:, one_b].sum()),
     )

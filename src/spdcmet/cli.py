@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__, calibration, engine, estimation, heralding, timetags
-from .fock import GainRangeError, RotationSpec, SourceParams
+from .fock import GainRangeError, SourceParams
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
@@ -146,16 +146,8 @@ def cmd_fisher(args) -> int:
     snl = estimation.snl_fisher(src, det, theta=args.theta)
 
     # best information over a finer scan for the advantage summary
-    fine = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
-    fine_vals, _ = estimation.fisher_curve(family, fine)
-    k = int(np.argmax(fine_vals))
-    from .estimation import _golden_min
-
-    phi_star = _golden_min(
-        lambda p: -estimation.fisher_information(family, p),
-        fine[k] - fine[1], fine[k] + fine[1], tol=1e-9,
-    )
-    i_star = estimation.fisher_information(family, phi_star)
+    phi_star, i_star = estimation.argmax_over_phase(
+        lambda p: estimation.fisher_information(family, p), 512)
     advantage = i_star / snl - 1.0
 
     band_low = band_high = None
@@ -172,9 +164,12 @@ def cmd_fisher(args) -> int:
         span = args.phi_stop - args.phi_start
         for j, frac in enumerate((0.2, 0.45, 0.7)):
             phi_j = args.phi_start + frac * span
+            # p(phi) = p(2 theta - phi): keep the mirror estimate out of the window
+            mirror_gap = abs(math.remainder(2.0 * (phi_j - args.theta), 2.0 * math.pi))
             res = estimation.monte_carlo_ml_fisher(
                 family, phi_j, repetitions=args.ml_reps,
                 sample_size=args.ml_samples, seed=args.seed + 1000 + j,
+                search_halfwidth=min(math.pi / 4.0, mirror_gap / 2.0),
             )
             ml_points.append({
                 "phi": float(phi_j), "i_ml": res.i_ml, "stderr": res.stderr,

@@ -15,9 +15,10 @@ occupation (k, n-k) and reference occupation (l, n-l) is
     A_n[k, l] = tanh(tau)^n / cosh(tau)^2 *
                 sum_m (-1)^m Phi_n[k, m] Theta_n[l, m]
 
-with the transition matrices of :mod:`spdcmet.fock`.  Derivatives with
-respect to phi are carried through the same contractions exactly, so
-Fisher-information consumers never rely on finite differences of P_r.
+with the transition matrices of :mod:`spdcmet.fock`.  Each P_r is a
+trigonometric polynomial in phi of degree n_max, compiled once to its
+:class:`PhaseSeries`, which serves probabilities, exact phi-derivatives
+and the exact phase average.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ __all__ = [
     "detector_for_source",
     "sector_probabilities",
     "click_probability_tensor",
+    "PhaseSeries",
+    "click_probability_series",
     "detection_probability",
     "PatternDistribution",
     "full_pattern_distribution",
@@ -98,17 +101,14 @@ def _sector_amplitudes(n, src, rot, derivative=False):
     return A, dA
 
 
-def sector_probabilities(n, src, rot, derivative=False):
-    """Occupation probabilities p[k, l] in pair sector n, optionally with dp/dphi.
+def sector_probabilities(n, src, rot):
+    """Occupation probabilities p[k, l] in pair sector n.
 
     Index k is the sensing-path h occupation (v holds n-k), l the same on
     the reference path.
     """
-    A, dA = _sector_amplitudes(n, src, rot, derivative)
-    p = A * A
-    if not derivative:
-        return p, None
-    return p, 2.0 * A * dA
+    A, _ = _sector_amplitudes(n, src, rot)
+    return A * A
 
 
 def _check_capacity(det: DetectorModel, n_max: int):
@@ -119,11 +119,10 @@ def _check_capacity(det: DetectorModel, n_max: int):
         )
 
 
-def click_probability_tensor(src, rot, det, n_max=None, derivative=False):
-    """Joint click-pattern probabilities as a dense 4-index array.
+def click_probability_tensor(src, rot, det, n_max=None):
+    """Joint click-pattern probabilities P[r_ah, r_av, r_bh, r_bv].
 
-    Returns (P, dP) with P[r_ah, r_av, r_bh, r_bv]; dP is None unless
-    ``derivative``.  Axes run to each table's maximum click number.
+    Axes run to each table's maximum click number.
     """
     if n_max is None:
         n_max = choose_truncation(src)
@@ -131,17 +130,87 @@ def click_probability_tensor(src, rot, det, n_max=None, derivative=False):
     Wa, Wb = det.table_a.weights, det.table_b.weights
     ra, rb = det.table_a.max_clicks, det.table_b.max_clicks
     P = np.zeros((ra + 1, ra + 1, rb + 1, rb + 1))
-    dP = np.zeros_like(P) if derivative else None
     for n in range(n_max + 1):
-        p, dp = sector_probabilities(n, src, rot, derivative)
+        p = sector_probabilities(n, src, rot)
         wa = Wa[:, : n + 1]
         wav = wa[:, ::-1]  # v mode holds n-k photons
         wb = Wb[:, : n + 1]
         wbv = wb[:, ::-1]
         P += np.einsum("ak,vk,hl,wl,kl->avhw", wa, wav, wb, wbv, p, optimize=True)
-        if derivative:
-            dP += np.einsum("ak,vk,hl,wl,kl->avhw", wa, wav, wb, wbv, dp, optimize=True)
-    return P, dP
+    return P
+
+
+class PhaseSeries:
+    """Exact trigonometric series of phase-dependent values,
+
+        f(phi) = Re sum_{k=0}^{degree} c_k exp(i k phi),
+
+    with complex harmonics ``c`` of shape (degree+1, *output shape).  Values
+    and exact derivatives (harmonics i k c_k) cost one small contraction per
+    phase, and the phase average is c_0.  With ``renormalize`` the values
+    are divided by their sum at each phase, the way coincidence counts are
+    normalized per setting.
+    """
+
+    def __init__(self, harmonics, renormalize=False):
+        self.harmonics = np.asarray(harmonics, dtype=complex)
+        self.renormalize = renormalize
+        self._k = np.arange(self.harmonics.shape[0])
+
+    @staticmethod
+    def harmonics_of(sample, degree):
+        """Harmonics of ``sample(phi)``, a trigonometric polynomial of ``degree``:
+        its discrete Fourier transform over 2 degree + 1 equispaced phases,
+        accumulated one sample at a time so that samples are never stored."""
+        n = 2 * degree + 1
+        c = None
+        for j in range(n):
+            phi = 2.0 * math.pi * j / n
+            s = sample(phi)
+            if c is None:
+                c = np.zeros((degree + 1,) + np.shape(s), dtype=complex)
+            for k in range(degree + 1):
+                c[k] += np.exp(-2j * math.pi * (k * j % n) / n) * s
+        c *= 2.0 / n
+        c[0] /= 2.0
+        return c
+
+    def raw(self, phi):
+        """Unrenormalized values and their exact phi-derivatives."""
+        e = np.exp(1j * self._k * phi)
+        f, df = np.tensordot(np.stack([e, 1j * self._k * e]), self.harmonics, axes=1).real
+        return f, df
+
+    def mean(self):
+        """Phase average of the unrenormalized values (harmonic 0)."""
+        return self.harmonics[0].real
+
+    def probabilities_and_derivatives(self, phi):
+        f, df = self.raw(phi)
+        if not self.renormalize:
+            return f, df
+        s, ds = f.sum(), df.sum()
+        return f / s, (df * s - f * ds) / (s * s)
+
+    def probabilities(self, phi) -> np.ndarray:
+        return self.probabilities_and_derivatives(phi)[0]
+
+    def derivatives(self, phi) -> np.ndarray:
+        """Exact d/dphi of :meth:`probabilities`."""
+        return self.probabilities_and_derivatives(phi)[1]
+
+    def __call__(self, phi) -> np.ndarray:
+        return self.probabilities(phi)
+
+
+def click_probability_series(src, det) -> PhaseSeries:
+    """:func:`click_probability_tensor` over phi as a phase series, with axes
+    cut at n_max clicks: no counter clicks more often than the at most n_max
+    photons it receives, so every entry beyond is zero."""
+    n_max = choose_truncation(src)
+    keep = (slice(n_max + 1),) * 4
+    return PhaseSeries(PhaseSeries.harmonics_of(
+        lambda phi: click_probability_tensor(src, RotationSpec(phi), det, n_max)[keep], n_max))
 
 
 def detection_probability(pattern, rot, src, det, n_max=None) -> float:
@@ -157,7 +226,7 @@ def detection_probability(pattern, rot, src, det, n_max=None) -> float:
     Wa, Wb = det.table_a.weights, det.table_b.weights
     total = 0.0
     for n in range(n_max + 1):
-        p, _ = sector_probabilities(n, src, rot)
+        p = sector_probabilities(n, src, rot)
         va = Wa[r_ah, : n + 1] * Wa[r_av, : n + 1][::-1]
         vb = Wb[r_bh, : n + 1] * Wb[r_bv, : n + 1][::-1]
         total += va @ p @ vb
@@ -184,7 +253,7 @@ class PatternDistribution:
 
 def full_pattern_distribution(rot, src, det, n_max=None) -> PatternDistribution:
     """Distribution over every representable click pattern."""
-    P, _ = click_probability_tensor(src, rot, det, n_max)
+    P = click_probability_tensor(src, rot, det, n_max)
     ra = det.table_a.max_clicks
     rb = det.table_b.max_clicks
     patterns = tuple(
@@ -210,13 +279,14 @@ def fourfold_patterns(clicks_a: int = 2, clicks_b: int = 2) -> tuple:
     )
 
 
-class PatternFamily:
+class PatternFamily(PhaseSeries):
     """phi-parametrized distribution over a fixed pattern subset.
 
-    Probabilities are renormalized within the subset pattern class per phi
-    (the way coincidence counts are normalized per setting), unless
-    ``renormalize=False``.  Derivatives are exact, propagated from the
-    amplitude level.
+    Compiled once per source, detector and theta to its phase series, so
+    probabilities and exact derivatives cost one small contraction per
+    phase.  Probabilities are renormalized within the subset pattern class
+    per phi (the way coincidence counts are normalized per setting),
+    unless ``renormalize=False``.
     """
 
     def __init__(self, src, det, patterns, theta=0.0, renormalize=True, n_max=None):
@@ -224,54 +294,28 @@ class PatternFamily:
         self.det = det
         self.patterns = tuple(tuple(p) for p in patterns)
         self.theta = theta
-        self.renormalize = renormalize
         self.n_max = choose_truncation(src) if n_max is None else n_max
         _check_capacity(det, self.n_max)
         # per-path weight selectors, fixed across phi
         self._rows_a = [(p[0], p[1]) for p in self.patterns]
         self._rows_b = [(p[2], p[3]) for p in self.patterns]
+        super().__init__(self.harmonics_of(self._raw, self.n_max), renormalize)
 
     def _raw(self, phi):
+        """Unrenormalized subset probabilities at one phase, summed per sector."""
         Wa, Wb = self.det.table_a.weights, self.det.table_b.weights
         rot = RotationSpec(phi=phi, theta=self.theta)
         f = np.zeros(len(self.patterns))
-        df = np.zeros_like(f)
         for n in range(self.n_max + 1):
-            p, dp = sector_probabilities(n, self.src, rot, derivative=True)
+            p = sector_probabilities(n, self.src, rot)
             Ta = np.array([Wa[ra, : n + 1] * Wa[rv, : n + 1][::-1] for ra, rv in self._rows_a])
             Tb = np.array([Wb[rb, : n + 1] * Wb[rw, : n + 1][::-1] for rb, rw in self._rows_b])
-            f += np.einsum("ik,kl,il->i", Ta, p, Tb, optimize=True)
-            df += np.einsum("ik,kl,il->i", Ta, dp, Tb, optimize=True)
-        return f, df
-
-    def probabilities(self, phi) -> np.ndarray:
-        f, _ = self._raw(phi)
-        if self.renormalize:
-            return f / f.sum()
+            f += ((Ta @ p) * Tb).sum(axis=1)
         return f
-
-    def derivatives(self, phi) -> np.ndarray:
-        """Exact d/dphi of :meth:`probabilities`."""
-        f, df = self._raw(phi)
-        if self.renormalize:
-            s, ds = f.sum(), df.sum()
-            return (df * s - f * ds) / (s * s)
-        return df
-
-    def probabilities_and_derivatives(self, phi):
-        f, df = self._raw(phi)
-        if self.renormalize:
-            s, ds = f.sum(), df.sum()
-            return f / s, (df * s - f * ds) / (s * s)
-        return f, df
 
     def subset_probability(self, phi) -> float:
         """Total unrenormalized probability of the pattern subset."""
-        f, _ = self._raw(phi)
-        return float(f.sum())
-
-    def __call__(self, phi) -> np.ndarray:
-        return self.probabilities(phi)
+        return float(self.raw(phi)[0].sum())
 
 
 def fourfold_family(src, det, theta=0.0, clicks_a=2, clicks_b=2, renormalize=True,
@@ -322,21 +366,18 @@ def _path_click_stats(table: PovmTable, occ_h: int, occ_v: int, clicks: int):
     return p_event, surv_sum
 
 
-def fourfold_conditional_means(src, det, theta=0.0, clicks_a=2, clicks_b=2,
-                               n_phi=64, n_max=None):
+def fourfold_conditional_means(src, det, theta=0.0, clicks_a=2, clicks_b=2, n_max=None):
     """Mean sensing-path photons per accepted coincidence event.
 
     Returns (emitted, surviving): the first counts all photons the source
     put into the sensing path on accepted events, the second only those
     that survive transmission and reach the counters.  Both are averaged
-    over a uniform phase grid, weighted by the event rate.
+    over phase, weighted by the event rate; the averages are the exact
+    zeroth harmonics.
     """
     if n_max is None:
         n_max = choose_truncation(src)
     _check_capacity(det, n_max)
-    den = 0.0
-    num_emitted = 0.0
-    num_surviving = 0.0
     per_sector_a = [
         np.array([_path_click_stats(det.table_a, k, n - k, clicks_a) for k in range(n + 1)])
         for n in range(n_max + 1)
@@ -345,16 +386,18 @@ def fourfold_conditional_means(src, det, theta=0.0, clicks_a=2, clicks_b=2,
         np.array([_path_click_stats(det.table_b, l, n - l, clicks_b)[0] for l in range(n + 1)])
         for n in range(n_max + 1)
     ]
-    for phi in np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False):
+
+    def rates(phi):  # (event rate, emitted and surviving photons on events)
         rot = RotationSpec(phi=phi, theta=theta)
+        out = np.zeros(3)
         for n in range(n_max + 1):
-            p, _ = sector_probabilities(n, src, rot)
-            a_stats = per_sector_a[n]
-            b_prob = per_sector_b[n]
+            p = sector_probabilities(n, src, rot)
+            a_stats, b_prob = per_sector_a[n], per_sector_b[n]
             joint = a_stats[:, 0] @ p @ b_prob
-            den += joint
-            num_emitted += n * joint
-            num_surviving += a_stats[:, 1] @ p @ b_prob
+            out += (joint, n * joint, a_stats[:, 1] @ p @ b_prob)
+        return out
+
+    den, num_emitted, num_surviving = PhaseSeries.harmonics_of(rates, n_max)[0].real
     if den <= 0.0:
         raise ValueError("conditioning class has zero probability at this gain")
     return num_emitted / den, num_surviving / den
@@ -371,7 +414,7 @@ class MeanPhotons:
 
 
 def mean_photon_numbers(src: SourceParams, det: DetectorModel | None = None,
-                        theta: float = 0.0, n_phi: int = 64) -> MeanPhotons:
+                        theta: float = 0.0) -> MeanPhotons:
     """Unconditional per-path means plus coincidence-conditioned sensing means.
 
     The per-path mean is sum_n n q_n = 2 sinh(tau)^2; each path carries
@@ -382,7 +425,7 @@ def mean_photon_numbers(src: SourceParams, det: DetectorModel | None = None,
     per_path = float(np.arange(n_max + 1) @ q)
     if det is None:
         return MeanPhotons(per_path=per_path, total=2.0 * per_path)
-    emitted, surviving = fourfold_conditional_means(src, det, theta=theta, n_phi=n_phi)
+    emitted, surviving = fourfold_conditional_means(src, det, theta=theta)
     return MeanPhotons(
         per_path=per_path,
         total=2.0 * per_path,

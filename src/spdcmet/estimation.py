@@ -3,13 +3,15 @@
 Families of phase-parametrized distributions enter either as model objects
 exposing ``probabilities_and_derivatives(phi)`` (exact derivatives) or as
 plain callables ``phi -> probs`` (differentiated by central differences).
-Fitted fringes carry their own analytic cosine-series derivatives.
+Model families are compiled phase series (:class:`spdcmet.engine.PhaseSeries`);
+fitted fringes are the same series truncated to harmonics 0-2.  Best phases
+are found by :func:`argmax_over_phase`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +19,7 @@ from . import engine
 from .fock import SourceParams, pair_number_weights
 
 __all__ = [
+    "argmax_over_phase",
     "derivative",
     "fisher_information",
     "fisher_point",
@@ -34,7 +37,6 @@ __all__ = [
     "heisenberg_limit",
     "PerformancePoint",
     "performance_curve",
-    "EstimateSummary",
 ]
 
 PROB_FLOOR = 1e-12
@@ -108,26 +110,15 @@ class FringeFit:
         return -self.c1 * np.sin(u) - 2.0 * self.c2 * np.sin(2.0 * u)
 
 
-@dataclass(frozen=True)
-class FringeSet:
-    """Jointly renormalized collection of fitted fringes."""
+class FringeSet(engine.PhaseSeries):
+    """Jointly renormalized collection of fitted fringes: the phase series
+    whose harmonics 0-2 per fit are (c0, c1 e^{i phi0}, c2 e^{2 i phi0})."""
 
-    fits: tuple
-    renormalize: bool = True
-
-    def probabilities_and_derivatives(self, phi):
-        f = np.array([fit.value(phi) for fit in self.fits])
-        df = np.array([fit.derivative(phi) for fit in self.fits])
-        if not self.renormalize:
-            return f, df
-        s, ds = f.sum(), df.sum()
-        return f / s, (df * s - f * ds) / (s * s)
-
-    def probabilities(self, phi):
-        return self.probabilities_and_derivatives(phi)[0]
-
-    def __call__(self, phi):
-        return self.probabilities(phi)
+    def __init__(self, fits, renormalize=True):
+        self.fits = tuple(fits)
+        harmonics = [[f.c0, f.c1 * np.exp(1j * f.phi0), f.c2 * np.exp(2j * f.phi0)]
+                     for f in self.fits]
+        super().__init__(np.reshape(harmonics, (-1, 3)).T, renormalize)
 
     def __iter__(self):
         return iter(self.fits)
@@ -165,6 +156,30 @@ def _golden_min(f, a, b, tol=1e-12, max_iter=200):
             x2 = a + invphi * (b - a)
             f2 = f(x2)
     return (a + b) / 2.0
+
+
+def argmax_over_phase(fn, grid=96, values=None, tol=1e-9):
+    """Maximum of a 2 pi-periodic function: the best point of an equispaced
+    grid, refined by golden section over one grid step either side.
+
+    ``grid`` is a point count over [0, 2 pi) or an increasing equispaced
+    array of phases; ``values`` are ``fn`` on that grid when the caller
+    already has them.  Symmetric images of one maximum tie up to rounding,
+    so the first grid point within 1e-12 (relative) of the best is taken.
+    The bracket is never clipped to the grid, which is safe because ``fn``
+    is periodic.  Returns (phi, fn(phi)); phi may lie up to one grid step
+    outside the grid.
+    """
+    if np.ndim(grid) == 0:
+        grid = np.linspace(0.0, 2.0 * np.pi, int(grid), endpoint=False)
+    if values is None:
+        values = [fn(g) for g in grid]
+    values = np.asarray(values)
+    top = values.max()
+    i = int(np.argmax(values >= top - 1e-12 * abs(top)))
+    step = grid[1] - grid[0]
+    phi = _golden_min(lambda p: -fn(p), grid[i] - step, grid[i] + step, tol=tol)
+    return phi, fn(phi)
 
 
 def fit_fringes(phi, counts, renormalize=True, phi0_grid=181) -> FringeSet:
@@ -289,12 +304,14 @@ def monte_carlo_ml_fisher(family, phi_true, repetitions=10_000, sample_size=1000
 
     Every repetition draws one multinomial sample of ``sample_size``
     events at the true phase and estimates it back by likelihood search
-    restricted to ``phi_true +- search_halfwidth`` (local estimation;
-    keeps mirror-symmetric aliases of the fringe period out of the
-    window).  The quoted standard error is the large-M normal-theory
+    restricted to ``phi_true +- search_halfwidth``, refined up to one grid
+    step beyond it (local estimation; keeps mirror-symmetric aliases of
+    the fringe period out of the window).  The quoted standard error is the large-M normal-theory
     error of a variance estimate, Var * sqrt(2 / (M - 1)), propagated to
     the information.
     """
+    if not search_halfwidth > 0.0:
+        raise ValueError("search_halfwidth must be positive")
     rng = np.random.default_rng(seed)
     p_true = np.asarray(family(phi_true) if callable(family) else family.probabilities(phi_true))
     a = phi_true - search_halfwidth
@@ -309,12 +326,9 @@ def monte_carlo_ml_fisher(family, phi_true, repetitions=10_000, sample_size=1000
     estimates = np.empty(repetitions)
     for m in range(repetitions):
         counts = rng.multinomial(sample_size, p_true)
-        ll = log_grid @ counts
-        i = int(np.argmax(ll))
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, n_grid - 1)]
-        estimates[m] = _golden_min(
-            lambda p: -_log_likelihood(counts, family, p), lo, hi, tol=1e-10
+        estimates[m], _ = argmax_over_phase(
+            lambda p: _log_likelihood(counts, family, p), grid,
+            values=log_grid @ counts, tol=1e-10,
         )
     variance = float(np.var(estimates, ddof=1))
     i_ml = 1.0 / (sample_size * variance)
@@ -381,7 +395,7 @@ def bootstrap_fisher_band(phi, counts, replicates=1000, seed=0,
 # baselines
 
 
-def snl_fisher(src, det, theta=0.0, n_phi=64) -> float:
+def snl_fisher(src, det, theta=0.0) -> float:
     """Shot-noise baseline: Fisher information of an ideal classical probe
     using the same number of sensing-path photons per accepted event.
 
@@ -390,7 +404,7 @@ def snl_fisher(src, det, theta=0.0, n_phi=64) -> float:
     counters per accepted coincidence (loss commutes with the phase, so
     these are the photons that actually probe it).
     """
-    _, surviving = engine.fourfold_conditional_means(src, det, theta=theta, n_phi=n_phi)
+    _, surviving = engine.fourfold_conditional_means(src, det, theta=theta)
     return float(surviving)
 
 
@@ -418,35 +432,6 @@ class PerformancePoint:
     heisenberg_normalized: float
 
 
-class _FullPatternFamily:
-    """Unconditioned distribution over every click pattern, with derivatives."""
-
-    def __init__(self, src, det, theta=0.0, n_max=None):
-        self.src, self.det, self.theta = src, det, theta
-        self.n_max = engine.choose_truncation(src) if n_max is None else n_max
-
-    def probabilities_and_derivatives(self, phi):
-        from .fock import RotationSpec
-
-        rot = RotationSpec(phi=phi, theta=self.theta)
-        P, dP = engine.click_probability_tensor(
-            self.src, rot, self.det, self.n_max, derivative=True
-        )
-        return P.reshape(-1), dP.reshape(-1)
-
-    def __call__(self, phi):
-        return self.probabilities_and_derivatives(phi)[0]
-
-
-def _max_over_phi(value_fn, coarse=96, refine_tol=1e-9):
-    grid = np.linspace(0.0, 2.0 * np.pi, coarse, endpoint=False)
-    vals = np.array([value_fn(g) for g in grid])
-    i = int(np.argmax(vals))
-    lo, hi = grid[i] - grid[1], grid[i] + grid[1]
-    phi_best = _golden_min(lambda p: -value_fn(p), lo, hi, tol=refine_tol)
-    return phi_best, value_fn(phi_best)
-
-
 def performance_curve(src, etas, d=4, coarse=96) -> list:
     """Normalized uncertainty against balanced transmission.
 
@@ -461,8 +446,8 @@ def performance_curve(src, etas, d=4, coarse=96) -> list:
     points = []
     for eta in etas:
         det = engine.detector_for_source(src, d, eta, eta)
-        fam = _FullPatternFamily(src, det)
-        phi_opt, fisher = _max_over_phi(lambda p: fisher_information(fam, p), coarse)
+        fam = engine.click_probability_series(src, det)
+        phi_opt, fisher = argmax_over_phase(lambda p: fisher_information(fam, p), coarse)
         delta = 1.0 / math.sqrt(fisher)
         scale = math.sqrt(eta * nbar)
         points.append(PerformancePoint(
@@ -477,17 +462,3 @@ def performance_curve(src, etas, d=4, coarse=96) -> list:
 def mean_sensing_photons(src: SourceParams) -> float:
     """Unconditional mean photon number in one path, 2 sinh(tau)^2."""
     return engine.mean_photon_numbers(src).per_path
-
-
-@dataclass(frozen=True)
-class EstimateSummary:
-    """Composite output of the Fisher analysis pipeline."""
-
-    phi_grid: np.ndarray
-    fisher: np.ndarray
-    band_low: np.ndarray | None
-    band_high: np.ndarray | None
-    ml_points: tuple
-    snl: float
-    advantage: float
-    advantage_phi: float

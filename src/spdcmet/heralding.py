@@ -17,6 +17,7 @@ import numpy as np
 
 from . import engine
 from .detectors import DetectorModel
+from .estimation import argmax_over_phase
 from .fock import RotationSpec, SourceParams, pair_number_weights
 
 __all__ = [
@@ -90,54 +91,44 @@ def _mean_heralded_photons(src: SourceParams, eta: float, k: int, n_max: int) ->
     return float((np.arange(n_max + 1) * weights).sum() / total)
 
 
-def _joint_fisher(src, det, mask, phi, n_max):
-    P, dP = engine.click_probability_tensor(
-        src, RotationSpec(phi=phi), det, n_max, derivative=True
-    )
-    Pm = P[:, :, mask]
-    dPm = dP[:, :, mask]
-    p_event = Pm.sum()
-    ok = Pm > _TERM_FLOOR
-    info = float((dPm[ok] ** 2 / Pm[ok]).sum() / p_event)
-    return info, float(p_event)
-
-
-def herald_point(spec: HeraldSpec, phi=None, n_phi=41) -> HeraldPoint:
+def herald_point(spec: HeraldSpec, phi=None) -> HeraldPoint:
     """Heralded Fisher information per photon, with diagnostics.
 
-    With ``phi=None`` the phase is scanned on a grid and refined to the
-    information optimum; the acceptance probability itself carries no
-    phase dependence (each emission sector puts a fixed photon number
-    into the reference path), so the optimum is a plain 1-D search.
+    The accepted part of the click tensor is compiled once to its phase
+    series.  With ``phi=None`` the information is maximized over phase; the
+    acceptance probability itself carries no phase dependence (each
+    emission sector puts a fixed photon number into the reference path),
+    so the optimum is a plain 1-D search.  The information is symmetric
+    under phi -> -phi, so the optimum is reported in [0, pi].
     """
     src = SourceParams(spec.tau)
     n_max = _truncation(src, spec.k)
     det = DetectorModel.perfect_counting(
         eta_a=spec.eta, eta_b=spec.eta, c_max=n_max
     )
-    c_b = det.table_b.max_clicks
-    rb_total = np.add.outer(np.arange(c_b + 1), np.arange(c_b + 1))
-    mask = rb_total >= spec.k
+    c = det.table_b.max_clicks
+    totals = np.add.outer(np.arange(c + 1), np.arange(c + 1))
+    # a path never clicks more often than the n_max photons it carries;
+    # leaving out those identically zero patterns keeps the series small
+    possible = totals <= n_max
+    accepted = possible & (totals >= spec.k)
     mean_n = _mean_heralded_photons(src, spec.eta, spec.k, n_max)
+    series = engine.PhaseSeries(engine.PhaseSeries.harmonics_of(
+        lambda p: engine.click_probability_tensor(
+            src, RotationSpec(phi=p), det, n_max)[possible][:, accepted],
+        n_max))
 
-    if phi is not None:
-        info, p_event = _joint_fisher(src, det, mask, phi, n_max)
-        return HeraldPoint(value=info / mean_n, phi=float(phi),
-                           event_probability=p_event,
-                           mean_heralded_photons=mean_n)
+    def joint_fisher(p):
+        Pm, dPm = series.raw(p)
+        p_event = Pm.sum()
+        ok = Pm > _TERM_FLOOR
+        return float((dPm[ok] ** 2 / Pm[ok]).sum() / p_event), float(p_event)
 
-    grid = np.linspace(0.05, np.pi - 0.05, n_phi)
-    vals = np.array([_joint_fisher(src, det, mask, g, n_max)[0] for g in grid])
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, n_phi - 1)]
-    from .estimation import _golden_min
-
-    phi_opt = _golden_min(
-        lambda p: -_joint_fisher(src, det, mask, p, n_max)[0], lo, hi, tol=1e-8
-    )
-    info, p_event = _joint_fisher(src, det, mask, phi_opt, n_max)
-    return HeraldPoint(value=info / mean_n, phi=float(phi_opt),
+    if phi is None:
+        phi, _ = argmax_over_phase(lambda p: joint_fisher(p)[0])
+        phi = abs(math.remainder(phi, 2.0 * math.pi))
+    info, p_event = joint_fisher(phi)
+    return HeraldPoint(value=info / mean_n, phi=float(phi),
                        event_probability=p_event, mean_heralded_photons=mean_n)
 
 

@@ -30,7 +30,7 @@ from spdcmet.engine import (
     ideal_fisher_information,
 )
 from spdcmet.estimation import (
-    _golden_min,
+    argmax_over_phase,
     fisher_curve,
     fisher_information,
     fit_fringes,
@@ -122,7 +122,7 @@ def test_criterion_03_completeness_and_normalization(capsys):
     det = detector_for_source(src, 4, ETA_A_EXP, ETA_B_EXP)
     worst_p = 0.0
     for phi in np.linspace(0.0, 2.0 * math.pi, 100):
-        P, _ = click_probability_tensor(src, RotationSpec(phi), det)
+        P = click_probability_tensor(src, RotationSpec(phi), det)
         worst_p = max(worst_p, abs(float(P.sum()) - 1.0))
     ok = worst_w < 1e-12 and worst_p <= src.trunc_epsilon
     report(capsys, 3, "completeness and grid normalization", ok,
@@ -163,12 +163,8 @@ def test_criterion_05_snl_anchor(capsys):
 def test_criterion_06_theoretical_advantage(capsys):
     src, det, family = experiment_family()
     snl = snl_fisher(src, det)
-    grid = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
-    vals, _ = fisher_curve(family, grid)
-    k = int(np.argmax(vals))
-    phi_star = _golden_min(lambda p: -fisher_information(family, p),
-                           grid[k] - grid[1], grid[k] + grid[1], tol=1e-9)
-    advantage = fisher_information(family, phi_star) / snl - 1.0
+    phi_star, i_star = argmax_over_phase(lambda p: fisher_information(family, p), 512)
+    advantage = i_star / snl - 1.0
     ok = abs(advantage - 0.45) <= 0.03
     report(capsys, 6, "maximum advantage over shot noise", ok,
            f"max_phi I/SNL - 1 = {advantage:.5f} at phi = {phi_star:.4f}, "

@@ -116,7 +116,7 @@ def test_simulated_rates_are_phase_independent():
     import itertools
 
     def rates_at(phi):
-        P, _ = click_probability_tensor(src, RotationSpec(phi), det)
+        P = click_probability_tensor(src, RotationSpec(phi), det)
         n = P.shape[0]
         sa = sb = tf = 0.0
         for idx in itertools.product(range(n), repeat=4):

@@ -16,9 +16,11 @@ from spdcmet.cli import main
 from spdcmet.engine import (
     RotationSpec,
     detector_for_source,
+    fourfold_family,
     full_pattern_distribution,
     ideal_fisher_information,
 )
+from spdcmet.estimation import fisher_information
 from spdcmet.fock import SourceParams
 from spdcmet.timetags import (
     ChannelMap,
@@ -149,6 +151,21 @@ def test_fisher_band_and_ml_sections(tmp_path):
     assert len(points) == 3
     for pt in points:
         assert pt["i_ml"] > 0.0 and pt["stderr"] > 0.0
+
+
+def test_fisher_ml_points_keep_their_mirror_out_of_the_window(tmp_path):
+    # p(phi) = p(2 theta - phi): at the defaults the middle point 0.9 pi has
+    # its mirror 1.1 pi within pi/4, which collapsed I_ML/I to about 0.004
+    out = tmp_path / "ml.json"
+    assert run(["fisher", "--phi-steps", "4", "--bootstrap", "0", "--ml-reps", "50",
+                "--format", "json", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    src = SourceParams(doc["meta"]["tau"])
+    det = detector_for_source(src, 4, doc["meta"]["eta_a"], doc["meta"]["eta_b"])
+    family = fourfold_family(src, det)
+    assert len(doc["ml_points"]) == 3
+    for pt in doc["ml_points"]:
+        assert 0.4 <= pt["i_ml"] / fisher_information(family, pt["phi"]) <= 2.5
 
 
 def test_fisher_control_phase_translates_curve(tmp_path):

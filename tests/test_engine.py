@@ -9,7 +9,11 @@ from oracles import oracle_click_tensor, oracle_click_tensor_loss_first
 from spdcmet.detectors import DetectorModel
 from spdcmet.engine import (
     PatternDistribution,
+    PatternFamily,
+    PhaseSeries,
+    _sector_amplitudes,
     choose_truncation,
+    click_probability_series,
     click_probability_tensor,
     detection_probability,
     detector_for_source,
@@ -86,7 +90,7 @@ def test_click_tensor_is_a_distribution(tau, d):
     rng = np.random.default_rng(2)
     for _ in range(3):
         rot = RotationSpec(float(rng.uniform(0, 2 * np.pi)), float(rng.uniform(0, 2 * np.pi)))
-        P, _ = click_probability_tensor(src, rot, det)
+        P = click_probability_tensor(src, rot, det)
         assert P.min() >= -1e-15
         assert P.sum() == pytest.approx(1.0, abs=src.trunc_epsilon * 100)
 
@@ -114,7 +118,7 @@ def test_loss_order_does_not_matter():
     B = oracle_click_tensor_loss_first(src, 0.9, 1.4, 0.6, 0.35, 4, 3)
     np.testing.assert_allclose(A, B, atol=1e-12)
     det = detector_for_source(src, 4, 0.6, 0.35)
-    P, _ = click_probability_tensor(src, RotationSpec(0.9, 1.4), det, n_max=3)
+    P = click_probability_tensor(src, RotationSpec(0.9, 1.4), det, n_max=3)
     np.testing.assert_allclose(P[:5, :5, :5, :5], B, atol=1e-12)
 
 
@@ -186,7 +190,7 @@ def test_path_swap_symmetry_at_balanced_loss():
     # swapping paths together with h<->v is a symmetry of the source
     src = SourceParams(0.08)
     det = detector_for_source(src, 4, 0.4, 0.4)
-    P, _ = click_probability_tensor(src, RotationSpec(0.0, 0.0), det)
+    P = click_probability_tensor(src, RotationSpec(0.0, 0.0), det)
     np.testing.assert_allclose(P, np.transpose(P, (3, 2, 1, 0)), atol=1e-12)
 
 
@@ -224,3 +228,81 @@ def test_ideal_information_is_phase_flat():
     src = SourceParams(0.05)
     vals = [ideal_fisher_information(src, p) for p in np.linspace(0, 2 * np.pi, 17)]
     assert max(vals) - min(vals) < 1e-9 * max(vals)
+
+
+# ---------------------------------------------------------------------------
+# compiled phase series
+
+
+def direct_pattern_sum(src, det, patterns, phi, theta, n_max):
+    """Unrenormalized probabilities and exact phi-derivatives, sector by sector."""
+    Wa, Wb = det.table_a.weights, det.table_b.weights
+    f = np.zeros(len(patterns))
+    df = np.zeros(len(patterns))
+    for n in range(n_max + 1):
+        A, dA = _sector_amplitudes(n, src, RotationSpec(phi, theta), derivative=True)
+        for i, (r_ah, r_av, r_bh, r_bv) in enumerate(patterns):
+            va = Wa[r_ah, : n + 1] * Wa[r_av, : n + 1][::-1]
+            vb = Wb[r_bh, : n + 1] * Wb[r_bv, : n + 1][::-1]
+            f[i] += va @ (A * A) @ vb
+            df[i] += va @ (2.0 * A * dA) @ vb
+    return f, df
+
+
+@pytest.mark.parametrize("tau, d, theta", [(0.061, 4, 0.0), (0.3, None, 0.0), (0.061, 4, 0.7)])
+def test_compiled_family_matches_direct_sector_sum(tau, d, theta):
+    src = SourceParams(tau)
+    det = detector_for_source(src, d, 0.23, 0.12)
+    fam = PatternFamily(src, det, NINE + ((1, 0, 0, 1), (0, 0, 0, 0)), theta=theta,
+                        renormalize=False)
+    # rounding in each pattern is relative to that pattern's own size
+    scale = np.abs(fam.harmonics).sum(axis=0)
+    rng = np.random.default_rng(5)
+    for phi in rng.uniform(-2 * np.pi, 4 * np.pi, size=6):
+        want, dwant = direct_pattern_sum(src, det, fam.patterns, phi, theta, fam.n_max)
+        got, dgot = fam.probabilities_and_derivatives(phi)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        assert np.all(np.abs(dgot - dwant) <= 1e-12 * scale)
+
+
+def test_compiled_herald_tensor_matches_direct_sector_sum():
+    # compiled the way heralding compiles it, with the truncation margin
+    src = SourceParams(0.1)
+    n_max = choose_truncation(src) + 4
+    det = DetectorModel.perfect_counting(eta_a=0.9, eta_b=0.9, c_max=n_max)
+    series = PhaseSeries(PhaseSeries.harmonics_of(
+        lambda p: click_probability_tensor(src, RotationSpec(p), det, n_max), n_max))
+    c = det.table_a.max_clicks + 1
+    patterns = [tuple(int(v) for v in idx) for idx in np.ndindex(c, c, c, c)]
+    for phi in np.random.default_rng(8).uniform(0.0, 2 * np.pi, size=3):
+        want, dwant = direct_pattern_sum(src, det, patterns, phi, 0.0, n_max)
+        got, dgot = series.raw(phi)
+        np.testing.assert_allclose(got.reshape(-1), want, atol=1e-15)
+        np.testing.assert_allclose(dgot.reshape(-1), dwant, atol=1e-14)
+        np.testing.assert_allclose(got, click_probability_tensor(src, RotationSpec(phi), det, n_max),
+                                   atol=1e-15)
+
+
+@pytest.mark.parametrize("tau, d", [(0.061, 4), (0.3, None)])
+def test_zeroth_harmonic_is_the_phase_average(tau, d):
+    src = SourceParams(tau)
+    det = detector_for_source(src, d, 0.23, 0.12)
+    fam = PatternFamily(src, det, NINE, theta=0.4, renormalize=False)
+    grid = np.linspace(0.0, 2 * np.pi, 4 * fam.n_max + 3, endpoint=False)
+    dense = np.mean([direct_pattern_sum(src, det, NINE, g, 0.4, fam.n_max)[0] for g in grid],
+                    axis=0)
+    np.testing.assert_allclose(fam.mean(), dense, rtol=1e-12)
+
+
+@pytest.mark.parametrize("d", [4, None])
+def test_click_series_matches_the_tensor_it_compiles(d):
+    src = SourceParams(0.061)
+    det = detector_for_source(src, d, 0.23, 0.12)
+    series = click_probability_series(src, det)
+    for phi in (0.3, 2.2, 5.0):
+        P = click_probability_tensor(src, RotationSpec(phi), det)
+        kept = tuple(slice(n) for n in series.harmonics.shape[1:])
+        np.testing.assert_allclose(series.raw(phi)[0], P[kept], atol=1e-15)
+        P[kept] = 0.0
+        assert not P.any()  # the cut axes hold only zeros
+

@@ -9,6 +9,7 @@ from spdcmet.engine import detector_for_source, fourfold_family, ideal_fisher_in
 from spdcmet.estimation import (
     FringeFit,
     FringeSet,
+    argmax_over_phase,
     bootstrap_fisher_band,
     derivative,
     fisher_curve,
@@ -336,3 +337,52 @@ def test_performance_curve_shape():
     assert np.all(norm >= hl - 1e-9)
     crossings = np.sum(np.diff(np.sign(norm - 1.0)) != 0)
     assert crossings == 1
+
+
+# ---------------------------------------------------------------------------
+# phase search
+
+
+def trig_bump(phi0):
+    """A two-harmonic fringe whose only maximum over the period is at phi0."""
+    return lambda p: math.cos(p - phi0) + 0.3 * math.cos(2.0 * (p - phi0))
+
+
+def test_phase_search_finds_a_maximum_across_the_wrap():
+    # the maximum sits between the last grid point and grid point 0
+    step = 2.0 * math.pi / 96
+    fn = trig_bump(-0.4 * step)
+    phi, value = argmax_over_phase(fn)
+    assert math.remainder(phi + 0.4 * step, 2.0 * math.pi) == pytest.approx(0.0, abs=1e-7)
+    assert value == pytest.approx(1.3, abs=1e-14)
+
+
+def test_phase_search_agrees_with_a_dense_scan():
+    rng = np.random.default_rng(11)
+    dense = np.linspace(0.0, 2.0 * math.pi, 100_000, endpoint=False)
+    k = np.arange(6)
+    for _ in range(5):
+        a, b = rng.normal(size=(2, 6))
+        fn = lambda p: float(a @ np.cos(k * p) + b @ np.sin(k * p))
+        values = np.cos(np.outer(dense, k)) @ a + np.sin(np.outer(dense, k)) @ b
+        # a grid point misses the peak by at most max|f''| h^2 / 8
+        miss = float(k**2 @ (np.abs(a) + np.abs(b))) * (dense[1] ** 2) / 8.0
+        phi, value = argmax_over_phase(fn, 48)
+        assert values.max() - 1e-12 <= value <= values.max() + miss
+        gap = math.remainder(phi - dense[int(np.argmax(values))], 2.0 * math.pi)
+        assert abs(gap) < 1e-4
+
+
+def test_phase_search_on_a_window_refines_past_its_end():
+    # the grid ends 0.03 short of the maximum; the bracket is not clipped
+    fn = trig_bump(1.03)
+    grid = np.linspace(0.5, 1.0, 11)
+    phi, value = argmax_over_phase(fn, grid, values=[fn(g) for g in grid], tol=1e-11)
+    assert phi == pytest.approx(1.03, abs=1e-7)
+    assert value == pytest.approx(1.3, abs=1e-14)
+
+
+def test_ml_search_window_must_be_positive():
+    with pytest.raises(ValueError):
+        monte_carlo_ml_fisher(cos2_family, 1.0, repetitions=3, search_halfwidth=0.0)
+

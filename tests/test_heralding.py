@@ -96,7 +96,7 @@ def test_conditioning_marginalizes_back_to_the_full_model():
     src = SourceParams(0.05)
     eta = 0.8
     det = detector_for_source(src, None, eta, eta)
-    P, _ = click_probability_tensor(src, RotationSpec(0.9), det)
+    P = click_probability_tensor(src, RotationSpec(0.9), det)
     marginal = P.sum(axis=(2, 3))
     rebuilt = np.zeros_like(marginal)
     n = P.shape[2]
