@@ -35,7 +35,7 @@ from .engine import (
     PatternFamily,
     PhaseSeries,
     choose_truncation,
-    click_probability_series,
+    click_pair_series,
     click_probability_tensor,
     detection_probability,
     detector_for_source,
@@ -109,7 +109,7 @@ __all__ = [
     "PovmTable", "DetectorModel",
     # engine
     "choose_truncation", "detector_for_source", "click_probability_tensor",
-    "PhaseSeries", "click_probability_series", "detection_probability",
+    "PhaseSeries", "click_pair_series", "detection_probability",
     "fourfold_distribution", "full_pattern_distribution",
     "PatternDistribution", "PatternFamily", "fourfold_patterns", "fourfold_family",
     "fourfold_conditional_means", "mean_photon_numbers", "ideal_fisher_information",

@@ -144,9 +144,9 @@ def model_rate_summary(src: SourceParams, det) -> RateSummary:
     multiplexed counters pick up a tiny phase wiggle through collision
     statistics, which the average (the exact zeroth harmonic) removes.
     """
-    P = engine.click_probability_series(src, det).mean()
-    clicks_a = np.add.outer(np.arange(P.shape[0]), np.arange(P.shape[1]))
-    clicks_b = np.add.outer(np.arange(P.shape[2]), np.arange(P.shape[3]))
+    series, pairs_a, pairs_b = engine.click_pair_series(src, det)
+    P = series.mean()
+    clicks_a, clicks_b = pairs_a.sum(axis=1), pairs_b.sum(axis=1)
     one_a, zero_a = clicks_a == 1, clicks_a == 0
     one_b, zero_b = clicks_b == 1, clicks_b == 0
     return RateSummary(

@@ -259,12 +259,11 @@ def cmd_herald(args) -> int:
     etas = [float(s) for s in args.etas.split(",") if s.strip()]
     k_values = list(range(args.k_max + 1))
     table = heralding.herald_table(args.tau, etas, k_values)
-    src = SourceParams(args.tau)
     meta = {
         "command": "herald",
         "version": __version__,
         "tau": args.tau,
-        "truncation": engine.choose_truncation(src),
+        "truncation": table.truncation,
         "etas": args.etas,
     }
     columns = ["k"] + [f"eta={_fmt(e)}" for e in etas]

@@ -30,11 +30,10 @@ import numpy as np
 
 from .detectors import DetectorModel, PovmTable, binomial_thinning_matrix
 from .fock import (
-    RotationSpec,
+    RotationSpec,  # noqa: F401  (re-exported)
     SourceParams,
     pair_number_weights,
-    reference_transition_matrix,
-    sensing_transition_matrix,
+    rotation_matrices,
     truncation_tail,
 )
 
@@ -44,7 +43,7 @@ __all__ = [
     "sector_probabilities",
     "click_probability_tensor",
     "PhaseSeries",
-    "click_probability_series",
+    "click_pair_series",
     "detection_probability",
     "PatternDistribution",
     "full_pattern_distribution",
@@ -87,18 +86,23 @@ def detector_for_source(
     return DetectorModel.multiplexed(d, eta_a, eta_b, c_max)
 
 
-def _sector_amplitudes(n, src, rot, derivative=False):
-    """Joint amplitude matrix A_n[k, l] and optionally dA_n/dphi."""
-    pref = math.tanh(src.tau) ** n / math.cosh(src.tau) ** 2
-    signs = np.array([(-1.0) ** m for m in range(n + 1)])
-    theta_t = reference_transition_matrix(n, rot.theta).T
-    phi_m = sensing_transition_matrix(n, rot.phi)
-    A = pref * ((phi_m * signs) @ theta_t)
-    if not derivative:
-        return A, None
-    dphi_m = sensing_transition_matrix(n, rot.phi, derivative=True)
-    dA = pref * ((dphi_m * signs) @ theta_t)
-    return A, dA
+def _joint_amplitudes(src, phi, theta, n_max, derivative=False):
+    """Joint amplitude matrices A_n[..., k, l] of sectors n = 0..n_max, one at a
+    time, from one all-sector build per path; an array of phases ``phi``
+    leads the axes.  With ``derivative`` yields pairs (A_n, dA_n/dphi)."""
+    g_theta = rotation_matrices(n_max, theta)
+    g_phi = rotation_matrices(n_max, phi, derivative)
+    for n in range(n_max + 1):
+        pref = math.tanh(src.tau) ** n / math.cosh(src.tau) ** 2
+        signs = (-1.0) ** np.arange(n + 1)
+
+        def amplitude(g):  # g[..., ::-1] is the sensing transition matrix
+            return pref * ((g[..., ::-1] * signs) @ g_theta[n].T)
+
+        if derivative:
+            yield amplitude(g_phi[0][n]), amplitude(g_phi[1][n])
+        else:
+            yield amplitude(g_phi[n])
 
 
 def sector_probabilities(n, src, rot):
@@ -107,7 +111,7 @@ def sector_probabilities(n, src, rot):
     Index k is the sensing-path h occupation (v holds n-k), l the same on
     the reference path.
     """
-    A, _ = _sector_amplitudes(n, src, rot)
+    *_, A = _joint_amplitudes(src, rot.phi, rot.theta, n)
     return A * A
 
 
@@ -119,25 +123,27 @@ def _check_capacity(det: DetectorModel, n_max: int):
         )
 
 
+def _direct_clicks(src, rot, det, pairs_a, pairs_b, n_max):
+    """Probabilities P[i, j] of the patterns (*pairs_a[i], *pairs_b[j]) at one
+    rotation, summed sector by sector."""
+    if n_max is None:
+        n_max = choose_truncation(src)
+    _check_capacity(det, n_max)
+    ka = _click_weights(det.table_a, pairs_a, n_max)
+    kb = _click_weights(det.table_b, pairs_b, n_max)
+    return sum(ka[n] @ (A * A) @ kb[n].T
+               for n, A in enumerate(_joint_amplitudes(src, rot.phi, rot.theta, n_max)))
+
+
 def click_probability_tensor(src, rot, det, n_max=None):
     """Joint click-pattern probabilities P[r_ah, r_av, r_bh, r_bv].
 
     Axes run to each table's maximum click number.
     """
-    if n_max is None:
-        n_max = choose_truncation(src)
-    _check_capacity(det, n_max)
-    Wa, Wb = det.table_a.weights, det.table_b.weights
-    ra, rb = det.table_a.max_clicks, det.table_b.max_clicks
-    P = np.zeros((ra + 1, ra + 1, rb + 1, rb + 1))
-    for n in range(n_max + 1):
-        p = sector_probabilities(n, src, rot)
-        wa = Wa[:, : n + 1]
-        wav = wa[:, ::-1]  # v mode holds n-k photons
-        wb = Wb[:, : n + 1]
-        wbv = wb[:, ::-1]
-        P += np.einsum("ak,vk,hl,wl,kl->avhw", wa, wav, wb, wbv, p, optimize=True)
-    return P
+    ra, rb = det.table_a.max_clicks + 1, det.table_b.max_clicks + 1
+    P = _direct_clicks(src, rot, det, np.argwhere(np.ones((ra, ra))),
+                       np.argwhere(np.ones((rb, rb))), n_max)
+    return P.reshape(ra, ra, rb, rb)
 
 
 class PhaseSeries:
@@ -146,38 +152,20 @@ class PhaseSeries:
         f(phi) = Re sum_{k=0}^{degree} c_k exp(i k phi),
 
     with complex harmonics ``c`` of shape (degree+1, *output shape).  Values
-    and exact derivatives (harmonics i k c_k) cost one small contraction per
-    phase, and the phase average is c_0.  With ``renormalize`` the values
-    are divided by their sum at each phase, the way coincidence counts are
-    normalized per setting.
+    and exact derivatives (harmonics i k c_k) cost one small contraction for
+    a phase or a whole array of phases, and the phase average is c_0.  With
+    ``renormalize`` the values are divided by their sum at each phase, the
+    way coincidence counts are normalized per setting.
     """
 
     def __init__(self, harmonics, renormalize=False):
-        self.harmonics = np.asarray(harmonics, dtype=complex)
+        self.harmonics = np.ascontiguousarray(harmonics, dtype=complex)
         self.renormalize = renormalize
         self._k = np.arange(self.harmonics.shape[0])
 
-    @staticmethod
-    def harmonics_of(sample, degree):
-        """Harmonics of ``sample(phi)``, a trigonometric polynomial of ``degree``:
-        its discrete Fourier transform over 2 degree + 1 equispaced phases,
-        accumulated one sample at a time so that samples are never stored."""
-        n = 2 * degree + 1
-        c = None
-        for j in range(n):
-            phi = 2.0 * math.pi * j / n
-            s = sample(phi)
-            if c is None:
-                c = np.zeros((degree + 1,) + np.shape(s), dtype=complex)
-            for k in range(degree + 1):
-                c[k] += np.exp(-2j * math.pi * (k * j % n) / n) * s
-        c *= 2.0 / n
-        c[0] /= 2.0
-        return c
-
     def raw(self, phi):
-        """Unrenormalized values and their exact phi-derivatives."""
-        e = np.exp(1j * self._k * phi)
+        """Unrenormalized values and exact phi-derivatives; an array of phases leads the axes."""
+        e = np.exp(1j * np.multiply.outer(phi, self._k))
         f, df = np.tensordot(np.stack([e, 1j * self._k * e]), self.harmonics, axes=1).real
         return f, df
 
@@ -189,7 +177,8 @@ class PhaseSeries:
         f, df = self.raw(phi)
         if not self.renormalize:
             return f, df
-        s, ds = f.sum(), df.sum()
+        outputs = tuple(range(np.ndim(phi), f.ndim))
+        s, ds = f.sum(outputs, keepdims=True), df.sum(outputs, keepdims=True)
         return f / s, (df * s - f * ds) / (s * s)
 
     def probabilities(self, phi) -> np.ndarray:
@@ -203,14 +192,52 @@ class PhaseSeries:
         return self.probabilities(phi)
 
 
-def click_probability_series(src, det) -> PhaseSeries:
-    """:func:`click_probability_tensor` over phi as a phase series, with axes
-    cut at n_max clicks: no counter clicks more often than the at most n_max
-    photons it receives, so every entry beyond is zero."""
-    n_max = choose_truncation(src)
-    keep = (slice(n_max + 1),) * 4
-    return PhaseSeries(PhaseSeries.harmonics_of(
-        lambda phi: click_probability_tensor(src, RotationSpec(phi), det, n_max)[keep], n_max))
+def _sector_harmonics(src, theta, weights_a, weights_b, degree):
+    """Harmonics c[j, i, i'], j <= degree, of sum_n weights_a[n] @ p_n(phi) @ weights_b[n].T
+    for phi-independent per-path weights over the occupations of sectors
+    n = 0..n_max.  Each p_n, of degree n in phi, is evaluated at 2 n_max + 1
+    equispaced phases in one batched product of all-sector rotation
+    matrices, transformed to harmonics and contracted once with the weights.
+    """
+    n_max = len(weights_a) - 1
+    samples = 2 * n_max + 1
+    phases = 2.0 * np.pi * np.arange(samples) / samples
+    dft = np.exp(-2j * np.pi / samples * np.outer(np.arange(degree + 1), np.arange(samples)))
+    dft *= 2.0 / samples
+    dft[0] /= 2.0
+    c = np.zeros((degree + 1, len(weights_a[0]), len(weights_b[0])), dtype=complex)
+    for n, A in enumerate(_joint_amplitudes(src, phases, theta, n_max)):
+        h = np.tensordot(dft[: min(n, degree) + 1], A * A, axes=1)
+        for j, h_j in enumerate(h):  # one harmonic at a time keeps temporaries small
+            c[j] += weights_a[n] @ h_j @ weights_b[n].T
+    return c
+
+
+def _click_weights(table: PovmTable, pairs, n_max):
+    """K_n[i, k] = W[r_h, k] W[r_v, n - k] for pairs[i] = (r_h, r_v): the chance
+    that a path holding (k, n - k) photons clicks that pair, n = 0..n_max."""
+    h, v = np.transpose(pairs)
+    return [table.weights[h, : n + 1] * table.weights[v, n::-1] for n in range(n_max + 1)]
+
+
+def _click_harmonics(src, det, pairs_a, pairs_b, theta, n_max):
+    _check_capacity(det, n_max)
+    return _sector_harmonics(src, theta, _click_weights(det.table_a, pairs_a, n_max),
+                             _click_weights(det.table_b, pairs_b, n_max), n_max)
+
+
+def click_pair_series(src, det, n_max=None):
+    """Click probabilities over phi, at theta = 0, of every pattern the cutoff allows.
+
+    Returns (series, pairs_a, pairs_b); output [i, j] is the pattern
+    (*pairs_a[i], *pairs_b[j]).  A path's pairs (r_h, r_v) are those with
+    r_h + r_v <= n_max; every other pattern has probability zero.
+    """
+    if n_max is None:
+        n_max = choose_truncation(src)
+    pairs = [np.argwhere(np.add.outer(r, r) <= n_max) for r in
+             (np.arange(min(t.max_clicks, n_max) + 1) for t in (det.table_a, det.table_b))]
+    return (PhaseSeries(_click_harmonics(src, det, *pairs, 0.0, n_max)), *pairs)
 
 
 def detection_probability(pattern, rot, src, det, n_max=None) -> float:
@@ -220,17 +247,7 @@ def detection_probability(pattern, rot, src, det, n_max=None) -> float:
         raise ValueError("click counts must be non-negative")
     if max(r_ah, r_av) > det.table_a.max_clicks or max(r_bh, r_bv) > det.table_b.max_clicks:
         raise ValueError(f"pattern {pattern} exceeds the detector click range")
-    if n_max is None:
-        n_max = choose_truncation(src)
-    _check_capacity(det, n_max)
-    Wa, Wb = det.table_a.weights, det.table_b.weights
-    total = 0.0
-    for n in range(n_max + 1):
-        p = sector_probabilities(n, src, rot)
-        va = Wa[r_ah, : n + 1] * Wa[r_av, : n + 1][::-1]
-        vb = Wb[r_bh, : n + 1] * Wb[r_bv, : n + 1][::-1]
-        total += va @ p @ vb
-    return float(total)
+    return float(_direct_clicks(src, rot, det, [pattern[:2]], [pattern[2:]], n_max)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -295,23 +312,11 @@ class PatternFamily(PhaseSeries):
         self.patterns = tuple(tuple(p) for p in patterns)
         self.theta = theta
         self.n_max = choose_truncation(src) if n_max is None else n_max
-        _check_capacity(det, self.n_max)
-        # per-path weight selectors, fixed across phi
-        self._rows_a = [(p[0], p[1]) for p in self.patterns]
-        self._rows_b = [(p[2], p[3]) for p in self.patterns]
-        super().__init__(self.harmonics_of(self._raw, self.n_max), renormalize)
-
-    def _raw(self, phi):
-        """Unrenormalized subset probabilities at one phase, summed per sector."""
-        Wa, Wb = self.det.table_a.weights, self.det.table_b.weights
-        rot = RotationSpec(phi=phi, theta=self.theta)
-        f = np.zeros(len(self.patterns))
-        for n in range(self.n_max + 1):
-            p = sector_probabilities(n, self.src, rot)
-            Ta = np.array([Wa[ra, : n + 1] * Wa[rv, : n + 1][::-1] for ra, rv in self._rows_a])
-            Tb = np.array([Wb[rb, : n + 1] * Wb[rw, : n + 1][::-1] for rb, rw in self._rows_b])
-            f += ((Ta @ p) * Tb).sum(axis=1)
-        return f
+        rows_a = sorted({p[:2] for p in self.patterns})
+        rows_b = sorted({p[2:] for p in self.patterns})
+        c = _click_harmonics(src, det, rows_a, rows_b, theta, self.n_max)
+        super().__init__(c[:, [rows_a.index(p[:2]) for p in self.patterns],
+                           [rows_b.index(p[2:]) for p in self.patterns]], renormalize)
 
     def subset_probability(self, phi) -> float:
         """Total unrenormalized probability of the pattern subset."""
@@ -387,17 +392,11 @@ def fourfold_conditional_means(src, det, theta=0.0, clicks_a=2, clicks_b=2, n_ma
         for n in range(n_max + 1)
     ]
 
-    def rates(phi):  # (event rate, emitted and surviving photons on events)
-        rot = RotationSpec(phi=phi, theta=theta)
-        out = np.zeros(3)
-        for n in range(n_max + 1):
-            p = sector_probabilities(n, src, rot)
-            a_stats, b_prob = per_sector_a[n], per_sector_b[n]
-            joint = a_stats[:, 0] @ p @ b_prob
-            out += (joint, n * joint, a_stats[:, 1] @ p @ b_prob)
-        return out
-
-    den, num_emitted, num_surviving = PhaseSeries.harmonics_of(rates, n_max)[0].real
+    # rows: event rate, emitted and surviving photons on events
+    weights_a = [np.stack([a[:, 0], n * a[:, 0], a[:, 1]]) for n, a in enumerate(per_sector_a)]
+    weights_b = [b[None] for b in per_sector_b]
+    den, num_emitted, num_surviving = _sector_harmonics(
+        src, theta, weights_a, weights_b, degree=0)[0, :, 0].real
     if den <= 0.0:
         raise ValueError("conditioning class has zero probability at this gain")
     return num_emitted / den, num_surviving / den
@@ -447,9 +446,5 @@ def ideal_fisher_information(src: SourceParams, phi: float, theta: float = 0.0,
     """
     if n_max is None:
         n_max = choose_truncation(src)
-    rot = RotationSpec(phi=phi, theta=theta)
-    total = 0.0
-    for n in range(n_max + 1):
-        _, dA = _sector_amplitudes(n, src, rot, derivative=True)
-        total += 4.0 * float((dA * dA).sum())
-    return total
+    return sum(4.0 * float((dA * dA).sum())
+               for _, dA in _joint_amplitudes(src, phi, theta, n_max, derivative=True))

@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 PROB_FLOOR = 1e-12
+_SCAN_BLOCK = 4  # phases per evaluation of a phase scan; bounds its temporaries
 
 
 def _probs_and_derivs(family, phi, h=1e-5):
@@ -73,12 +74,19 @@ def fisher_point(family, phi, h=1e-5, floor=PROB_FLOOR) -> FisherPoint:
     p, dp = _probs_and_derivs(family, phi, h)
     tiny = p < floor
     clipped = bool(np.any(tiny & (np.abs(dp) > math.sqrt(floor))))
-    value = float((dp * dp / np.maximum(p, floor)).sum())
-    return FisherPoint(phi=float(phi), value=value, clipped=clipped)
+    return FisherPoint(phi=float(phi), value=_information(p, dp, floor, 0), clipped=clipped)
 
 
-def fisher_information(family, phi, h=1e-5, floor=PROB_FLOOR) -> float:
-    return fisher_point(family, phi, h, floor).value
+def _information(p, dp, floor, phase_axes):
+    """sum dp^2 / max(p, floor) over the axes after the leading phase axes."""
+    info = (dp * dp / np.maximum(p, floor)).sum(axis=tuple(range(phase_axes, np.ndim(p))))
+    return float(info) if phase_axes == 0 else info
+
+
+def fisher_information(family, phi, h=1e-5, floor=PROB_FLOOR):
+    """Fisher information at ``phi``; an array of phases (for a compiled
+    family) gives an array, evaluated in one contraction."""
+    return _information(*_probs_and_derivs(family, phi, h), floor, np.ndim(phi))
 
 
 def fisher_curve(family, phi_grid, h=1e-5, floor=PROB_FLOOR):
@@ -162,10 +170,12 @@ def argmax_over_phase(fn, grid=96, values=None, tol=1e-9):
     """Maximum of a 2 pi-periodic function: the best point of an equispaced
     grid, refined by golden section over one grid step either side.
 
-    ``grid`` is a point count over [0, 2 pi) or an increasing equispaced
-    array of phases; ``values`` are ``fn`` on that grid when the caller
-    already has them.  Symmetric images of one maximum tie up to rounding,
-    so the first grid point within 1e-12 (relative) of the best is taken.
+    ``fn`` takes a phase or an array of phases.  ``grid`` is a point count
+    over [0, 2 pi) or an increasing equispaced array of phases, scanned a
+    few phases per call of ``fn`` so that large outputs stay small in
+    memory; ``values`` are ``fn`` on that grid when the caller already has
+    them.  Symmetric images of one maximum tie up to rounding, so the first
+    grid point within 1e-12 (relative) of the best is taken.
     The bracket is never clipped to the grid, which is safe because ``fn``
     is periodic.  Returns (phi, fn(phi)); phi may lie up to one grid step
     outside the grid.
@@ -173,7 +183,8 @@ def argmax_over_phase(fn, grid=96, values=None, tol=1e-9):
     if np.ndim(grid) == 0:
         grid = np.linspace(0.0, 2.0 * np.pi, int(grid), endpoint=False)
     if values is None:
-        values = [fn(g) for g in grid]
+        blocks = np.split(grid, range(_SCAN_BLOCK, len(grid), _SCAN_BLOCK))
+        values = np.concatenate([fn(block) for block in blocks])
     values = np.asarray(values)
     top = values.max()
     i = int(np.argmax(values >= top - 1e-12 * abs(top)))
@@ -446,7 +457,7 @@ def performance_curve(src, etas, d=4, coarse=96) -> list:
     points = []
     for eta in etas:
         det = engine.detector_for_source(src, d, eta, eta)
-        fam = engine.click_probability_series(src, det)
+        fam, _, _ = engine.click_pair_series(src, det)
         phi_opt, fisher = argmax_over_phase(lambda p: fisher_information(fam, p), coarse)
         delta = 1.0 / math.sqrt(fisher)
         scale = math.sqrt(eta * nbar)

@@ -15,9 +15,9 @@ path as the 2x2 map
     h ->  cos(ang/2) h + sin(ang/2) v
     v ->  sin(ang/2) h - cos(ang/2) v
 
-and two-mode Fock amplitudes of that map are evaluated by expanding the
-corresponding homogeneous polynomial in the transformed creation
-operators, exactly and term by term.
+and its two-mode Fock amplitudes are built for all photon-number sectors
+at once, each sector from the previous one by applying one transformed
+creation operator (:func:`rotation_matrices`).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "pdc_term_amplitude",
     "pair_number_weights",
     "truncation_tail",
+    "rotation_matrices",
     "rotation_amplitude",
     "rotation_amplitude_derivative",
     "sensing_transition_matrix",
@@ -113,27 +114,43 @@ def truncation_tail(src: SourceParams, n_max: int) -> float:
     return x ** (n_max + 1) * ((n_max + 2) - (n_max + 1) * x)
 
 
-def _rotation_terms(out_pair, in_pair):
-    """Expansion terms (coef, c_exponent, s_exponent) of a rotation amplitude.
+def rotation_matrices(n_max: int, ang, derivative: bool = False):
+    """Every sector matrix G_n[..., k, p] = <k, n-k| U(ang) |p, n-p>, n = 0..n_max.
 
-    The amplitude <p', q'|U|p, q> is sum_j coef_j * c^aj * s^bj with
-    c = cos(ang/2), s = sin(ang/2).  Exponents are non-negative ints.
+    ``ang`` may be an array of angles; its shape leads the axes of each G_n.
+    Sector n follows from sector n-1 by the creation-operator recursion
+
+        U|p, q> = (c a_h^+ + s a_v^+) U|p-1, q> / sqrt(p)
+        U|0, q> = (s a_h^+ - c a_v^+) U|0, q-1> / sqrt(q)
+
+    with c = cos(ang/2), s = sin(ang/2), in O(n^2) array operations.  With
+    ``derivative`` returns (G, dG/dang), the derivative carried through the
+    same recursion by the product rule.
     """
-    pp, qq = out_pair
-    p, q = in_pair
-    norm = math.sqrt(
-        math.factorial(pp) * math.factorial(qq)
-        / (math.factorial(p) * math.factorial(q))
-    )
-    terms = []
-    for j in range(max(0, pp - q), min(p, pp) + 1):
-        coef = math.comb(p, j) * math.comb(q, pp - j)
-        if (q - pp + j) % 2:
-            coef = -coef
-        a = q - pp + 2 * j  # power of cos(ang/2)
-        b = p + pp - 2 * j  # power of sin(ang/2)
-        terms.append((coef * norm, a, b))
-    return terms
+    ang = np.asarray(ang, dtype=float)[..., None, None]
+    c, s = np.cos(ang / 2.0), np.sin(ang / 2.0)
+    G, dG = [np.ones(ang.shape)], [np.zeros(ang.shape)]
+    for n in range(1, n_max + 1):
+        p = np.arange(n + 1)
+        first = p == 0
+        # the creation operator x a_h^+ + y a_v^+ that makes column p
+        x, y = np.where(first, s, c), np.where(first, -c, s)
+        dx, dy = np.where(first, c, -s) / 2.0, np.where(first, s, c) / 2.0
+        norm = np.sqrt(np.where(first, n, p))
+        source = np.maximum(p - 1, 0)  # column of sector n-1 it acts on
+
+        def lift(g):  # a_h^+ and a_v^+ applied to the source columns, rows k
+            g = g[..., source]
+            zero = np.zeros(g.shape[:-2] + (1, n + 1))
+            return (np.sqrt(p[:, None]) * np.concatenate([zero, g], axis=-2),
+                    np.sqrt(n - p[:, None]) * np.concatenate([g, zero], axis=-2))
+
+        h, v = lift(G[-1])
+        G.append((x * h + y * v) / norm)
+        if derivative:
+            dh, dv = lift(dG[-1])
+            dG.append((dx * h + x * dh + dy * v + y * dv) / norm)
+    return (G, dG) if derivative else G
 
 
 def rotation_amplitude(out_pair, in_pair, ang: float) -> float:
@@ -153,60 +170,37 @@ def rotation_amplitude(out_pair, in_pair, ang: float) -> float:
         raise ValueError("occupations must be non-negative")
     if pp + qq != p + q:
         return 0.0
-    c = math.cos(ang / 2.0)
-    s = math.sin(ang / 2.0)
-    total = 0.0
-    for coef, a, b in _rotation_terms(out_pair, in_pair):
-        total += coef * c**a * s**b
-    return total
+    return float(reference_transition_matrix(p + q, ang)[pp, p])
 
 
 def rotation_amplitude_derivative(out_pair, in_pair, ang: float) -> float:
-    """d/d(ang) of :func:`rotation_amplitude`, exact termwise derivative."""
+    """d/d(ang) of :func:`rotation_amplitude`, exact."""
     pp, qq = out_pair
     p, q = in_pair
     if pp + qq != p + q:
         return 0.0
-    c = math.cos(ang / 2.0)
-    s = math.sin(ang / 2.0)
-    total = 0.0
-    for coef, a, b in _rotation_terms(out_pair, in_pair):
-        # d/dang [c^a s^b] = (b/2) c^(a+1) s^(b-1) - (a/2) c^(a-1) s^(b+1)
-        # guard zero exponents so 0^(-1) never gets evaluated
-        if b > 0:
-            total += coef * 0.5 * b * c ** (a + 1) * s ** (b - 1)
-        if a > 0:
-            total -= coef * 0.5 * a * c ** (a - 1) * s ** (b + 1)
-    return total
+    return float(reference_transition_matrix(p + q, ang, derivative=True)[pp, p])
 
 
-def sensing_transition_matrix(n: int, phi: float, derivative: bool = False) -> np.ndarray:
+def sensing_transition_matrix(n: int, phi, derivative: bool = False) -> np.ndarray:
     """Matrix M[k, m] = <k, n-k| U(phi) |n-m, m> on the sensing path.
 
     Column m corresponds to the sensing-path part |n-m, m> of the m-th
     source term in the 2n-photon sector; row k to the occupation
-    (k, n-k) after the rotation.
+    (k, n-k) after the rotation.  It is G_n of :func:`rotation_matrices`
+    with its columns reversed.
     """
-    amp = rotation_amplitude_derivative if derivative else rotation_amplitude
-    M = np.empty((n + 1, n + 1))
-    for k in range(n + 1):
-        for m in range(n + 1):
-            M[k, m] = amp((k, n - k), (n - m, m), phi)
-    return M
+    return reference_transition_matrix(n, phi, derivative)[..., ::-1]
 
 
-def reference_transition_matrix(n: int, theta: float, derivative: bool = False) -> np.ndarray:
+def reference_transition_matrix(n: int, theta, derivative: bool = False) -> np.ndarray:
     """Matrix M[l, m] = <l, n-l| U(theta) |m, n-m> on the reference path.
 
     The reference-path part of the m-th source term is |m, n-m>, with the
     occupation mirrored relative to the sensing path.
     """
-    amp = rotation_amplitude_derivative if derivative else rotation_amplitude
-    M = np.empty((n + 1, n + 1))
-    for l in range(n + 1):
-        for m in range(n + 1):
-            M[l, m] = amp((l, n - l), (m, n - m), theta)
-    return M
+    built = rotation_matrices(n, theta, derivative)
+    return (built[1] if derivative else built)[-1]
 
 
 def ideal_pattern_probability(occupation, rot: RotationSpec, src: SourceParams) -> float:
@@ -229,13 +223,7 @@ def ideal_pattern_probability(occupation, rot: RotationSpec, src: SourceParams) 
     if n != c_bh + c_bv:
         return 0.0
     pref = math.tanh(src.tau) ** n / math.cosh(src.tau) ** 2
-    total = 0.0
-    for m in range(n + 1):
-        sign = -1.0 if m % 2 else 1.0
-        total += (
-            sign
-            * rotation_amplitude((c_ah, c_av), (n - m, m), rot.phi)
-            * rotation_amplitude((c_bh, c_bv), (m, n - m), rot.theta)
-        )
-    amp = pref * total
+    signs = (-1.0) ** np.arange(n + 1)
+    amp = pref * float((sensing_transition_matrix(n, rot.phi)[c_ah] * signs)
+                       @ reference_transition_matrix(n, rot.theta)[c_bh])
     return amp * amp

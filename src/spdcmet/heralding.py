@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .detectors import DetectorModel
+from .detectors import DetectorModel, binomial_thinning_matrix
 from .estimation import argmax_over_phase
-from .fock import RotationSpec, SourceParams, pair_number_weights
+from .fock import SourceParams, pair_number_weights
 
 __all__ = [
     "HeraldError",
@@ -79,23 +79,46 @@ def _truncation(src: SourceParams, k: int) -> int:
 
 def _mean_heralded_photons(src: SourceParams, eta: float, k: int, n_max: int) -> float:
     """Mean pair number among accepted events (photons addressing the phase)."""
-    q = pair_number_weights(src, n_max)
-    accept = np.array([
-        sum(math.comb(n, j) * eta**j * (1.0 - eta) ** (n - j) for j in range(k, n + 1))
-        for n in range(n_max + 1)
-    ])
-    weights = q * accept
+    # q_n times the chance that at least k of the n reference photons arrive
+    weights = pair_number_weights(src, n_max) * binomial_thinning_matrix(n_max, eta)[:, k:].sum(1)
     total = weights.sum()
     if total <= 0.0:
         raise HeraldError(f"herald condition k={k} has zero acceptance probability")
     return float((np.arange(n_max + 1) * weights).sum() / total)
 
 
+def _herald_compile(src: SourceParams, eta: float, n_max: int):
+    """Heralded information at one transmission for any herald count: the
+    click series of both paths is compiled once and shared by every k."""
+    det = DetectorModel.perfect_counting(eta_a=eta, eta_b=eta, c_max=n_max)
+    series, _, pairs_b = engine.click_pair_series(src, det, n_max=n_max)
+
+    def point(spec: HeraldSpec, phi=None) -> HeraldPoint:
+        accepted = pairs_b.sum(axis=1) >= spec.k
+        mean_n = _mean_heralded_photons(src, eta, spec.k, n_max)
+
+        def joint_fisher(p):  # at a phase or an array of phases
+            Pm, dPm = (x[..., accepted].reshape(np.shape(p) + (-1,)) for x in series.raw(p))
+            p_event = Pm.sum(-1)
+            ok = Pm > _TERM_FLOOR
+            return np.where(ok, dPm**2 / np.where(ok, Pm, 1.0), 0.0).sum(-1) / p_event, p_event
+
+        if phi is None:
+            phi, _ = argmax_over_phase(lambda p: joint_fisher(p)[0], 96)
+            phi = abs(math.remainder(phi, 2.0 * math.pi))
+        info, p_event = joint_fisher(phi)
+        return HeraldPoint(value=float(info) / mean_n, phi=float(phi),
+                           event_probability=float(p_event), mean_heralded_photons=mean_n)
+
+    return point
+
+
 def herald_point(spec: HeraldSpec, phi=None) -> HeraldPoint:
     """Heralded Fisher information per photon, with diagnostics.
 
-    The accepted part of the click tensor is compiled once to its phase
-    series.  With ``phi=None`` the information is maximized over phase; the
+    The click tensor is compiled once to its phase series over the patterns
+    a path can produce, and the accepted reference-path patterns selected
+    from it.  With ``phi=None`` the information is maximized over phase; the
     acceptance probability itself carries no phase dependence (each
     emission sector puts a fixed photon number into the reference path),
     so the optimum is a plain 1-D search.  The information is symmetric
@@ -103,33 +126,7 @@ def herald_point(spec: HeraldSpec, phi=None) -> HeraldPoint:
     """
     src = SourceParams(spec.tau)
     n_max = _truncation(src, spec.k)
-    det = DetectorModel.perfect_counting(
-        eta_a=spec.eta, eta_b=spec.eta, c_max=n_max
-    )
-    c = det.table_b.max_clicks
-    totals = np.add.outer(np.arange(c + 1), np.arange(c + 1))
-    # a path never clicks more often than the n_max photons it carries;
-    # leaving out those identically zero patterns keeps the series small
-    possible = totals <= n_max
-    accepted = possible & (totals >= spec.k)
-    mean_n = _mean_heralded_photons(src, spec.eta, spec.k, n_max)
-    series = engine.PhaseSeries(engine.PhaseSeries.harmonics_of(
-        lambda p: engine.click_probability_tensor(
-            src, RotationSpec(phi=p), det, n_max)[possible][:, accepted],
-        n_max))
-
-    def joint_fisher(p):
-        Pm, dPm = series.raw(p)
-        p_event = Pm.sum()
-        ok = Pm > _TERM_FLOOR
-        return float((dPm[ok] ** 2 / Pm[ok]).sum() / p_event), float(p_event)
-
-    if phi is None:
-        phi, _ = argmax_over_phase(lambda p: joint_fisher(p)[0])
-        phi = abs(math.remainder(phi, 2.0 * math.pi))
-    info, p_event = joint_fisher(phi)
-    return HeraldPoint(value=info / mean_n, phi=float(phi),
-                       event_probability=p_event, mean_heralded_photons=mean_n)
+    return _herald_compile(src, spec.eta, n_max)(spec, phi)
 
 
 def conditional_fisher_per_photon(spec: HeraldSpec, phi=None) -> float:
@@ -143,6 +140,7 @@ class HeraldTable:
     eta_values: tuple
     values: np.ndarray  # shape (len(k_values), len(eta_values))
     tau: float
+    truncation: int  # pair-number cutoff the table was computed at
 
     def cell(self, k: int, eta: float) -> float:
         i = self.k_values.index(k)
@@ -155,11 +153,19 @@ class HeraldTable:
 
 
 def herald_table(tau, eta_list, k_list) -> HeraldTable:
-    """Grid of heralded Fisher information per photon over (k, eta)."""
+    """Grid of heralded Fisher information per photon over (k, eta).
+
+    The cutoff does not depend on k, so each transmission is compiled once
+    and shared by every herald count.
+    """
     k_values = tuple(int(k) for k in k_list)
     eta_values = tuple(float(e) for e in eta_list)
+    src = SourceParams(tau)
+    n_max = _truncation(src, max(k_values, default=0))
     values = np.empty((len(k_values), len(eta_values)))
-    for i, k in enumerate(k_values):
-        for j, eta in enumerate(eta_values):
-            values[i, j] = conditional_fisher_per_photon(HeraldSpec(k=k, eta=eta, tau=tau))
-    return HeraldTable(k_values=k_values, eta_values=eta_values, values=values, tau=tau)
+    for j, eta in enumerate(eta_values):
+        point = _herald_compile(src, eta, n_max)
+        for i, k in enumerate(k_values):
+            values[i, j] = point(HeraldSpec(k=k, eta=eta, tau=tau)).value
+    return HeraldTable(k_values=k_values, eta_values=eta_values, values=values, tau=tau,
+                       truncation=n_max)

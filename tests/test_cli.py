@@ -15,6 +15,8 @@ from spdcmet.calibration import model_rate_summary
 from spdcmet.cli import main
 from spdcmet.engine import (
     RotationSpec,
+    choose_truncation,
+    click_probability_tensor,
     detector_for_source,
     fourfold_family,
     full_pattern_distribution,
@@ -249,6 +251,15 @@ def test_herald_table_anchor_cells(tmp_path):
     assert meta["tau"] == "0.05"
 
 
+def test_herald_metadata_reports_the_cutoff_it_used(tmp_path):
+    out = tmp_path / "herald.json"
+    assert run(["herald", "--tau", "0.1", "--etas", "0.9", "--k-max", "1",
+                "--format", "json", "--out", str(out)]) == 0
+    # the table carries a margin above the source cutoff (6 at this gain)
+    assert json.loads(out.read_text())["meta"]["truncation"] == choose_truncation(
+        SourceParams(0.1)) + 4 == 10
+
+
 # ---------------------------------------------------------------------------
 # count
 
@@ -354,6 +365,20 @@ def test_curve_orderings(tmp_path):
     for row in rows:
         assert row["normalized_uncertainty"] >= row["heisenberg_normalized"] - 1e-9
     assert doc["meta"]["heisenberg_limit"] > 0.0
+
+
+def test_number_resolving_curve_matches_the_direct_tensor(tmp_path):
+    out = tmp_path / "curve.json"
+    assert run(["curve", "--d", "0", "--tau", "0.3", "--eta-steps", "2",
+                "--format", "json", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    src = SourceParams(0.3)
+    for row in doc["rows"]:
+        eta, fisher_max, phi_opt = row[:3]
+        det = detector_for_source(src, None, eta, eta)
+        direct = fisher_information(
+            lambda p: click_probability_tensor(src, RotationSpec(p), det).ravel(), phi_opt)
+        assert fisher_max == pytest.approx(direct, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Full pattern probabilities: loss, multiplexing, conditioning, symmetries."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,13 +11,12 @@ from spdcmet.detectors import DetectorModel
 from spdcmet.engine import (
     PatternDistribution,
     PatternFamily,
-    PhaseSeries,
-    _sector_amplitudes,
     choose_truncation,
-    click_probability_series,
+    click_pair_series,
     click_probability_tensor,
     detection_probability,
     detector_for_source,
+    fourfold_conditional_means,
     fourfold_distribution,
     fourfold_family,
     fourfold_patterns,
@@ -24,7 +24,15 @@ from spdcmet.engine import (
     ideal_fisher_information,
     mean_photon_numbers,
 )
-from spdcmet.fock import GainRangeError, RotationSpec, SourceParams, ideal_pattern_probability
+from spdcmet.fock import (
+    GainRangeError,
+    RotationSpec,
+    SourceParams,
+    ideal_pattern_probability,
+    reference_transition_matrix,
+    sensing_transition_matrix,
+)
+from spdcmet.heralding import herald_table
 
 EXPERIMENT = dict(tau=0.061, eta_a=0.23, eta_b=0.12)
 
@@ -240,7 +248,10 @@ def direct_pattern_sum(src, det, patterns, phi, theta, n_max):
     f = np.zeros(len(patterns))
     df = np.zeros(len(patterns))
     for n in range(n_max + 1):
-        A, dA = _sector_amplitudes(n, src, RotationSpec(phi, theta), derivative=True)
+        pref = math.tanh(src.tau) ** n / math.cosh(src.tau) ** 2 * (-1.0) ** np.arange(n + 1)
+        R = reference_transition_matrix(n, theta)
+        A = (sensing_transition_matrix(n, phi) * pref) @ R.T
+        dA = (sensing_transition_matrix(n, phi, derivative=True) * pref) @ R.T
         for i, (r_ah, r_av, r_bh, r_bv) in enumerate(patterns):
             va = Wa[r_ah, : n + 1] * Wa[r_av, : n + 1][::-1]
             vb = Wb[r_bh, : n + 1] * Wb[r_bv, : n + 1][::-1]
@@ -270,17 +281,20 @@ def test_compiled_herald_tensor_matches_direct_sector_sum():
     src = SourceParams(0.1)
     n_max = choose_truncation(src) + 4
     det = DetectorModel.perfect_counting(eta_a=0.9, eta_b=0.9, c_max=n_max)
-    series = PhaseSeries(PhaseSeries.harmonics_of(
-        lambda p: click_probability_tensor(src, RotationSpec(p), det, n_max), n_max))
-    c = det.table_a.max_clicks + 1
-    patterns = [tuple(int(v) for v in idx) for idx in np.ndindex(c, c, c, c)]
+    series, pairs_a, pairs_b = click_pair_series(src, det, n_max=n_max)
+    assert series.harmonics.shape == (n_max + 1, len(pairs_a), len(pairs_b))
+    assert all(h + v <= n_max for h, v in pairs_a) and len(pairs_a) == (n_max + 1) * (n_max + 2) // 2
+    patterns = [(*a, *b) for a in pairs_a for b in pairs_b]
     for phi in np.random.default_rng(8).uniform(0.0, 2 * np.pi, size=3):
         want, dwant = direct_pattern_sum(src, det, patterns, phi, 0.0, n_max)
         got, dgot = series.raw(phi)
         np.testing.assert_allclose(got.reshape(-1), want, atol=1e-15)
         np.testing.assert_allclose(dgot.reshape(-1), dwant, atol=1e-14)
-        np.testing.assert_allclose(got, click_probability_tensor(src, RotationSpec(phi), det, n_max),
+        P = click_probability_tensor(src, RotationSpec(phi), det, n_max)
+        np.testing.assert_allclose(got, P[pairs_a[:, :1], pairs_a[:, 1:], pairs_b[:, 0], pairs_b[:, 1]],
                                    atol=1e-15)
+        # every pattern left out is one no path can produce
+        np.testing.assert_allclose(got.sum(), P.sum(), atol=1e-15)
 
 
 @pytest.mark.parametrize("tau, d", [(0.061, 4), (0.3, None)])
@@ -298,11 +312,41 @@ def test_zeroth_harmonic_is_the_phase_average(tau, d):
 def test_click_series_matches_the_tensor_it_compiles(d):
     src = SourceParams(0.061)
     det = detector_for_source(src, d, 0.23, 0.12)
-    series = click_probability_series(src, det)
+    series, pairs_a, pairs_b = click_pair_series(src, det)
     for phi in (0.3, 2.2, 5.0):
         P = click_probability_tensor(src, RotationSpec(phi), det)
-        kept = tuple(slice(n) for n in series.harmonics.shape[1:])
+        kept = (pairs_a[:, :1], pairs_a[:, 1:], pairs_b[:, 0], pairs_b[:, 1])
         np.testing.assert_allclose(series.raw(phi)[0], P[kept], atol=1e-15)
         P[kept] = 0.0
-        assert not P.any()  # the cut axes hold only zeros
+        assert not P.any()  # the patterns left out hold only zeros
 
+
+# one matrix element, one sector or one phase at a time: none of these may
+# serve a compile, which builds every sector over every sample phase at once
+SCALAR_PATHS = (
+    ("fock", "rotation_amplitude"),
+    ("fock", "rotation_amplitude_derivative"),
+    ("fock", "sensing_transition_matrix"),
+    ("fock", "reference_transition_matrix"),
+    ("engine", "sector_probabilities"),
+    ("engine", "click_probability_tensor"),
+)
+
+
+def test_compiles_never_take_a_scalar_path(monkeypatch):
+    for module_name, name in SCALAR_PATHS:
+        original = getattr(sys.modules[f"spdcmet.{module_name}"], name)
+
+        def refuse(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} called from a compile")
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("spdcmet")]:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, refuse)
+    src = SourceParams(0.061)
+    det = detector_for_source(src, 4, 0.23, 0.12)
+    herald_table(0.05, (0.9,), range(3))
+    fourfold_family(src, det)
+    click_pair_series(src, det)
+    fourfold_conditional_means(src, det)

@@ -345,7 +345,7 @@ def test_performance_curve_shape():
 
 def trig_bump(phi0):
     """A two-harmonic fringe whose only maximum over the period is at phi0."""
-    return lambda p: math.cos(p - phi0) + 0.3 * math.cos(2.0 * (p - phi0))
+    return lambda p: np.cos(p - phi0) + 0.3 * np.cos(2.0 * (p - phi0))
 
 
 def test_phase_search_finds_a_maximum_across_the_wrap():
@@ -363,7 +363,7 @@ def test_phase_search_agrees_with_a_dense_scan():
     k = np.arange(6)
     for _ in range(5):
         a, b = rng.normal(size=(2, 6))
-        fn = lambda p: float(a @ np.cos(k * p) + b @ np.sin(k * p))
+        fn = lambda p: np.cos(np.multiply.outer(p, k)) @ a + np.sin(np.multiply.outer(p, k)) @ b
         values = np.cos(np.outer(dense, k)) @ a + np.sin(np.outer(dense, k)) @ b
         # a grid point misses the peak by at most max|f''| h^2 / 8
         miss = float(k**2 @ (np.abs(a) + np.abs(b))) * (dense[1] ** 2) / 8.0
@@ -371,6 +371,22 @@ def test_phase_search_agrees_with_a_dense_scan():
         assert values.max() - 1e-12 <= value <= values.max() + miss
         gap = math.remainder(phi - dense[int(np.argmax(values))], 2.0 * math.pi)
         assert abs(gap) < 1e-4
+
+
+def test_phase_search_scans_the_grid_a_few_phases_per_call():
+    # large outputs (a click tensor per phase) must not be held for the whole grid
+    seen = []
+
+    def fn(p):
+        seen.append(np.array(p, ndmin=1))
+        return trig_bump(2.0)(p)
+
+    phi, _ = argmax_over_phase(fn, 96)
+    scan_calls = int(np.searchsorted(np.cumsum([s.size for s in seen]), 96)) + 1
+    assert scan_calls <= 48 and max(s.size for s in seen) <= 8
+    np.testing.assert_array_equal(np.concatenate(seen)[:96],
+                                  np.linspace(0.0, 2.0 * np.pi, 96, endpoint=False))
+    assert phi == pytest.approx(2.0, abs=1e-7)
 
 
 def test_phase_search_on_a_window_refines_past_its_end():

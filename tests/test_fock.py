@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    fock_rotation_matrix,
     occupation_probabilities,
     rotation_amplitude_by_expm,
     wigner_d_squared,
@@ -16,8 +17,11 @@ from spdcmet.fock import (
     ideal_pattern_probability,
     pair_number_weights,
     pdc_term_amplitude,
+    reference_transition_matrix,
     rotation_amplitude,
     rotation_amplitude_derivative,
+    rotation_matrices,
+    sensing_transition_matrix,
     truncation_tail,
 )
 from spdcmet.engine import choose_truncation
@@ -138,6 +142,48 @@ def test_rotation_derivative_matches_finite_difference():
         assert rotation_amplitude_derivative(out_pair, in_pair, ang) == pytest.approx(
             fd, abs=1e-7
         )
+
+
+ORACLE_ANGLES = (0.0, 0.3, np.pi / 2, np.pi, 2 * np.pi - 0.1)
+
+
+def test_all_sector_matrices_match_expm_and_wigner_d():
+    n_cut = 12
+    G = rotation_matrices(n_cut, np.array(ORACLE_ANGLES))
+    dim = n_cut + 1
+    for i, ang in enumerate(ORACLE_ANGLES):
+        U = fock_rotation_matrix(ang, n_cut)
+        for n in range(n_cut + 1):
+            idx = [k * dim + n - k for k in range(n + 1)]
+            np.testing.assert_allclose(G[n][i], U[np.ix_(idx, idx)], rtol=0, atol=1e-12)
+            d2 = [[wigner_d_squared(n, 2 * k - n, 2 * p - n, ang) for p in range(n + 1)]
+                  for k in range(n + 1)]
+            np.testing.assert_allclose(G[n][i] ** 2, d2, rtol=0, atol=1e-12)
+
+
+def test_all_sector_derivatives_match_central_differences():
+    h = 1e-6
+    ang = np.array([0.3, 1.7, 4.0])
+    _, dG = rotation_matrices(12, ang, derivative=True)
+    plus, minus = rotation_matrices(12, ang + h), rotation_matrices(12, ang - h)
+    for n in range(13):
+        np.testing.assert_allclose(dG[n], (plus[n] - minus[n]) / (2 * h), rtol=0, atol=1e-8)
+
+
+def test_all_sector_matrices_are_orthogonal_to_rounding():
+    G = rotation_matrices(20, np.array(ORACLE_ANGLES + (1.1, 2.5)))
+    for n, g in enumerate(G):
+        err = np.abs(g @ np.swapaxes(g, -1, -2) - np.eye(n + 1)).max()
+        assert err <= 1e-13, (n, err)
+
+
+def test_transition_matrices_are_views_of_the_sector_builder():
+    G, dG = rotation_matrices(7, 0.8, derivative=True)
+    np.testing.assert_array_equal(reference_transition_matrix(7, 0.8), G[7])
+    np.testing.assert_array_equal(sensing_transition_matrix(7, 0.8), G[7][:, ::-1])
+    np.testing.assert_array_equal(sensing_transition_matrix(7, 0.8, derivative=True),
+                                  dG[7][:, ::-1])
+    assert rotation_matrices(0, 0.3)[0].shape == (1, 1)
 
 
 # ---------------------------------------------------------------------------

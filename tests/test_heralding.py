@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from spdcmet.engine import click_probability_tensor, detector_for_source
+from spdcmet import engine
+from spdcmet.engine import choose_truncation, click_probability_tensor, detector_for_source
 from spdcmet.fock import RotationSpec, SourceParams
 from spdcmet.heralding import (
     HeraldError,
@@ -81,6 +82,24 @@ def test_table_layout_and_cell_access():
     assert tab.cell(0, 1.0) == pytest.approx(1.0025, abs=1e-3)
     rows = list(tab.rows())
     assert rows[0][0] == 0 and rows[1][0] == 1
+
+
+def test_table_compiles_once_per_transmission(monkeypatch):
+    compiles = []
+    compile_sectors = engine._sector_harmonics
+
+    def counted(*args, **kwargs):
+        compiles.append(args)
+        return compile_sectors(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_sector_harmonics", counted)
+    tab = herald_table(0.1, eta_list=(0.7, 0.9), k_list=range(4))
+    assert len(compiles) == 2
+    assert tab.truncation == choose_truncation(SourceParams(0.1)) + 4
+    for i, k in enumerate(tab.k_values):
+        for j, eta in enumerate(tab.eta_values):
+            want = herald_point(HeraldSpec(k=k, eta=eta, tau=0.1)).value
+            assert tab.values[i, j] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_event_probability_is_phase_independent():
