@@ -56,7 +56,6 @@ from .estimation import (
     PerformancePoint,
     argmax_over_phase,
     bootstrap_fisher_band,
-    derivative,
     fisher_curve,
     fisher_information,
     fit_fringes,
@@ -114,7 +113,7 @@ __all__ = [
     "PatternDistribution", "PatternFamily", "fourfold_patterns", "fourfold_family",
     "fourfold_conditional_means", "mean_photon_numbers", "ideal_fisher_information",
     # estimation
-    "fisher_information", "fisher_curve", "derivative", "FringeFit", "FringeSet",
+    "fisher_information", "fisher_curve", "FringeFit", "FringeSet",
     "fit_fringes", "MLEstimate", "ml_estimate", "MLFisherResult",
     "monte_carlo_ml_fisher", "BootstrapBand", "bootstrap_fisher_band",
     "snl_fisher", "heisenberg_limit", "PerformancePoint", "performance_curve",

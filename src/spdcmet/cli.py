@@ -130,7 +130,7 @@ def cmd_fringes(args) -> int:
     family = engine.fourfold_family(src, det, theta=args.theta)
     grid = _phi_grid(args)
     columns = ["phi"] + [_pattern_label(p) for p in family.patterns]
-    rows = [[phi] + list(family.probabilities(phi)) for phi in grid]
+    rows = [[phi] + list(p) for phi, p in zip(grid, family.probabilities(grid))]
     meta = _base_meta(args, src, "fringes")
     _write_output(args.out, _render(meta, columns, rows, args.format))
     return 0
@@ -152,8 +152,7 @@ def cmd_fisher(args) -> int:
 
     band_low = band_high = None
     if args.bootstrap > 0:
-        expected = np.array([family.probabilities(phi) for phi in grid])
-        counts = expected * args.counts_per_phase
+        counts = family.probabilities(grid) * args.counts_per_phase
         band = estimation.bootstrap_fisher_band(
             grid, counts, replicates=args.bootstrap, seed=args.seed
         )

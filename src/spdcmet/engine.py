@@ -76,11 +76,12 @@ def detector_for_source(
 ) -> DetectorModel:
     """Detector tables sized for the source truncation.
 
-    Tables are allocated with photon capacity 4x the pair cutoff, which is
-    more than any single mode can receive, so capacity never limits the
-    certified probability mass.  ``d=None`` selects number resolution.
+    Tables are allocated with photon capacity equal to the pair cutoff: a
+    mode never holds more photons than the pairs emitted, so capacity never
+    limits the certified probability mass.  ``d=None`` selects number
+    resolution.
     """
-    c_max = max(4 * choose_truncation(src), 1)
+    c_max = max(choose_truncation(src), 1)
     if d is None:
         return DetectorModel.perfect_counting(eta_a, eta_b, c_max)
     return DetectorModel.multiplexed(d, eta_a, eta_b, c_max)

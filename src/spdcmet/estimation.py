@@ -1,11 +1,11 @@
 """Fisher information, fringe fitting, ML estimation and precision baselines.
 
-Families of phase-parametrized distributions enter either as model objects
-exposing ``probabilities_and_derivatives(phi)`` (exact derivatives) or as
-plain callables ``phi -> probs`` (differentiated by central differences).
-Model families are compiled phase series (:class:`spdcmet.engine.PhaseSeries`);
-fitted fringes are the same series truncated to harmonics 0-2.  Best phases
-are found by :func:`argmax_over_phase`.
+Every family of phase-parametrized distributions is a compiled phase
+series (:class:`spdcmet.engine.PhaseSeries`) with exact derivatives;
+fitted fringes are the same series truncated to harmonics 0-2.  Each
+estimator evaluates whole arrays of phases at once, and every best phase,
+fringe offset and likelihood maximum is found by :func:`argmax_over_phase`,
+which refines a batch of independent searches together.
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ from .fock import SourceParams, pair_number_weights
 
 __all__ = [
     "argmax_over_phase",
-    "derivative",
     "fisher_information",
-    "fisher_point",
     "fisher_curve",
     "FringeFit",
     "FringeSet",
@@ -41,58 +39,34 @@ __all__ = [
 
 PROB_FLOOR = 1e-12
 _SCAN_BLOCK = 4  # phases per evaluation of a phase scan; bounds its temporaries
+_GRID_DENSITY = 1000  # likelihood-scan points per 2 pi
+_TIE_TOL = 1e-6  # log-likelihood gap below which distinct maxima tie
+_PHI0_GRID = 181  # fringe offsets scanned over one period of the residual
+_BAND_PERCENTILES = (2.5, 97.5)
 
 
-def _probs_and_derivs(family, phi, h=1e-5):
-    if hasattr(family, "probabilities_and_derivatives"):
-        return family.probabilities_and_derivatives(phi)
-    p = np.asarray(family(phi), dtype=float)
-    dp = (np.asarray(family(phi + h), dtype=float)
-          - np.asarray(family(phi - h), dtype=float)) / (2.0 * h)
-    return p, dp
-
-
-def derivative(family, phi, h=1e-5) -> np.ndarray:
-    """dp/dphi of a family; analytic when the family provides it."""
-    return _probs_and_derivs(family, phi, h)[1]
-
-
-@dataclass(frozen=True)
-class FisherPoint:
-    phi: float
-    value: float
-    clipped: bool  # True when a near-zero probability was floored
-
-
-def fisher_point(family, phi, h=1e-5, floor=PROB_FLOOR) -> FisherPoint:
-    """Classical Fisher information at one phase, with divergence flagging.
-
-    Probabilities below ``floor`` are floored before the quotient; a point
-    is flagged when such a floored term still carries a non-vanishing
-    derivative, i.e. when the true information diverges there.
-    """
-    p, dp = _probs_and_derivs(family, phi, h)
-    tiny = p < floor
-    clipped = bool(np.any(tiny & (np.abs(dp) > math.sqrt(floor))))
-    return FisherPoint(phi=float(phi), value=_information(p, dp, floor, 0), clipped=clipped)
-
-
-def _information(p, dp, floor, phase_axes):
+def _information(p, dp, phase_axes):
     """sum dp^2 / max(p, floor) over the axes after the leading phase axes."""
-    info = (dp * dp / np.maximum(p, floor)).sum(axis=tuple(range(phase_axes, np.ndim(p))))
+    info = (dp * dp / np.maximum(p, PROB_FLOOR)).sum(axis=tuple(range(phase_axes, np.ndim(p))))
     return float(info) if phase_axes == 0 else info
 
 
-def fisher_information(family, phi, h=1e-5, floor=PROB_FLOOR):
-    """Fisher information at ``phi``; an array of phases (for a compiled
-    family) gives an array, evaluated in one contraction."""
-    return _information(*_probs_and_derivs(family, phi, h), floor, np.ndim(phi))
+def fisher_information(family, phi):
+    """Fisher information at ``phi``; an array of phases gives an array,
+    evaluated in one contraction."""
+    return _information(*family.probabilities_and_derivatives(phi), np.ndim(phi))
 
 
-def fisher_curve(family, phi_grid, h=1e-5, floor=PROB_FLOOR):
-    """I(phi) over a grid; returns (values, clipped_flags)."""
-    pts = [fisher_point(family, phi, h, floor) for phi in np.asarray(phi_grid)]
-    return np.array([p.value for p in pts]), np.array([p.clipped for p in pts])
+def fisher_curve(family, phi_grid):
+    """I(phi) over a grid; returns (values, clipped_flags).
+
+    Probabilities below the floor are floored before the quotient; a
+    point is flagged when such a floored term still carries a
+    non-vanishing derivative, i.e. when the true information diverges there.
+    """
+    p, dp = family.probabilities_and_derivatives(np.asarray(phi_grid, dtype=float))
+    clipped = ((p < PROB_FLOOR) & (np.abs(dp) > math.sqrt(PROB_FLOOR))).any(axis=-1)
+    return _information(p, dp, 1), clipped
 
 
 # ---------------------------------------------------------------------------
@@ -132,37 +106,32 @@ class FringeSet(engine.PhaseSeries):
         return iter(self.fits)
 
 
-def _design(phi, phi0):
-    u = phi + phi0
-    return np.column_stack([np.ones_like(u), np.cos(u), np.cos(2.0 * u)])
-
-
-def _fit_at_phi0(phi, y, phi0):
-    X = _design(phi, phi0)
-    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = X @ coef - y
-    if y.ndim == 1:
-        return coef, float(resid @ resid)
-    return coef, (resid * resid).sum(axis=0)
-
-
 def _golden_min(f, a, b, tol=1e-12, max_iter=200):
-    """Golden-section minimum of a unimodal scalar function on [a, b]."""
+    """Golden-section minimum of a unimodal function on [a, b].
+
+    Arrays of brackets are refined together, ``f`` mapping an array of
+    points to their values; each bracket stops once narrower than ``tol``,
+    so every entry equals its own scalar search.
+    """
+    if np.ndim(a) or np.ndim(b):
+        pick, any_ = np.where, np.any
+    else:
+        pick, any_ = (lambda c, x, y: x if c else y), bool
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
     for _ in range(max_iter):
-        if b - a < tol:
+        live = b - a >= tol
+        if not any_(live):
             break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
+        left = live & (f1 <= f2)  # the minimum is in [a, x2]
+        right = live ^ left  # ... or in [x1, b]
+        a, b = pick(right, x1, a), pick(left, x2, b)
+        x = pick(left, b - invphi * (b - a), a + invphi * (b - a))
+        fx = f(x)
+        x1, f1, x2, f2 = (pick(left, x, pick(right, x2, x1)), pick(left, fx, pick(right, f2, f1)),
+                          pick(right, x, pick(left, x1, x2)), pick(right, fx, pick(left, f1, f2)))
     return (a + b) / 2.0
 
 
@@ -174,11 +143,13 @@ def argmax_over_phase(fn, grid=96, values=None, tol=1e-9):
     over [0, 2 pi) or an increasing equispaced array of phases, scanned a
     few phases per call of ``fn`` so that large outputs stay small in
     memory; ``values`` are ``fn`` on that grid when the caller already has
-    them.  Symmetric images of one maximum tie up to rounding, so the first
-    grid point within 1e-12 (relative) of the best is taken.
-    The bracket is never clipped to the grid, which is safe because ``fn``
-    is periodic.  Returns (phi, fn(phi)); phi may lie up to one grid step
-    outside the grid.
+    them.  A ``values`` table of shape (grid, B) runs B independent
+    searches together: ``fn`` then maps B phases to the B functions'
+    values, the b-th function at the b-th phase.  Symmetric images of one
+    maximum tie up to rounding, so the first grid point within 1e-12
+    (relative) of the best is taken.  The bracket is never clipped to the
+    grid, which is safe because ``fn`` is periodic.  Returns (phi, fn(phi));
+    phi may lie up to one grid step outside the grid.
     """
     if np.ndim(grid) == 0:
         grid = np.linspace(0.0, 2.0 * np.pi, int(grid), endpoint=False)
@@ -186,14 +157,31 @@ def argmax_over_phase(fn, grid=96, values=None, tol=1e-9):
         blocks = np.split(grid, range(_SCAN_BLOCK, len(grid), _SCAN_BLOCK))
         values = np.concatenate([fn(block) for block in blocks])
     values = np.asarray(values)
-    top = values.max()
-    i = int(np.argmax(values >= top - 1e-12 * abs(top)))
+    top = values.max(axis=0)
+    i = np.argmax(values >= top - 1e-12 * np.abs(top), axis=0)
     step = grid[1] - grid[0]
     phi = _golden_min(lambda p: -fn(p), grid[i] - step, grid[i] + step, tol=tol)
     return phi, fn(phi)
 
 
-def fit_fringes(phi, counts, renormalize=True, phi0_grid=181) -> FringeSet:
+def _fringe_lstsq(phi, y, offsets):
+    """Least-squares fringe coefficients at every phase offset in one batched solve.
+
+    ``y[..., n_phi, k]`` holds k columns of fractions sampled at ``phi``,
+    fitted at each offset of ``offsets[...]``.  Returns the coefficients
+    (c0, c1, c2), shape (..., 3, k), and the residual sums of squares,
+    shape (..., k), computed from the residuals themselves so that they
+    stay accurate near an exact fit.
+    """
+    u = np.add.outer(offsets, phi)
+    q, r = np.linalg.qr(np.stack([np.ones_like(u), np.cos(u), np.cos(2.0 * u)], axis=-1))
+    qty = np.swapaxes(q, -1, -2) @ y
+    resid = q @ qty
+    resid -= y
+    return np.linalg.solve(r, qty), np.einsum("...ik,...ik->...k", resid, resid)
+
+
+def fit_fringes(phi, counts, renormalize=True) -> FringeSet:
     """Least-squares cosine-series fit to per-phase pattern fractions.
 
     Args:
@@ -202,43 +190,37 @@ def fit_fringes(phi, counts, renormalize=True, phi0_grid=181) -> FringeSet:
             Rows are normalized to fractions before fitting.
         renormalize: renormalize the fitted curves jointly so they sum to
             one at every phase when evaluated as a distribution.
-        phi0_grid: offsets scanned for the nonlinear phase parameter; the
-            best bracket is then refined by golden section.
 
     The offset enters both harmonics as a shared shift, so the fit is
-    linear at fixed phi0 and the profile over phi0 is minimized directly.
+    linear at fixed phi0 and the residual over phi0 is minimized directly:
+    every pattern's residual is scanned over one grid of offsets and all
+    patterns' offsets are refined together.  The residual has period pi
+    in phi0 (c1 changes sign), which the grid spans.
     """
     phi = np.asarray(phi, dtype=float)
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2 or counts.shape[0] != phi.size:
         raise ValueError("counts must have shape (n_phi, n_patterns)")
-    if np.unique(phi).size < 5:
+    distinct = np.unique(np.round(phi / (2.0 * np.pi) % 1.0, 9) % 1.0).size  # in turns
+    if distinct < 5:
         # four parameters per pattern; fewer angles leave the fit rank-deficient
-        raise ValueError("need at least five distinct phases to fit the fringe model")
+        raise ValueError(f"need at least five distinct phases modulo 2 pi to fit the "
+                         f"fringe model, got {distinct}")
     totals = counts.sum(axis=1, keepdims=True)
     if np.any(totals <= 0):
         raise ValueError("every phase sample needs a positive total count")
-    y_all = counts / totals
+    y = counts / totals
 
-    offsets = np.linspace(-np.pi / 2.0, np.pi / 2.0, phi0_grid, endpoint=False)
-    ssr_grid = np.empty((phi0_grid, y_all.shape[1]))
-    for i, off in enumerate(offsets):
-        _, ssr = _fit_at_phi0(phi, y_all, off)
-        ssr_grid[i] = ssr
-
-    fits = []
-    step = offsets[1] - offsets[0]
-    for j in range(y_all.shape[1]):
-        y = y_all[:, j]
-        i_best = int(np.argmin(ssr_grid[:, j]))
-        lo, hi = offsets[i_best] - step, offsets[i_best] + step
-        phi0 = _golden_min(lambda o: _fit_at_phi0(phi, y, o)[1], lo, hi)
-        coef, ssr = _fit_at_phi0(phi, y, phi0)
-        fits.append(FringeFit(
-            c0=float(coef[0]), c1=float(coef[1]), c2=float(coef[2]),
-            phi0=float(phi0), residual=float(ssr),
-        ))
-    return FringeSet(fits=tuple(fits), renormalize=renormalize)
+    offsets = np.linspace(-np.pi / 2.0, np.pi / 2.0, _PHI0_GRID, endpoint=False)
+    # a few offsets per solve, so the residuals are never held for the whole grid
+    ssr = np.concatenate([_fringe_lstsq(phi, y, block)[1]
+                          for block in np.array_split(offsets, _PHI0_GRID // 16)])
+    columns = y.T[:, :, None]  # one fit per pattern, each at its own offset
+    phi0, _ = argmax_over_phase(lambda o: -_fringe_lstsq(phi, columns, o)[1][:, 0], offsets,
+                                values=-ssr, tol=1e-12)
+    coef, ssr = (x[..., 0] for x in _fringe_lstsq(phi, columns, phi0))
+    return FringeSet(fits=[FringeFit(*c.tolist(), phi0=float(p), residual=float(s))
+                           for c, p, s in zip(coef, phi0, ssr)], renormalize=renormalize)
 
 
 # ---------------------------------------------------------------------------
@@ -253,44 +235,42 @@ class MLEstimate:
     ambiguous: bool  # True when distinct maxima tie within tolerance
 
 
-def _log_likelihood(counts, family, phi, floor=PROB_FLOOR):
-    p = np.asarray(family(phi) if callable(family) else family.probabilities(phi))
-    return float(counts @ np.log(np.maximum(p, floor)))
+def _log_probs(family, phi):
+    return np.log(np.maximum(family.probabilities(phi), PROB_FLOOR))
 
 
-def ml_estimate(counts, family, interval, grid_density=1000,
-                tie_tol=1e-6, floor=PROB_FLOOR) -> MLEstimate:
+def _likelihood_grid(a, b):
+    """The likelihood scan of [a, b]: about 1000 points per 2 pi."""
+    return np.linspace(a, b, max(8, int(round(_GRID_DENSITY * (b - a) / (2.0 * np.pi)))))
+
+
+def ml_estimate(counts, family, interval) -> MLEstimate:
     """Maximum-likelihood phase from multinomial pattern counts.
 
-    A coarse likelihood scan (``grid_density`` points per 2 pi) brackets
-    local maxima, each refined by golden section.  All refined maxima are
-    reported; the estimate is ambiguous when two distinct phases tie in
-    likelihood within ``tie_tol``.
+    A coarse likelihood scan brackets local maxima, all refined together
+    by golden section.  All refined maxima are reported; the estimate is
+    ambiguous when two distinct phases tie in log-likelihood within 1e-6.
     """
     counts = np.asarray(counts, dtype=float)
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise ValueError("interval must be increasing")
-    n_grid = max(8, int(round(grid_density * (b - a) / (2.0 * np.pi))))
-    grid = np.linspace(a, b, n_grid)
-    ll = np.array([_log_likelihood(counts, family, g, floor) for g in grid])
-
-    peaks = [i for i in range(n_grid)
-             if (i == 0 or ll[i] >= ll[i - 1]) and (i == n_grid - 1 or ll[i] >= ll[i + 1])]
-    candidates = []
-    for i in peaks:
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, n_grid - 1)]
-        phi_c = _golden_min(lambda p: -_log_likelihood(counts, family, p, floor), lo, hi)
-        candidates.append((float(phi_c), _log_likelihood(counts, family, phi_c, floor)))
-    candidates.sort(key=lambda t: -t[1])
+    grid = _likelihood_grid(a, b)
+    ll = _log_probs(family, grid) @ counts
+    padded = np.concatenate([[-np.inf], ll, [-np.inf]])
+    peaks = np.flatnonzero((ll >= padded[:-2]) & (ll >= padded[2:]))
+    lo = grid[np.maximum(peaks - 1, 0)]
+    hi = grid[np.minimum(peaks + 1, grid.size - 1)]
+    phi_c = _golden_min(lambda p: -(_log_probs(family, p) @ counts), lo, hi)
+    ll_c = _log_probs(family, phi_c) @ counts
+    candidates = sorted(zip(phi_c.tolist(), ll_c.tolist()), key=lambda t: -t[1])
     # drop duplicates that refined into the same point
     unique = []
-    for phi_c, l in candidates:
-        if all(abs(phi_c - u[0]) > 1e-8 for u in unique):
-            unique.append((phi_c, l))
+    for phi_k, l in candidates:
+        if all(abs(phi_k - u[0]) > 1e-8 for u in unique):
+            unique.append((phi_k, l))
     best_phi, best_ll = unique[0]
-    ambiguous = len(unique) > 1 and (best_ll - unique[1][1]) < tie_tol
+    ambiguous = len(unique) > 1 and (best_ll - unique[1][1]) < _TIE_TOL
     return MLEstimate(
         phi_hat=best_phi, log_likelihood=best_ll,
         candidates=tuple(unique), ambiguous=ambiguous,
@@ -309,38 +289,28 @@ class MLFisherResult:
 
 
 def monte_carlo_ml_fisher(family, phi_true, repetitions=10_000, sample_size=1000,
-                          seed=0, search_halfwidth=np.pi / 4.0,
-                          grid_density=1000) -> MLFisherResult:
+                          seed=0, search_halfwidth=np.pi / 4.0) -> MLFisherResult:
     """Empirical information of the ML estimator, I_ML = 1 / (N Var(phi_hat)).
 
     Every repetition draws one multinomial sample of ``sample_size``
     events at the true phase and estimates it back by likelihood search
     restricted to ``phi_true +- search_halfwidth``, refined up to one grid
     step beyond it (local estimation; keeps mirror-symmetric aliases of
-    the fringe period out of the window).  The quoted standard error is the large-M normal-theory
-    error of a variance estimate, Var * sqrt(2 / (M - 1)), propagated to
-    the information.
+    the fringe period out of the window).  All repetitions share one
+    likelihood table and one batched search, so the family is evaluated
+    the same number of times for any repetition count.  The quoted
+    standard error is the large-M normal-theory error of a variance
+    estimate, Var * sqrt(2 / (M - 1)), propagated to the information.
     """
     if not search_halfwidth > 0.0:
         raise ValueError("search_halfwidth must be positive")
     rng = np.random.default_rng(seed)
-    p_true = np.asarray(family(phi_true) if callable(family) else family.probabilities(phi_true))
-    a = phi_true - search_halfwidth
-    b = phi_true + search_halfwidth
-    n_grid = max(8, int(round(grid_density * (b - a) / (2.0 * np.pi))))
-    grid = np.linspace(a, b, n_grid)
-    probs_grid = np.array([
-        family(g) if callable(family) else family.probabilities(g) for g in grid
-    ])
-    log_grid = np.log(np.maximum(probs_grid, PROB_FLOOR))
-
-    estimates = np.empty(repetitions)
-    for m in range(repetitions):
-        counts = rng.multinomial(sample_size, p_true)
-        estimates[m], _ = argmax_over_phase(
-            lambda p: _log_likelihood(counts, family, p), grid,
-            values=log_grid @ counts, tol=1e-10,
-        )
+    counts = rng.multinomial(sample_size, family.probabilities(phi_true), size=repetitions)
+    grid = _likelihood_grid(phi_true - search_halfwidth, phi_true + search_halfwidth)
+    estimates, _ = argmax_over_phase(
+        lambda p: (_log_probs(family, p) * counts).sum(axis=1), grid,
+        values=_log_probs(family, grid) @ counts.T, tol=1e-10,
+    )
     variance = float(np.var(estimates, ddof=1))
     i_ml = 1.0 / (sample_size * variance)
     stderr = i_ml * math.sqrt(2.0 / (repetitions - 1))
@@ -365,9 +335,8 @@ class BootstrapBand:
 
 
 def bootstrap_fisher_band(phi, counts, replicates=1000, seed=0,
-                          eval_grid=None, percentiles=(2.5, 97.5),
-                          noise="poisson") -> BootstrapBand:
-    """Percentile band of I(phi) under count-level resampling.
+                          eval_grid=None, noise="poisson") -> BootstrapBand:
+    """Central 95% percentile band of I(phi) under count-level resampling.
 
     Each replicate perturbs the per-pattern counts (Poisson by default,
     ``noise='none'`` reproduces the central curve exactly and collapses
@@ -395,7 +364,7 @@ def bootstrap_fisher_band(phi, counts, replicates=1000, seed=0,
             sample[bad] = counts[bad]
         refit = fit_fringes(phi, sample)
         curves[bidx], _ = fisher_curve(refit, eval_grid)
-    low, high = np.percentile(curves, percentiles, axis=0)
+    low, high = np.percentile(curves, _BAND_PERCENTILES, axis=0)
     return BootstrapBand(
         phi_grid=eval_grid, central=central, low=low, high=high,
         replicates=replicates,

@@ -170,6 +170,13 @@ def test_fisher_ml_points_keep_their_mirror_out_of_the_window(tmp_path):
         assert 0.4 <= pt["i_ml"] / fisher_information(family, pt["phi"]) <= 2.5
 
 
+def test_fisher_band_rejects_a_grid_aliased_modulo_two_pi(capsys):
+    # ten phases 2 pi apart are one phase: the fringe fit would be rank-deficient
+    assert run(["fisher", "--phi-stop", "62.83185307179586", "--phi-steps", "10",
+                "--bootstrap", "2", "--ml-reps", "0"]) == 2
+    assert "five distinct phases modulo 2 pi" in capsys.readouterr().err
+
+
 def test_fisher_control_phase_translates_curve(tmp_path):
     theta = math.radians(80.0)
     base_out = tmp_path / "b.json"
@@ -376,8 +383,11 @@ def test_number_resolving_curve_matches_the_direct_tensor(tmp_path):
     for row in doc["rows"]:
         eta, fisher_max, phi_opt = row[:3]
         det = detector_for_source(src, None, eta, eta)
-        direct = fisher_information(
-            lambda p: click_probability_tensor(src, RotationSpec(p), det).ravel(), phi_opt)
+        h = 1e-5  # independent of the compiled series: central differences of the tensor
+        p, up, down = (click_probability_tensor(src, RotationSpec(phi_opt + s), det).ravel()
+                       for s in (0.0, h, -h))
+        dp = (up - down) / (2.0 * h)
+        direct = float((dp * dp / np.maximum(p, 1e-12)).sum())
         assert fisher_max == pytest.approx(direct, rel=1e-9)
 
 

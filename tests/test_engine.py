@@ -232,6 +232,16 @@ def test_full_distribution_object():
     assert d[(0, 0, 0, 0)] > 0.9  # mostly vacuum at this gain and loss
 
 
+def test_number_resolving_tables_stop_at_the_pair_cutoff():
+    # no mode holds more photons than the n_max = 12 pairs emitted at this gain
+    src = SourceParams(0.3)
+    det = detector_for_source(src, None, 0.8, 0.7)
+    assert det.table_a.max_clicks == det.table_b.max_clicks == choose_truncation(src) == 12
+    dist = full_pattern_distribution(RotationSpec(1.1), src, det)
+    assert len(dist.patterns) == 13**4
+    assert dist.total == pytest.approx(1.0, abs=src.trunc_epsilon)
+
+
 def test_ideal_information_is_phase_flat():
     src = SourceParams(0.05)
     vals = [ideal_fisher_information(src, p) for p in np.linspace(0, 2 * np.pi, 17)]

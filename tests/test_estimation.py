@@ -5,16 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from spdcmet.engine import detector_for_source, fourfold_family, ideal_fisher_information
+from spdcmet.engine import (
+    PhaseSeries,
+    detector_for_source,
+    fourfold_family,
+    ideal_fisher_information,
+)
 from spdcmet.estimation import (
     FringeFit,
     FringeSet,
     argmax_over_phase,
     bootstrap_fisher_band,
-    derivative,
     fisher_curve,
     fisher_information,
-    fisher_point,
     fit_fringes,
     heisenberg_limit,
     mean_sensing_photons,
@@ -27,10 +30,8 @@ from spdcmet.fock import SourceParams, pair_number_weights
 from spdcmet.engine import choose_truncation
 
 
-def cos2_family(phi):
-    """Two-outcome reference family with unit information everywhere."""
-    phi = float(phi)
-    return np.array([math.cos(phi / 2) ** 2, math.sin(phi / 2) ** 2])
+# two-outcome reference family, cos^2 and sin^2 of phi/2: unit information everywhere
+cos2_family = PhaseSeries([[0.5, 0.5], [0.5, -0.5]])
 
 
 def experiment_family():
@@ -44,7 +45,7 @@ def experiment_family():
 
 
 def test_constant_family_carries_no_information():
-    fam = lambda phi: np.array([0.3, 0.7])
+    fam = PhaseSeries([[0.3, 0.7]])
     assert fisher_information(fam, 1.2) == 0.0
 
 
@@ -54,10 +55,11 @@ def test_two_outcome_cosine_family_has_unit_information(phi):
 
 
 def test_vanishing_probability_with_live_derivative_is_flagged():
-    fam = lambda phi: np.array([phi / math.pi, 1.0 - phi / math.pi])
-    pt = fisher_point(fam, 0.0)
-    assert pt.clipped
-    assert math.isfinite(pt.value)
+    # (sin(phi) / 2, 1 - sin(phi) / 2): the first vanishes at 0 with slope 1/2
+    fam = PhaseSeries([[0.0, 1.0], [-0.5j, 0.5j]])
+    values, clipped = fisher_curve(fam, [0.0, 1.0])
+    assert clipped.tolist() == [True, False]
+    assert np.all(np.isfinite(values))
 
 
 def test_ideal_family_information_is_flat():
@@ -103,7 +105,7 @@ def test_analytic_and_finite_difference_derivatives_agree():
 def test_renormalized_derivatives_sum_to_zero():
     fam = experiment_family()
     for phi in (0.3, 1.7):
-        assert derivative(fam, phi).sum() == pytest.approx(0.0, abs=1e-10)
+        assert fam.derivatives(phi).sum() == pytest.approx(0.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +139,10 @@ def test_fit_requires_five_distinct_phases():
     phi, counts = _truth_samples()
     with pytest.raises(ValueError):
         fit_fringes(phi[:4], counts[:4])
+    # phases are counted modulo 2 pi
+    aliased = np.concatenate([phi[:4], phi[:4] + 2 * np.pi, phi[:4] - 4 * np.pi])
+    with pytest.raises(ValueError, match="modulo 2 pi"):
+        fit_fringes(aliased, np.tile(counts[:4], (3, 1)))
 
 
 def test_fitted_curves_stay_non_negative_and_normalized():
@@ -146,6 +152,28 @@ def test_fitted_curves_stay_non_negative_and_normalized():
     probs = np.array([fit.probabilities(p) for p in grid])
     assert probs.min() > -1e-9
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_fitted_offset_is_a_local_residual_minimum_with_least_squares_coefficients():
+    rng = np.random.default_rng(42)
+    phi, fracs = _truth_samples()
+    counts = rng.poisson(fracs * 10_000)
+    fit = fit_fringes(phi, counts, renormalize=False)
+    y = counts / counts.sum(axis=1, keepdims=True)
+
+    def lstsq_at(j, phi0):
+        u = phi + phi0
+        X = np.column_stack([np.ones_like(u), np.cos(u), np.cos(2.0 * u)])
+        coef, *_ = np.linalg.lstsq(X, y[:, j], rcond=None)
+        resid = X @ coef - y[:, j]
+        return coef, resid @ resid
+
+    for j, f in enumerate(fit):
+        coef, ssr = lstsq_at(j, f.phi0)
+        np.testing.assert_allclose([f.c0, f.c1, f.c2], coef, rtol=0.0, atol=1e-10)
+        assert f.residual == pytest.approx(ssr, rel=1e-9)
+        for delta in (1e-4, -1e-4):
+            assert lstsq_at(j, f.phi0 + delta)[1] > ssr
 
 
 def test_poisson_noised_fit_tracks_truth_within_three_sigma():
@@ -212,6 +240,47 @@ def test_monte_carlo_information_on_unit_family():
                                 sample_size=1000, seed=1)
     assert abs(res.i_ml - 1.0) < 0.05
     assert res.stderr > 0
+
+
+class CountingSeries(PhaseSeries):
+    """A phase series that counts its evaluations."""
+
+    evaluations = 0
+
+    def raw(self, phi):
+        self.evaluations += 1
+        return super().raw(phi)
+
+
+def test_ml_repetitions_share_every_family_evaluation():
+    # the likelihood table and the refinement are batched over repetitions
+    evaluations = []
+    for reps in (5, 60):
+        family = CountingSeries(cos2_family.harmonics)
+        monte_carlo_ml_fisher(family, 1.0, repetitions=reps, sample_size=200, seed=4)
+        evaluations.append(family.evaluations)
+    assert evaluations[0] == evaluations[1] < 100
+
+
+def test_batched_ml_repetitions_match_one_search_per_repetition():
+    reps, n, phi_true, halfwidth = 40, 300, 1.0, 0.6
+    family = experiment_family()
+    res = monte_carlo_ml_fisher(family, phi_true, repetitions=reps,
+                                sample_size=n, seed=21, search_halfwidth=halfwidth)
+    rng = np.random.default_rng(21)
+    grid = np.linspace(phi_true - halfwidth, phi_true + halfwidth,
+                       round(1000 * 2 * halfwidth / (2 * math.pi)))
+    log_grid = np.log(np.maximum([family.probabilities(g) for g in grid], 1e-12))
+    estimates = []
+    for _ in range(reps):
+        counts = rng.multinomial(n, family.probabilities(phi_true))
+        loglik = lambda p: counts @ np.log(np.maximum(family.probabilities(p), 1e-12))
+        estimates.append(argmax_over_phase(loglik, grid, values=log_grid @ counts,
+                                           tol=1e-10)[0])
+    # rounding of a log-likelihood near 700 locates its flat maximum only to
+    # about sqrt(eps * 700 / (n I)) ~ 1e-8, whichever way it is evaluated
+    assert res.mean_estimate == pytest.approx(np.mean(estimates), rel=0.0, abs=1e-7)
+    assert res.variance == pytest.approx(np.var(estimates, ddof=1), rel=1e-5)
 
 
 def test_monte_carlo_is_seed_deterministic():
@@ -387,6 +456,17 @@ def test_phase_search_scans_the_grid_a_few_phases_per_call():
     np.testing.assert_array_equal(np.concatenate(seen)[:96],
                                   np.linspace(0.0, 2.0 * np.pi, 96, endpoint=False))
     assert phi == pytest.approx(2.0, abs=1e-7)
+
+
+def test_batched_phase_search_equals_one_search_per_column():
+    centers = np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, size=6)
+    grid = np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False)
+    values = trig_bump(centers)(grid[:, None])
+    phi, value = argmax_over_phase(trig_bump(centers), grid, values=values)
+    assert phi.shape == value.shape == (6,)
+    for b, center in enumerate(centers):
+        want = argmax_over_phase(trig_bump(center), grid, values=values[:, b])
+        assert (phi[b], value[b]) == pytest.approx(want, rel=0.0, abs=1e-15)
 
 
 def test_phase_search_on_a_window_refines_past_its_end():
