@@ -272,14 +272,7 @@ def cmd_herald(args) -> int:
 
 
 def cmd_count(args) -> int:
-    with open(args.timetags, "rb") as fh:
-        raw = fh.read()
-    if args.input_format == "csv":
-        stream = timetags.parse_timetags_text(raw.decode("utf-8"))
-    elif args.input_format == "binary":
-        stream = timetags.parse_timetags_binary(raw)
-    else:
-        stream = timetags.parse_timetags(raw)
+    records = timetags.open_timetags(args.timetags, args.input_format)
     if args.map:
         with open(args.map) as fh:
             cmap = timetags.ChannelMap.from_text(fh.read())
@@ -287,18 +280,20 @@ def cmd_count(args) -> int:
         cmap = timetags.ChannelMap.default()
     rep = args.rep_period if args.rep_period > 0 else None
     result = timetags.count_coincidences(
-        stream, window_ps=args.window, cmap=cmap, rep_period_ps=rep,
+        records, window_ps=args.window, cmap=cmap, rep_period_ps=rep,
         n_windows=args.n_windows,
     )
     hist = result.histogram
     meta = {
         "command": "count",
         "version": __version__,
-        "records": len(stream),
+        "records": len(records),
         "window_ps": args.window,
         "rep_period_ps": args.rep_period,
         "windows": hist.windows,
         "total_clicks": hist.total_clicks(),
+        "late_clicks": result.late_clicks,
+        "reordered": result.reordered,
     }
     columns = ["kind", "key", "count"]
     rows = [["mask", f"{mask:#06x}", n] for mask, n in sorted(hist.counts.items())]

@@ -10,12 +10,24 @@ coincidence window groups clicks into one 16-bit pattern; repeated clicks
 on one channel inside a window collapse to a single click (binary
 counters).  Windows anchor on the pulse clock when the repetition period
 is known, otherwise on the first unconsumed click.
+
+Reorder rule: each record is measured against the running maximum of the
+times read before it.  A record behind that maximum by at most
+``reorder_ps`` (1000 ps unless a parser is given another; the block
+reader always uses 1000 ps) is sorted into place (stably, so equal times keep their
+arrival order) and counted as reordered; one further behind is a located
+error.  Because no later record can land more than ``reorder_ps`` behind
+the running maximum, a block reader releases every record up to that
+bound and holds back only the rest, so a binary file is validated,
+sorted and counted in fixed blocks with the same result as a whole-file
+parse, in memory that does not grow with the file.
 """
 
 from __future__ import annotations
 
+import codecs
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -24,9 +36,11 @@ __all__ = [
     "ParseError",
     "TimetagRecord",
     "TimetagStream",
+    "BinaryTimetagFile",
     "ChannelMap",
     "PatternHistogram",
     "CoincidenceResult",
+    "open_timetags",
     "parse_timetags",
     "parse_timetags_text",
     "parse_timetags_binary",
@@ -42,6 +56,12 @@ DEFAULT_WINDOW_PS = 2_500
 DEFAULT_REP_PERIOD_PS = 12_500  # 80 MHz pulse clock
 
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("time", "<u8")])
+_BLOCK_RECORDS = 1 << 16  # records per block of a streamed binary file
+_REORDER_PS = 1000  # default reorder tolerance of every parser
+_N_MASKS = 1 << N_CHANNELS
+_BIT = (1 << np.arange(N_CHANNELS)).astype(np.uint16)  # channel -> mask bit
+_POPCOUNT8 = sum((np.arange(256, dtype=np.uint8) >> k) & 1 for k in range(8))
+_POPCOUNT = np.add.outer(_POPCOUNT8, _POPCOUNT8).ravel()  # set bits of each 16-bit mask
 
 
 class ParseError(ValueError):
@@ -55,10 +75,14 @@ class TimetagRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class TimetagStream:
-    """Column view of a time-ordered click stream."""
+    """Column view of a time-ordered click stream.
+
+    ``reordered`` counts the records the parser sorted back into place.
+    """
 
     channels: np.ndarray  # uint8
     times: np.ndarray  # uint64, non-decreasing
+    reordered: int = field(default=0, init=False, compare=False, repr=False)
 
     @classmethod
     def from_records(cls, records) -> "TimetagStream":
@@ -81,34 +105,114 @@ class TimetagStream:
                 and np.array_equal(self.times, other.times))
 
 
-def _finalize(channels, times, reorder_ps, positions=None):
-    """Validate and time-sort raw record arrays.
+_EMPTY = TimetagStream(channels=np.empty(0, dtype=np.uint8),
+                       times=np.empty(0, dtype=np.uint64))
 
-    ``positions`` maps record index to a human-readable location (text
-    line numbers); binary streams fall back to 1-based record numbers.
+
+class _Reorderer:
+    """Validates raw records block by block and releases them time-sorted.
+
+    Applies the module's reorder rule against the running maximum carried
+    across blocks; records within ``reorder_ps`` of it are held back into
+    the next block, since a later record may still sort before them.
     """
-    def where(i: int) -> str:
-        return positions[i] if positions is not None else f"record {i + 1}"
 
-    if channels.size and channels.max() >= N_CHANNELS:
-        idx = int(np.argmax(channels >= N_CHANNELS))
-        raise ParseError(f"{where(idx)}: unknown channel {channels[idx]}")
-    if times.size:
-        drop = np.diff(times.astype(np.int64))
-        worst = int(drop.min()) if drop.size else 0
-        if worst < -int(reorder_ps):
-            idx = int(np.argmin(drop)) + 1
+    def __init__(self, reorder_ps):
+        self.reorder_ps = int(reorder_ps)
+        self.seen = 0  # records validated so far
+        self.max_time = 0
+        self.held_ch, self.held_t = _EMPTY.channels, _EMPTY.times
+
+    def _record_number(self, i):
+        return f"record {self.seen + i + 1}"
+
+    def push(self, channels, times, where=None, last=False) -> TimetagStream:
+        """Validate one block in arrival order; return the released records.
+
+        ``where`` maps an index into the block to a readable location
+        (text line numbers); by default it is the 1-based record number
+        counted from the start of the input.
+        """
+        where = where or self._record_number
+        # running maximum of the times read before each record
+        prev = np.maximum.accumulate(
+            np.concatenate((np.array([self.max_time], dtype=np.uint64), times))[:-1])
+        behind = np.flatnonzero(times < prev)
+        far = behind[prev[behind] - times[behind] > np.uint64(self.reorder_ps)]
+        unknown = np.flatnonzero(channels >= N_CHANNELS)
+        if far.size or unknown.size:
+            i = min(far[:1].tolist() + unknown[:1].tolist())
+            if channels[i] >= N_CHANNELS:
+                raise ParseError(f"{where(i)}: unknown channel {channels[i]}")
             raise ParseError(
-                f"{where(idx)}: time goes backwards by {-worst} ps, "
-                f"beyond the {reorder_ps} ps reorder tolerance"
+                f"{where(i)}: time goes backwards by {int(prev[i] - times[i])} ps "
+                f"from the latest time read, beyond the {self.reorder_ps} ps "
+                f"reorder tolerance"
             )
-        if worst < 0:
-            order = np.argsort(times, kind="stable")
-            channels, times = channels[order], times[order]
-    return TimetagStream(channels=channels.astype(np.uint8), times=times)
+        if times.size:
+            self.max_time = max(int(prev[-1]), int(times[-1]))
+        self.seen += times.size
+        ch = np.concatenate((self.held_ch, channels.astype(np.uint8)))
+        t = np.concatenate((self.held_t, times))
+        if behind.size:
+            order = np.argsort(t, kind="stable")
+            ch, t = ch[order], t[order]
+        bound = self.max_time - self.reorder_ps  # no later record can sort below it
+        if last:
+            cut = t.size
+        else:
+            cut = int(np.searchsorted(t, np.uint64(bound), side="right")) if bound >= 0 else 0
+        self.held_ch, self.held_t = ch[cut:], t[cut:]
+        return _stream(ch[:cut], t[:cut], reordered=behind.size)
 
 
-def parse_timetags_text(text: str, reorder_ps: int = 1000) -> TimetagStream:
+def _stream(channels, times, reordered) -> TimetagStream:
+    out = TimetagStream(channels=channels, times=times)
+    object.__setattr__(out, "reordered", int(reordered))
+    return out
+
+
+def _check_whole_records(nbytes: int) -> int:
+    full, extra = divmod(nbytes, _RECORD_DTYPE.itemsize)
+    if extra:
+        raise ParseError(
+            f"byte {full * _RECORD_DTYPE.itemsize}: truncated record "
+            f"({extra} trailing bytes)"
+        )
+    return full
+
+
+class BinaryTimetagFile:
+    """A binary timetag file, read and validated in fixed blocks.
+
+    ``len()`` is the number of records in the file.  Iterating reads the
+    file block by block and yields each block's released records as a
+    time-ordered ``TimetagStream``, so ``count_coincidences`` counts the
+    file in memory bounded by one block plus one coincidence window.  A truncated trailing
+    record is reported on opening; the other errors name the same record
+    as a whole-file ``parse_timetags_binary``.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self._records = _check_whole_records(os.path.getsize(path))
+
+    def __len__(self):
+        return self._records
+
+    def __iter__(self):
+        order = _Reorderer(_REORDER_PS)
+        with open(self.path, "rb") as fh:
+            while True:  # a block shorter than _BLOCK_RECORDS ends the file
+                rec = np.fromfile(fh, dtype=_RECORD_DTYPE, count=_BLOCK_RECORDS)
+                last = rec.size < _BLOCK_RECORDS
+                yield order.push(rec["channel"], np.ascontiguousarray(rec["time"]),
+                                 last=last)
+                if last:
+                    return
+
+
+def parse_timetags_text(text: str, reorder_ps: int = _REORDER_PS) -> TimetagStream:
     channels, times, linenos = [], [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -127,23 +231,19 @@ def parse_timetags_text(text: str, reorder_ps: int = 1000) -> TimetagStream:
         channels.append(ch)
         times.append(t)
         linenos.append(lineno)
-    return _finalize(np.array(channels, dtype=np.uint16),
-                     np.array(times, dtype=np.uint64), reorder_ps,
-                     positions=[f"line {n}" for n in linenos])
+    return _Reorderer(reorder_ps).push(
+        np.array(channels, dtype=np.uint16), np.array(times, dtype=np.uint64),
+        where=lambda i: f"line {linenos[i]}", last=True)
 
 
-def parse_timetags_binary(data: bytes, reorder_ps: int = 1000) -> TimetagStream:
-    if len(data) % _RECORD_DTYPE.itemsize != 0:
-        full = len(data) // _RECORD_DTYPE.itemsize
-        raise ParseError(
-            f"byte {full * _RECORD_DTYPE.itemsize}: truncated record "
-            f"({len(data) % _RECORD_DTYPE.itemsize} trailing bytes)"
-        )
-    rec = np.frombuffer(data, dtype=_RECORD_DTYPE)
-    return _finalize(rec["channel"].copy(), rec["time"].copy(), reorder_ps)
+def parse_timetags_binary(data: bytes, reorder_ps: int = _REORDER_PS) -> TimetagStream:
+    n = _check_whole_records(len(data))
+    rec = np.frombuffer(data, dtype=_RECORD_DTYPE, count=n)
+    return _Reorderer(reorder_ps).push(rec["channel"], np.ascontiguousarray(rec["time"]),
+                                       last=True)
 
 
-def parse_timetags(source, reorder_ps: int = 1000) -> TimetagStream:
+def parse_timetags(source, reorder_ps: int = _REORDER_PS) -> TimetagStream:
     """Parse either wire format; bytes that decode as CSV text are text.
 
     Accepts str (text), bytes (sniffed), or a filesystem path.
@@ -166,6 +266,28 @@ def parse_timetags(source, reorder_ps: int = 1000) -> TimetagStream:
     if not head or head[0] == "#" or head[0].isdigit():
         return parse_timetags_text(text, reorder_ps)
     return parse_timetags_binary(source, reorder_ps)
+
+
+def open_timetags(path, input_format: str = "auto"):
+    """Open a timetag file for ``count_coincidences``.
+
+    ``input_format`` is "auto", "csv" or "binary".  Binary input comes back
+    as a ``BinaryTimetagFile`` that is counted block by block; so does
+    "auto" input whose first block is not UTF-8, since such a file can
+    never decode as text.  Any other "auto" file is parsed whole by
+    ``parse_timetags``'s rule, and CSV is parsed whole as text.
+    """
+    if input_format == "binary":
+        return BinaryTimetagFile(path)
+    with open(path, "rb") as fh:
+        if input_format == "csv":
+            return parse_timetags_text(fh.read().decode("utf-8"))
+        head = fh.read(_BLOCK_RECORDS * _RECORD_DTYPE.itemsize)
+        try:
+            codecs.getincrementaldecoder("utf-8")().decode(head)
+        except UnicodeDecodeError:
+            return BinaryTimetagFile(path)
+        return parse_timetags(head + fh.read())
 
 
 def to_csv(stream: TimetagStream) -> str:
@@ -253,20 +375,31 @@ class PatternHistogram:
     windows: int
     window_ps: float
 
+    def _arrays(self):
+        k = len(self.counts)
+        return (np.fromiter(self.counts, dtype=np.int64, count=k),
+                np.fromiter(self.counts.values(), dtype=np.int64, count=k))
+
     def total_clicks(self) -> int:
-        return sum(int(mask).bit_count() * n for mask, n in self.counts.items())
+        masks, n = self._arrays()
+        return int(_POPCOUNT[masks] @ n)
 
     def nonzero_windows(self) -> int:
         return sum(n for mask, n in self.counts.items() if mask != 0)
 
     def reduce(self, cmap: ChannelMap) -> dict:
         """Collapse channel patterns to per-mode click-count 4-tuples."""
-        masks = cmap.mode_masks()
-        out = {}
-        for mask, n in self.counts.items():
-            key = tuple(int(mask & masks[m]).bit_count() for m in MODES)
-            out[key] = out.get(key, 0) + n
-        return out
+        masks, n = self._arrays()
+        mode_masks = cmap.mode_masks()
+        code = np.zeros(masks.size, dtype=np.int64)
+        for m in MODES:  # per-mode click counts are base-5 digits of one code
+            code = 5 * code + _POPCOUNT[masks & mode_masks[m]]
+        total = np.zeros(5 ** len(MODES), dtype=np.int64)
+        np.add.at(total, code, n)
+        present = np.zeros(total.size, dtype=bool)
+        present[code] = True
+        return {tuple(int(d) for d in np.unravel_index(c, (5,) * len(MODES))): int(total[c])
+                for c in np.flatnonzero(present)}
 
 
 @dataclass(frozen=True)
@@ -274,33 +407,105 @@ class CoincidenceResult:
     histogram: PatternHistogram
     pattern_counts: dict  # (r_ah, r_av, r_bh, r_bv) -> count
     modes: tuple = MODES
+    late_clicks: int = 0  # clicks past the window of their pulse, discarded
+    reordered: int = 0  # records the parser sorted back into time order
 
 
-def _pulse_anchored(channels, times, window_ps, rep_period_ps):
-    wid = times // np.uint64(rep_period_ps)
-    offset = times - wid * np.uint64(rep_period_ps)
-    keep = offset < window_ps
-    wid, ch = wid[keep], channels[keep]
-    if wid.size == 0:
-        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint32), int(keep.size - keep.sum())
-    bits = (np.uint32(1) << ch.astype(np.uint32))
-    uniq, start = np.unique(wid, return_index=True)
-    masks = np.bitwise_or.reduceat(bits, start)
-    return uniq, masks, int(keep.size - keep.sum())
-
-
-def _first_click_anchored(channels, times, window_ps):
-    masks = []
-    i, n = 0, times.size
+def _first_click_starts(times, window_ps):
+    """Start index of each first-click-anchored window of sorted times."""
+    ends = np.searchsorted(times, times + np.uint64(int(window_ps)), side="left").tolist()
+    starts, i, n = [], 0, len(ends)
     while i < n:
-        end_time = times[i] + np.uint64(int(window_ps))
-        j = int(np.searchsorted(times, end_time, side="left"))
-        mask = 0
-        for c in channels[i:j]:
-            mask |= 1 << int(c)
-        masks.append(mask)
-        i = j
-    return masks
+        starts.append(i)
+        i = ends[i]
+    return starts
+
+
+class _WindowCounter:
+    """Coincidence windows of one time-ordered stream, fed block by block.
+
+    Window masks go into one bin per 16-bit pattern.  With a pulse clock a
+    window id is the pulse number, so ids are non-decreasing and a window
+    starts wherever the id changes; the window open at a block's end is
+    carried into the next block.  Without one, the records of the last,
+    possibly unfinished window are carried instead.
+    """
+
+    def __init__(self, window_ps, rep_period_ps):
+        self.window_ps = window_ps
+        self.rep_period_ps = rep_period_ps
+        self.bins = np.zeros(_N_MASKS, dtype=np.int64)
+        self.late = 0
+        self.reordered = 0
+        self.occupied = 0
+        self.open_id = None  # pulse id and mask of the window left open
+        self.open_mask = 0
+        self.carry_ch, self.carry_t = _EMPTY.channels, _EMPTY.times
+
+    def _tally(self, masks):
+        self.bins += np.bincount(masks, minlength=_N_MASKS)
+        self.occupied += len(masks)
+
+    def _close_open_window(self):
+        if self.open_id is not None:
+            self.bins[self.open_mask] += 1
+            self.occupied += 1
+            self.open_id = None
+
+    def feed(self, block: TimetagStream):
+        self.reordered += block.reordered
+        if self.rep_period_ps is None:
+            self._feed_first_click(block)
+            return
+        period = np.uint64(self.rep_period_ps)
+        wid = block.times // period
+        keep = block.times - wid * period < self.window_ps
+        ch = block.channels
+        if not keep.all():
+            self.late += int(keep.size - np.count_nonzero(keep))
+            wid, ch = wid[keep], ch[keep]
+        if wid.size == 0:
+            return
+        starts = np.flatnonzero(np.concatenate(([True], wid[1:] != wid[:-1])))
+        ids = wid[starts]
+        if np.any(ids[1:] < ids[:-1]) or (self.open_id is not None and ids[0] < self.open_id):
+            raise ValueError("records must be time-ordered; parse with a reorder buffer")
+        masks = np.bitwise_or.reduceat(_BIT[ch], starts)
+        if ids[0] == self.open_id:
+            masks[0] |= self.open_mask
+        else:
+            self._close_open_window()
+        self._tally(masks[:-1])
+        self.open_id, self.open_mask = int(ids[-1]), int(masks[-1])
+
+    def _feed_first_click(self, block, last=False):
+        ch = np.concatenate((self.carry_ch, block.channels))
+        t = np.concatenate((self.carry_t, block.times))
+        if np.any(t[1:] < t[:-1]):
+            raise ValueError("records must be time-ordered; parse with a reorder buffer")
+        starts = _first_click_starts(t, self.window_ps)
+        # unless input has ended, the last window may go on in the next block
+        end = t.size if last or not starts else starts.pop()
+        self.carry_ch, self.carry_t = ch[end:], t[end:]
+        if starts:
+            self._tally(np.bitwise_or.reduceat(_BIT[ch[:end]], starts))
+
+    def histogram(self, n_windows) -> PatternHistogram:
+        """Close the open window and return the histogram."""
+        if self.rep_period_ps is None:
+            self._feed_first_click(_EMPTY, last=True)
+            n_windows = self.occupied
+        else:
+            last_id = self.open_id
+            self._close_open_window()
+            if n_windows is None:
+                n_windows = last_id + 1 if last_id is not None else 0
+            if n_windows < self.occupied:
+                raise ValueError("n_windows smaller than the number of occupied pulses")
+            self.bins[0] += n_windows - self.occupied
+        nz = np.flatnonzero(self.bins)
+        return PatternHistogram(counts=dict(zip(nz.tolist(), self.bins[nz].tolist())),
+                                windows=int(n_windows), window_ps=float(self.window_ps))
 
 
 def count_coincidences(records, window_ps: float = DEFAULT_WINDOW_PS,
@@ -310,45 +515,32 @@ def count_coincidences(records, window_ps: float = DEFAULT_WINDOW_PS,
     """One-pass coincidence pattern counting.
 
     With ``rep_period_ps`` windows open at each pulse time; clicks later
-    than ``window_ps`` into the period are discarded.  ``n_windows``
-    supplies the number of pulses covered so empty windows enter the
-    zero-pattern bin (else the span of observed pulse ids is used).
-    Without a pulse clock, each window opens at the first unconsumed
-    click.
+    than ``window_ps`` into the period are discarded and counted in
+    ``late_clicks``.  ``n_windows`` supplies the number of pulses covered
+    so empty windows enter the zero-pattern bin (else the span of observed
+    pulse ids is used).  Without a pulse clock, each window opens at the
+    first unconsumed click.  ``records`` is a ``TimetagStream``, a
+    ``BinaryTimetagFile`` (counted block by block) or an iterable of
+    ``(channel, time_ps)`` pairs, in time order.
     """
     if cmap is None:
         cmap = ChannelMap.default()
-    if not isinstance(records, TimetagStream):
-        records = TimetagStream.from_records(records)
-    channels, times = records.channels, records.times
-    if times.size and np.any(np.diff(times.astype(np.int64)) < 0):
-        raise ValueError("records must be time-ordered; parse with a reorder buffer")
-
-    counts: dict = {}
-    if rep_period_ps is not None:
-        if window_ps > rep_period_ps:
-            raise ValueError("window must not exceed the repetition period")
-        uniq, masks, _ = _pulse_anchored(channels, times, window_ps, rep_period_ps)
-        vals, freq = np.unique(masks, return_counts=True) if masks.size else ([], [])
-        for v, f in zip(vals, freq):
-            counts[int(v)] = int(f)
-        occupied = int(uniq.size)
-        if n_windows is None:
-            n_windows = int(uniq.max()) + 1 if occupied else 0
-        if n_windows < occupied:
-            raise ValueError("n_windows smaller than the number of occupied pulses")
-        empty = n_windows - occupied
-        if empty > 0:
-            counts[0] = counts.get(0, 0) + empty
+    if rep_period_ps is not None and window_ps > rep_period_ps:
+        raise ValueError("window must not exceed the repetition period")
+    if rep_period_ps is None and int(window_ps) < 1:
+        raise ValueError("window must be at least 1 ps without a pulse clock")
+    if isinstance(records, BinaryTimetagFile):
+        blocks = records
+    elif isinstance(records, TimetagStream):
+        blocks = (records,)
     else:
-        masks = _first_click_anchored(channels, times, window_ps)
-        for m in masks:
-            counts[m] = counts.get(m, 0) + 1
-        n_windows = len(masks)
-
-    hist = PatternHistogram(counts=counts, windows=int(n_windows),
-                            window_ps=float(window_ps))
-    return CoincidenceResult(histogram=hist, pattern_counts=hist.reduce(cmap))
+        blocks = (TimetagStream.from_records(records),)
+    counter = _WindowCounter(window_ps, rep_period_ps)
+    for block in blocks:
+        counter.feed(block)
+    hist = counter.histogram(n_windows)
+    return CoincidenceResult(histogram=hist, pattern_counts=hist.reduce(cmap),
+                             late_clicks=counter.late, reordered=counter.reordered)
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +585,17 @@ def generate_synthetic_timetags(distribution, pulses: int,
     rng = np.random.default_rng(seed)
     draw = rng.choice(len(patterns), size=pulses, p=probs)
 
+    # pulse indices grouped by pattern, ascending within each group
+    by_pattern = np.argsort(draw, kind="stable")
+    bounds = np.searchsorted(draw[by_pattern], np.arange(len(patterns) + 1))
+
     mode_channels = [np.array(cmap.channels_of(m), dtype=np.uint8) for m in MODES]
     chunks_ch, chunks_t = [], []
     for k, pat in enumerate(patterns):
         total = sum(pat)
         if total == 0:
             continue
-        idx = np.nonzero(draw == k)[0]
+        idx = by_pattern[bounds[k]:bounds[k + 1]]
         if idx.size == 0:
             continue
         base = idx.astype(np.uint64) * np.uint64(rep_period_ps)

@@ -1,0 +1,341 @@
+"""Block-streamed timetag counting: block boundaries, the reorder rule,
+dropped-record reporting, property checks and bounded memory."""
+
+import hashlib
+import itertools
+import tempfile
+import tracemalloc
+from contextlib import contextmanager
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spdcmet import cli, timetags
+from spdcmet.engine import detector_for_source, full_pattern_distribution
+from spdcmet.fock import RotationSpec, SourceParams
+from spdcmet.timetags import (
+    BinaryTimetagFile,
+    ParseError,
+    TimetagStream,
+    count_coincidences,
+    generate_synthetic_timetags,
+    open_timetags,
+    parse_timetags_binary,
+    parse_timetags_text,
+    to_binary,
+    to_csv,
+)
+
+REP = 12_500
+WINDOW = 2_500
+BLOCKS = (1, 7, 64)
+
+
+def raw_binary(records):
+    """Pack (channel, time) pairs in the given arrival order, unsorted."""
+    rec = np.empty(len(records), dtype=timetags._RECORD_DTYPE)
+    rec["channel"] = [c for c, _ in records]
+    rec["time"] = [t for _, t in records]
+    return rec.tobytes()
+
+
+def raw_csv(records):
+    return "".join(f"{c},{t}\n" for c, t in records)
+
+
+@contextmanager
+def block_size(n):
+    with mock.patch.object(timetags, "_BLOCK_RECORDS", n):
+        yield
+
+
+def reference_count(records, window_ps, rep_period_ps):
+    """Loop-by-loop pattern counts of time-sorted (channel, time) pairs."""
+    counts, late = {}, 0
+    if rep_period_ps:
+        windows = {}
+        for c, t in records:
+            if t % rep_period_ps < window_ps:
+                windows[t // rep_period_ps] = windows.get(t // rep_period_ps, 0) | 1 << c
+            else:
+                late += 1
+        for mask in windows.values():
+            counts[mask] = counts.get(mask, 0) + 1
+        span = max(windows) + 1 if windows else 0
+        if span > len(windows):
+            counts[0] = span - len(windows)
+        return counts, late
+    i = 0
+    while i < len(records):
+        end, mask = records[i][1] + int(window_ps), 0
+        while i < len(records) and records[i][1] < end:
+            mask |= 1 << records[i][0]
+            i += 1
+        counts[mask] = counts.get(mask, 0) + 1
+    return counts, late
+
+
+def same_result(a, b):
+    assert a.histogram == b.histogram
+    assert a.pattern_counts == b.pattern_counts
+    assert (a.late_clicks, a.reordered) == (b.late_clicks, b.reordered)
+
+
+def counted(source, rep):
+    return count_coincidences(source, window_ps=WINDOW, rep_period_ps=rep)
+
+
+def by_time(records):
+    return sorted(records, key=lambda r: r[1])
+
+
+def dense_stream(pulses=3000, seed=5):
+    src = SourceParams(0.15)
+    det = detector_for_source(src, 4, 0.8, 0.7)
+    dist = full_pattern_distribution(RotationSpec(1.0), src, det)
+    return generate_synthetic_timetags(dist, pulses=pulses, seed=seed, jitter_ps=1500)
+
+
+def shuffled_within(records, reorder_ps, seed):
+    """Arrival order of time-sorted records, each delayed by less than
+    reorder_ps / 2, so no record lands beyond the tolerance."""
+    rng = np.random.default_rng(seed)
+    delayed = [t + int(d) for (_, t), d in
+               zip(records, rng.integers(0, reorder_ps // 2, size=len(records)))]
+    order = sorted(range(len(records)), key=delayed.__getitem__)
+    return [records[i] for i in order]
+
+
+# ---------------------------------------------------------------------------
+# reorder rule
+
+
+def test_descending_chain_is_measured_against_the_running_maximum():
+    chain = "0,3000\n1,2500\n2,2000\n3,1500\n4,1000\n"
+    with pytest.raises(ParseError, match="line 4: time goes backwards by 1500 ps"):
+        parse_timetags_text(chain, reorder_ps=1000)
+    with pytest.raises(ParseError, match="record 4: time goes backwards by 1500 ps"):
+        parse_timetags_binary(raw_binary([(0, 3000), (1, 2500), (2, 2000),
+                                          (3, 1500), (4, 1000)]), reorder_ps=1000)
+
+
+def test_first_offending_record_is_named():
+    # a backwards jump on line 2 comes before the unknown channel on line 3
+    with pytest.raises(ParseError, match="line 2: time goes backwards"):
+        parse_timetags_text("0,9000\n1,10\n16,9000\n")
+    with pytest.raises(ParseError, match="line 2: unknown channel 16"):
+        parse_timetags_text("0,9000\n16,9000\n1,10\n")
+
+
+def test_reordered_records_are_counted_and_stably_sorted():
+    stream = parse_timetags_text("0,500\n1,900\n2,400\n3,900\n4,850\n")
+    assert stream.reordered == 2
+    assert list(stream.times) == [400, 500, 850, 900, 900]
+    assert list(stream.channels) == [2, 0, 4, 1, 3]
+
+
+def test_sub_picosecond_first_click_window_is_rejected():
+    # the window walk cannot advance when int(window_ps) is 0
+    stream = TimetagStream.from_records([(0, 100), (1, 200)])
+    with pytest.raises(ValueError, match="at least 1 ps"):
+        count_coincidences(stream, window_ps=0.5)
+
+
+# ---------------------------------------------------------------------------
+# late clicks and reordered records
+
+
+def built_records(late, swaps):
+    """One click per pulse for 40 pulses, plus ``late`` clicks past the
+    window and ``swaps`` second clicks arriving 300 ps ahead of the first."""
+    records = []
+    for p in range(40):
+        click = (p % 16, p * REP + 100)
+        if p % 4 == 1 and p // 4 < swaps:
+            records += [((p + 5) % 16, p * REP + 400), click]
+        else:
+            records.append(click)
+        if p % 4 == 2 and p // 4 < late:
+            records.append(((p + 3) % 16, p * REP + 5000))
+    return records
+
+
+@pytest.mark.parametrize("late,swaps", [(0, 0), (3, 0), (0, 4), (5, 2)])
+def test_late_clicks_and_reordered_are_reported_at_every_block_size(
+        tmp_path, monkeypatch, late, swaps):
+    records = built_records(late, swaps)
+    path = tmp_path / "built.bin"
+    path.write_bytes(raw_binary(records))
+    whole = counted(parse_timetags_text(raw_csv(records)), REP)
+    assert (whole.late_clicks, whole.reordered) == (late, swaps)
+    for block in BLOCKS:
+        monkeypatch.setattr(timetags, "_BLOCK_RECORDS", block)
+        same_result(counted(BinaryTimetagFile(path), REP), whole)
+
+
+def test_count_metadata_reports_late_and_reordered(tmp_path):
+    path = tmp_path / "built.csv"
+    path.write_text(raw_csv(built_records(late=3, swaps=2)))
+    out = tmp_path / "out.csv"
+    assert cli.main(["count", str(path), "--out", str(out)]) == 0
+    meta = dict(line[2:].split(" = ") for line in out.read_text().splitlines()
+                if line.startswith("# "))
+    assert (meta["late_clicks"], meta["reordered"]) == ("3", "2")
+    assert meta["records"] == "45"
+
+
+# ---------------------------------------------------------------------------
+# block boundaries
+
+
+@pytest.mark.parametrize("rep", [REP, None], ids=["clocked", "first_click"])
+def test_streamed_counts_equal_the_whole_stream_count(tmp_path, monkeypatch, rep):
+    stream = dense_stream()
+    # the first record's time byte 0xc8 is not UTF-8, so "auto" streams too
+    later = [(c, t + REP) for c, t in stream]
+    arrival = [(0, 200)] + shuffled_within(later, 1000, seed=3)
+    data = raw_binary(arrival)
+    path = tmp_path / "tags.bin"
+    path.write_bytes(data)
+    whole = counted(parse_timetags_text(raw_csv(arrival)), rep)
+    assert whole.reordered > 0
+    assert whole.histogram.counts == reference_count(by_time(arrival), WINDOW, rep)[0]
+    for block in BLOCKS:
+        monkeypatch.setattr(timetags, "_BLOCK_RECORDS", block)
+        assert parse_timetags_binary(data) == TimetagStream.from_records(by_time(arrival))
+        same_result(counted(open_timetags(path, "binary"), rep), whole)
+        auto = open_timetags(path, "auto")
+        assert isinstance(auto, BinaryTimetagFile)
+        same_result(counted(auto, rep), whole)
+
+
+def test_windows_and_reorders_straddling_a_block_boundary(tmp_path, monkeypatch):
+    # block 1 ends inside pulse 0 and inside a first-click window; the
+    # first record of block 2 sorts before the last record of block 1
+    records = [(0, 100), (1, 700), (2, 1200), (3, 1900), (4, 2100), (5, 2300),
+               (6, 2400), (7, 2350), (8, 2450), (9, REP + 50)]
+    path = tmp_path / "straddle.bin"
+    path.write_bytes(raw_binary(records))
+    monkeypatch.setattr(timetags, "_BLOCK_RECORDS", 7)
+    for rep in (REP, None):
+        res = counted(BinaryTimetagFile(path), rep)
+        assert res.reordered == 1
+        assert res.histogram.counts == reference_count(by_time(records), WINDOW, rep)[0]
+    assert counted(BinaryTimetagFile(path), REP).histogram.counts == {0x1FF: 1, 1 << 9: 1}
+
+
+def test_located_errors_match_the_whole_file_parse(tmp_path):
+    good = [(i % 16, 1000 * i) for i in range(30)]
+    cases = {
+        r"byte 261: truncated record \(5 trailing bytes\)": raw_binary(good)[:-4],
+        "record 21: unknown channel 16": raw_binary(good[:20] + [(16, 20_000)] + good[21:]),
+        "record 26: time goes backwards by 14000 ps": raw_binary(
+            good[:25] + [(3, 10_000)] + good[26:]),
+    }
+    for k, (message, data) in enumerate(cases.items()):
+        with pytest.raises(ParseError, match=message) as whole:
+            parse_timetags_binary(data)
+        path = tmp_path / f"bad{k}.bin"
+        path.write_bytes(data)
+        for block, fmt in itertools.product(BLOCKS, ("binary", "auto")):
+            with block_size(block), pytest.raises(ParseError) as streamed:
+                counted(open_timetags(path, fmt), REP)
+            assert str(streamed.value) == str(whole.value)
+
+
+def test_cli_count_streams_binary_with_the_same_output(tmp_path, monkeypatch):
+    stream = dense_stream(pulses=2000, seed=9)
+    path = tmp_path / "tags.bin"
+    path.write_bytes(to_binary(stream))
+    csv_path = tmp_path / "tags.csv"
+    csv_path.write_text(to_csv(stream))
+    outs = []
+    for block, src, fmt in [(1 << 16, csv_path, "csv"), (7, path, "binary"), (64, path, "auto")]:
+        monkeypatch.setattr(timetags, "_BLOCK_RECORDS", block)
+        out = tmp_path / f"out{block}.json"
+        assert cli.main(["count", str(src), "--input-format", fmt, "--format", "json",
+                         "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+# time-sorted (channel, time) records, built from (channel, time step) pairs
+sorted_records = st.lists(
+    st.tuples(st.integers(0, 15), st.integers(0, 30_000)), max_size=120,
+).map(lambda steps: [(c, t) for (c, _), t in
+                     zip(steps, itertools.accumulate(d for _, d in steps))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(sorted_records)
+def test_csv_and_binary_round_trips_are_the_identity(records):
+    stream = TimetagStream.from_records(records)
+    assert parse_timetags_text(to_csv(stream)) == stream
+    assert parse_timetags_binary(to_binary(stream)) == stream
+
+
+@settings(max_examples=60, deadline=None)
+@given(sorted_records, st.sampled_from(BLOCKS), st.sampled_from([REP, None]),
+       st.integers(0, 2**32))
+def test_streamed_counts_equal_whole_counts(records, block, rep, seed):
+    arrival = shuffled_within(records, 1000, seed)
+    data = raw_binary(arrival)
+    whole = counted(parse_timetags_binary(data), rep)
+    want, late = reference_count(by_time(arrival), WINDOW, rep)
+    assert whole.histogram.counts == want and whole.late_clicks == late
+    with tempfile.TemporaryDirectory() as tmp, block_size(block):
+        path = Path(tmp) / "tags.bin"
+        path.write_bytes(data)
+        same_result(counted(BinaryTimetagFile(path), rep), whole)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sorted_records)
+def test_accepted_records_and_late_clicks_add_up_to_records_read(records):
+    stream = TimetagStream.from_records(records)
+    res = counted(stream, REP)
+    accepted = sum(1 for _, t in records if t % REP < WINDOW)
+    assert accepted + res.late_clicks == len(stream)
+    assert counted(stream, None).late_clicks == 0
+
+
+# ---------------------------------------------------------------------------
+# bounded memory and the generator
+
+
+def peak_count_bytes(tmp_path, n):
+    i = np.arange(n, dtype=np.uint64)
+    stream = TimetagStream(channels=((i * 7) % 16).astype(np.uint8), times=i * np.uint64(4100))
+    path = tmp_path / f"mem{n}.bin"
+    path.write_bytes(to_binary(stream))
+    del stream, i
+    out = tmp_path / f"mem{n}.json"
+    tracemalloc.start()
+    try:
+        assert cli.main(["count", str(path), "--input-format", "binary",
+                         "--format", "json", "--out", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_count_peak_memory_does_not_grow_with_the_file(tmp_path):
+    small = peak_count_bytes(tmp_path, 200_000)
+    large = peak_count_bytes(tmp_path, 2_000_000)
+    assert large < 1.5 * small, (small, large)
+
+
+def test_generator_output_is_frozen():
+    src = SourceParams(0.08)
+    det = detector_for_source(src, 4, 0.3, 0.25)
+    dist = full_pattern_distribution(RotationSpec(1.0), src, det)
+    stream = generate_synthetic_timetags(dist, pulses=20_000, seed=12)
+    assert hashlib.sha256(to_binary(stream)).hexdigest() == (
+        "29f11d16ad47e76ac393281f39f36baee6969344821a5b39a96282494f52e42c")
