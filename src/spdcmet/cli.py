@@ -151,12 +151,13 @@ def cmd_fisher(args) -> int:
     advantage = i_star / snl - 1.0
 
     band_low = band_high = None
+    patched_rows = 0
     if args.bootstrap > 0:
         counts = family.probabilities(grid) * args.counts_per_phase
         band = estimation.bootstrap_fisher_band(
             grid, counts, replicates=args.bootstrap, seed=args.seed
         )
-        band_low, band_high = band.low, band.high
+        band_low, band_high, patched_rows = band.low, band.high, band.patched_rows
 
     ml_points = []
     if args.ml_reps > 0:
@@ -189,6 +190,7 @@ def cmd_fisher(args) -> int:
         # click-pattern curve, which vanishes at fringe extrema for any basis
         "ideal_information": engine.ideal_fisher_information(src, phi_star),
         "bootstrap": args.bootstrap,
+        "bootstrap_patched_rows": patched_rows,
         "ml_reps": args.ml_reps,
         "ml_samples": args.ml_samples,
     })

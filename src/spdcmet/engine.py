@@ -155,8 +155,9 @@ class PhaseSeries:
     with complex harmonics ``c`` of shape (degree+1, *output shape).  Values
     and exact derivatives (harmonics i k c_k) cost one small contraction for
     a phase or a whole array of phases, and the phase average is c_0.  With
-    ``renormalize`` the values are divided by their sum at each phase, the
-    way coincidence counts are normalized per setting.
+    ``renormalize`` the values are divided by their sum over the last output
+    axis at each phase, the way coincidence counts are normalized per
+    setting; leading output axes then hold independent distributions.
     """
 
     def __init__(self, harmonics, renormalize=False):
@@ -178,8 +179,7 @@ class PhaseSeries:
         f, df = self.raw(phi)
         if not self.renormalize:
             return f, df
-        outputs = tuple(range(np.ndim(phi), f.ndim))
-        s, ds = f.sum(outputs, keepdims=True), df.sum(outputs, keepdims=True)
+        s, ds = f.sum(-1, keepdims=True), df.sum(-1, keepdims=True)
         return f / s, (df * s - f * ds) / (s * s)
 
     def probabilities(self, phi) -> np.ndarray:

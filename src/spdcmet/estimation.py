@@ -5,7 +5,8 @@ series (:class:`spdcmet.engine.PhaseSeries`) with exact derivatives;
 fitted fringes are the same series truncated to harmonics 0-2.  Each
 estimator evaluates whole arrays of phases at once, and every best phase,
 fringe offset and likelihood maximum is found by :func:`argmax_over_phase`,
-which refines a batch of independent searches together.
+which refines a batch of independent searches together; the bootstrap band
+fits and evaluates blocks of replicates, drawn as one random stream, at once.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ _SCAN_BLOCK = 4  # phases per evaluation of a phase scan; bounds its temporaries
 _GRID_DENSITY = 1000  # likelihood-scan points per 2 pi
 _TIE_TOL = 1e-6  # log-likelihood gap below which distinct maxima tie
 _PHI0_GRID = 181  # fringe offsets scanned over one period of the residual
+_BAND_COLUMNS = 1024  # fitted pattern columns per bootstrap block; bounds the fit temporaries
 _BAND_PERCENTILES = (2.5, 97.5)
 
 
@@ -60,13 +62,14 @@ def fisher_information(family, phi):
 def fisher_curve(family, phi_grid):
     """I(phi) over a grid; returns (values, clipped_flags).
 
+    Output axes before the last (pattern) axis give one curve each.
     Probabilities below the floor are floored before the quotient; a
     point is flagged when such a floored term still carries a
     non-vanishing derivative, i.e. when the true information diverges there.
     """
     p, dp = family.probabilities_and_derivatives(np.asarray(phi_grid, dtype=float))
     clipped = ((p < PROB_FLOOR) & (np.abs(dp) > math.sqrt(PROB_FLOOR))).any(axis=-1)
-    return _information(p, dp, 1), clipped
+    return _information(p, dp, p.ndim - 1), clipped
 
 
 # ---------------------------------------------------------------------------
@@ -92,15 +95,20 @@ class FringeFit:
         return -self.c1 * np.sin(u) - 2.0 * self.c2 * np.sin(2.0 * u)
 
 
+def _fringe_harmonics(coef, phi0):
+    """Harmonics (c0, c1 e^{i phi0}, c2 e^{2 i phi0}), shape (3, ...), of coef[..., 3]."""
+    return np.moveaxis(coef * np.exp(1j * np.multiply.outer(phi0, np.arange(3))), -1, 0)
+
+
 class FringeSet(engine.PhaseSeries):
     """Jointly renormalized collection of fitted fringes: the phase series
     whose harmonics 0-2 per fit are (c0, c1 e^{i phi0}, c2 e^{2 i phi0})."""
 
     def __init__(self, fits, renormalize=True):
         self.fits = tuple(fits)
-        harmonics = [[f.c0, f.c1 * np.exp(1j * f.phi0), f.c2 * np.exp(2j * f.phi0)]
-                     for f in self.fits]
-        super().__init__(np.reshape(harmonics, (-1, 3)).T, renormalize)
+        coef = np.reshape([(f.c0, f.c1, f.c2) for f in self.fits], (-1, 3))
+        super().__init__(_fringe_harmonics(coef, np.array([f.phi0 for f in self.fits])),
+                         renormalize)
 
     def __iter__(self):
         return iter(self.fits)
@@ -181,6 +189,34 @@ def _fringe_lstsq(phi, y, offsets):
     return np.linalg.solve(r, qty), np.einsum("...ik,...ik->...k", resid, resid)
 
 
+def _fit_fringe_columns(phi, counts):
+    """Fringe fits of every pattern of count sets ``counts[sets, n_phi, k]``
+    in one search; returns coef (sets, k, 3), phi0 and residuals (sets, k)."""
+    phi = np.asarray(phi, dtype=float)
+    counts = np.asarray(counts, dtype=float)
+    if counts.ndim != 3 or counts.shape[1] != phi.size:
+        raise ValueError("counts must have shape (n_phi, n_patterns)")
+    distinct = np.unique(np.round(phi / (2.0 * np.pi) % 1.0, 9) % 1.0).size  # in turns
+    if distinct < 5:
+        # four parameters per pattern; fewer angles leave the fit rank-deficient
+        raise ValueError(f"need at least five distinct phases modulo 2 pi to fit the "
+                         f"fringe model, got {distinct}")
+    totals = counts.sum(axis=-1, keepdims=True)
+    if np.any(totals <= 0):
+        raise ValueError("every phase sample needs a positive total count")
+    y = np.moveaxis(counts / totals, 1, 0).reshape(phi.size, -1)  # one column per fit
+
+    offsets = np.linspace(-np.pi / 2.0, np.pi / 2.0, _PHI0_GRID, endpoint=False)
+    # a few offsets per solve, so the residuals are never held for the whole grid
+    ssr = np.concatenate([_fringe_lstsq(phi, y, block)[1]
+                          for block in np.array_split(offsets, _PHI0_GRID // 16)])
+    columns = y.T[:, :, None]  # one fit per column, each at its own offset
+    phi0, _ = argmax_over_phase(lambda o: -_fringe_lstsq(phi, columns, o)[1][:, 0], offsets,
+                                values=-ssr, tol=1e-12)
+    coef, ssr = (x[..., 0] for x in _fringe_lstsq(phi, columns, phi0))
+    return tuple(x.reshape(counts.shape[::2] + x.shape[1:]) for x in (coef, phi0, ssr))
+
+
 def fit_fringes(phi, counts, renormalize=True) -> FringeSet:
     """Least-squares cosine-series fit to per-phase pattern fractions.
 
@@ -197,28 +233,7 @@ def fit_fringes(phi, counts, renormalize=True) -> FringeSet:
     patterns' offsets are refined together.  The residual has period pi
     in phi0 (c1 changes sign), which the grid spans.
     """
-    phi = np.asarray(phi, dtype=float)
-    counts = np.asarray(counts, dtype=float)
-    if counts.ndim != 2 or counts.shape[0] != phi.size:
-        raise ValueError("counts must have shape (n_phi, n_patterns)")
-    distinct = np.unique(np.round(phi / (2.0 * np.pi) % 1.0, 9) % 1.0).size  # in turns
-    if distinct < 5:
-        # four parameters per pattern; fewer angles leave the fit rank-deficient
-        raise ValueError(f"need at least five distinct phases modulo 2 pi to fit the "
-                         f"fringe model, got {distinct}")
-    totals = counts.sum(axis=1, keepdims=True)
-    if np.any(totals <= 0):
-        raise ValueError("every phase sample needs a positive total count")
-    y = counts / totals
-
-    offsets = np.linspace(-np.pi / 2.0, np.pi / 2.0, _PHI0_GRID, endpoint=False)
-    # a few offsets per solve, so the residuals are never held for the whole grid
-    ssr = np.concatenate([_fringe_lstsq(phi, y, block)[1]
-                          for block in np.array_split(offsets, _PHI0_GRID // 16)])
-    columns = y.T[:, :, None]  # one fit per pattern, each at its own offset
-    phi0, _ = argmax_over_phase(lambda o: -_fringe_lstsq(phi, columns, o)[1][:, 0], offsets,
-                                values=-ssr, tol=1e-12)
-    coef, ssr = (x[..., 0] for x in _fringe_lstsq(phi, columns, phi0))
+    coef, phi0, ssr = (x[0] for x in _fit_fringe_columns(phi, np.expand_dims(counts, 0)))
     return FringeSet(fits=[FringeFit(*c.tolist(), phi0=float(p), residual=float(s))
                            for c, p, s in zip(coef, phi0, ssr)], renormalize=renormalize)
 
@@ -332,6 +347,7 @@ class BootstrapBand:
     low: np.ndarray
     high: np.ndarray
     replicates: int
+    patched_rows: int  # (replicate, phase) rows drawn all-zero, replaced by the central counts
 
 
 def bootstrap_fisher_band(phi, counts, replicates=1000, seed=0,
@@ -341,33 +357,38 @@ def bootstrap_fisher_band(phi, counts, replicates=1000, seed=0,
     Each replicate perturbs the per-pattern counts (Poisson by default,
     ``noise='none'`` reproduces the central curve exactly and collapses
     the band), refits the fringes, and re-evaluates the information.
+    Replicates come in blocks, drawn as one random stream (the same as one
+    draw per replicate in turn); a block's fringes, with the central fit in
+    the first block, are fitted in one search and its curves, each replicate
+    renormalized on its own, evaluated at once.  A row drawn all-zero, as
+    Poisson can at tiny rates, takes the central counts and is counted in
+    ``patched_rows``.
     """
     if noise not in ("poisson", "none"):
         raise ValueError("noise must be 'poisson' or 'none'")
-    phi = np.asarray(phi, dtype=float)
     counts = np.asarray(counts, dtype=float)
-    if eval_grid is None:
-        eval_grid = phi
-    eval_grid = np.asarray(eval_grid, dtype=float)
+    eval_grid = np.asarray(phi if eval_grid is None else eval_grid, dtype=float)
     rng = np.random.default_rng(seed)
 
-    central_fit = fit_fringes(phi, counts)
-    central, _ = fisher_curve(central_fit, eval_grid)
-
-    curves = np.empty((replicates, eval_grid.size))
-    for bidx in range(replicates):
-        sample = rng.poisson(counts) if noise == "poisson" else counts
-        # guard degenerate all-zero rows that poisson can produce at tiny rates
-        bad = sample.sum(axis=1) <= 0
-        if np.any(bad):
-            sample = sample.astype(float)
-            sample[bad] = counts[bad]
-        refit = fit_fringes(phi, sample)
-        curves[bidx], _ = fisher_curve(refit, eval_grid)
+    per_block = max(1, _BAND_COLUMNS // max(1, counts.shape[-1]))
+    curves, patched = [], 0
+    for start in range(0, replicates + 1, per_block):  # count set 0 is the central one
+        size = (min(start + per_block, replicates + 1) - max(start, 1),) + counts.shape
+        sample = rng.poisson(counts, size) if noise == "poisson" else np.broadcast_to(counts, size)
+        bad = sample.sum(axis=-1, keepdims=True) <= 0
+        patched += int(bad.sum())
+        sets = np.where(bad, counts, sample)
+        if start == 0:
+            sets = np.concatenate([counts[None], sets])
+        coef, phi0, _ = _fit_fringe_columns(phi, sets)
+        series = engine.PhaseSeries(_fringe_harmonics(coef, phi0), renormalize=True)
+        curves.append(fisher_curve(series, eval_grid)[0].T)
+    curves = np.concatenate(curves)
+    central, curves = curves[0], curves[1:]
     low, high = np.percentile(curves, _BAND_PERCENTILES, axis=0)
     return BootstrapBand(
         phi_grid=eval_grid, central=central, low=low, high=high,
-        replicates=replicates,
+        replicates=replicates, patched_rows=patched,
     )
 
 

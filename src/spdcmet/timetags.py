@@ -228,6 +228,10 @@ def parse_timetags_text(text: str, reorder_ps: int = _REORDER_PS) -> TimetagStre
             raise ParseError(f"line {lineno}: non-numeric field in {raw!r}") from None
         if ch < 0 or t < 0:
             raise ParseError(f"line {lineno}: negative value in {raw!r}")
+        if ch > 0xFFFF:  # beyond the uint16 channel array built below
+            raise ParseError(f"line {lineno}: unknown channel {ch}")
+        if t >= 1 << 64:
+            raise ParseError(f"line {lineno}: time {t} ps does not fit in 64 bits")
         channels.append(ch)
         times.append(t)
         linenos.append(lineno)

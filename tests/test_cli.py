@@ -114,6 +114,7 @@ def test_fisher_summary_metadata(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     meta = doc["meta"]
+    assert meta["bootstrap_patched_rows"] == 0
     assert 2.00 <= meta["snl"] <= 2.02
     assert meta["advantage"] == pytest.approx(0.45, abs=0.03)
     assert meta["fisher_max"] > meta["snl"]
@@ -147,6 +148,7 @@ def test_fisher_band_and_ml_sections(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["columns"] == ["phi", "fisher", "clipped", "band_low", "band_high"]
+    assert doc["meta"]["bootstrap_patched_rows"] == 0
     for row in doc["rows"]:
         assert row[3] <= row[4] + 1e-12
     points = doc["ml_points"]
@@ -346,6 +348,17 @@ def test_count_bad_map_file_exit(tmp_path, capsys):
     tag_file.write_bytes(to_binary(sample_stream()))
     assert run(["count", str(tag_file), "--map", str(map_file)]) == 3
     assert "unassigned" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("70000,60", "line 2: unknown channel 70000"),
+    (f"3,{2 ** 64}", f"line 2: time {2 ** 64} ps does not fit in 64 bits"),
+])
+def test_count_out_of_range_text_field_is_located(tmp_path, capsys, line, message):
+    tag_file = tmp_path / "tags.csv"
+    tag_file.write_text(f"3,50\n{line}\n")
+    assert run(["count", str(tag_file)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_count_missing_file_exit(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spdcmet import estimation
 from spdcmet.engine import (
     PhaseSeries,
     detector_for_source,
@@ -322,6 +323,71 @@ def test_bootstrap_band_covers_the_truth():
     assert covered >= 0.9
     assert np.all(band.low <= band.central + 1e-12)
     assert np.all(band.central <= band.high + 1e-12)
+
+
+def _per_replicate_band(phi, counts, replicates, seed, eval_grid):
+    """The band as one Poisson draw, fit and curve per replicate in turn."""
+    rng = np.random.default_rng(seed)
+    central, _ = fisher_curve(fit_fringes(phi, counts), eval_grid)
+    curves = []
+    for _ in range(replicates):
+        sample = rng.poisson(counts)
+        bad = sample.sum(axis=1) <= 0
+        sample = np.where(bad[:, None], counts, sample)
+        curves.append(fisher_curve(fit_fringes(phi, sample), eval_grid)[0])
+    low, high = np.percentile(curves, (2.5, 97.5), axis=0)
+    return central, low, high
+
+
+@pytest.mark.parametrize("block_columns", [None, 15])  # default: one block; 15: 5 sets a block
+@pytest.mark.parametrize("replicates", [1, 8, 37])
+def test_batched_band_matches_per_replicate_fits(monkeypatch, replicates, block_columns):
+    if block_columns:
+        monkeypatch.setattr(estimation, "_BAND_COLUMNS", block_columns)
+    rng = np.random.default_rng(21)
+    phi, fracs = _truth_samples(n_phi=17)
+    counts = rng.poisson(fracs * 3e3)
+    eval_grid = np.linspace(0.2, 2 * np.pi - 0.2, 23)
+    band = bootstrap_fisher_band(phi, counts, replicates=replicates, seed=4,
+                                 eval_grid=eval_grid)
+    central, low, high = _per_replicate_band(phi, counts, replicates, 4, eval_grid)
+    # within the golden-search tolerance of the offset refinement
+    np.testing.assert_allclose(band.central, central, rtol=1e-6)
+    np.testing.assert_allclose(band.low, low, rtol=1e-6)
+    np.testing.assert_allclose(band.high, high, rtol=1e-6)
+    assert band.patched_rows == 0
+
+
+def test_band_fit_work_does_not_grow_with_replicates(monkeypatch):
+    calls = []
+    lstsq = estimation._fringe_lstsq
+
+    def counted(*args):
+        calls.append(1)
+        return lstsq(*args)
+
+    monkeypatch.setattr(estimation, "_fringe_lstsq", counted)
+    rng = np.random.default_rng(2)
+    phi, fracs = _truth_samples(n_phi=17)
+    counts = rng.poisson(fracs * 2e3)
+    work = []
+    for replicates in (2, 16):  # both within one replicate block
+        calls.clear()
+        bootstrap_fisher_band(phi, counts, replicates=replicates, seed=9)
+        work.append(len(calls))
+    assert work[0] == work[1]
+
+
+def test_band_counts_the_rows_it_patches():
+    # two phases carry a total rate of 3e-300 per replicate: Poisson draws
+    # them all-zero in every replicate, so exactly 2 rows per replicate are patched
+    phi, counts = _truth_samples(n_phi=17, scale=5e3)
+    counts[[3, 11]] = 1e-300
+    band = bootstrap_fisher_band(phi, counts, replicates=12, seed=1)
+    assert band.patched_rows == 24
+    assert np.all(np.isfinite(band.low)) and np.all(np.isfinite(band.high))
+    assert bootstrap_fisher_band(phi, counts, replicates=12, seed=1,
+                                 noise="none").patched_rows == 0
 
 
 def test_band_width_shrinks_with_count_volume():
