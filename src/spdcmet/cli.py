@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__, calibration, engine, estimation, heralding, timetags
-from .fock import GainRangeError, SourceParams
+from .fock import GainRangeError, SourceParams, truncation_tail
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
@@ -95,6 +95,13 @@ def _detector(args, src):
     return engine.detector_for_source(src, d, args.eta_a, args.eta_b)
 
 
+def _truncation_meta(src):
+    """The cutoff, its bound and the pair-sector mass it actually discards."""
+    n_max = engine.choose_truncation(src)
+    return {"trunc_epsilon": src.trunc_epsilon, "truncation": n_max,
+            "truncation_tail": truncation_tail(src, n_max)}
+
+
 def _base_meta(args, src, command):
     return {
         "command": command,
@@ -104,8 +111,7 @@ def _base_meta(args, src, command):
         "eta_b": getattr(args, "eta_b", ""),
         "d": getattr(args, "d", ""),
         "theta": getattr(args, "theta", 0.0),
-        "trunc_epsilon": src.trunc_epsilon,
-        "truncation": engine.choose_truncation(src),
+        **_truncation_meta(src),
         "seed": getattr(args, "seed", 0),
     }
 
@@ -173,6 +179,7 @@ def cmd_fisher(args) -> int:
             )
             ml_points.append({
                 "phi": float(phi_j), "i_ml": res.i_ml, "stderr": res.stderr,
+                "edge_hits": res.edge_hits,
             })
 
     columns = ["phi", "fisher", "clipped"]
@@ -317,8 +324,7 @@ def cmd_curve(args) -> int:
         "version": __version__,
         "tau": args.tau,
         "d": args.d,
-        "trunc_epsilon": src.trunc_epsilon,
-        "truncation": engine.choose_truncation(src),
+        **_truncation_meta(src),
         "snl_reference": 1.0,
         "heisenberg_limit": estimation.heisenberg_limit(src),
     }

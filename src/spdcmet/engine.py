@@ -347,29 +347,26 @@ def fourfold_distribution(rot, src, det, clicks_a=2, clicks_b=2,
     )
 
 
-def _path_click_stats(table: PovmTable, occ_h: int, occ_v: int, clicks: int):
-    """P(path total = clicks | occupation) and mean survivors on that event.
+def _path_event_weights(table: PovmTable, clicks: int, n_max: int):
+    """Per-sector chance that a path holding (k, n - k) photons clicks
+    ``clicks`` in total, and that chance weighted by the photons surviving
+    loss, n = 0..n_max.
 
-    Splits the lossy table back into thinning and lossless counting so the
-    number of photons actually reaching the counters can be tracked.
+    Both sum over the pairs r_h + r_v = clicks, like :func:`_click_weights`:
+    the first of W[r_h, k] W[r_v, n - k], the second of the same products
+    with one factor swapped for the survivor-weighted table
+    S[r, c] = sum_j W0[r, j] j B[c, j] (W = W0 B^T splits into lossless
+    counting W0 and binomial thinning B).
     """
-    W0 = table.base_weights
-    eta = table.eta
-    p_event = 0.0
-    surv_sum = 0.0
-    bh = binomial_thinning_matrix(occ_h, eta)[occ_h]
-    bv = binomial_thinning_matrix(occ_v, eta)[occ_v]
-    for jh in range(occ_h + 1):
-        for jv in range(occ_v + 1):
-            w = sum(
-                W0[rh, jh] * W0[clicks - rh, jv]
-                for rh in range(clicks + 1)
-                if rh <= table.max_clicks and clicks - rh <= table.max_clicks
-            )
-            pj = bh[jh] * bv[jv] * w
-            p_event += pj
-            surv_sum += pj * (jh + jv)
-    return p_event, surv_sum
+    h = np.arange(max(0, clicks - table.max_clicks), min(clicks, table.max_clicks) + 1)
+    v = clicks - h
+    W = table.weights
+    S = (table.base_weights * np.arange(table.c_max + 1)) @ binomial_thinning_matrix(
+        table.c_max, table.eta).T
+    rate = [(W[h, : n + 1] * W[v, n::-1]).sum(axis=0) for n in range(n_max + 1)]
+    surviving = [(S[h, : n + 1] * W[v, n::-1] + W[h, : n + 1] * S[v, n::-1]).sum(axis=0)
+                 for n in range(n_max + 1)]
+    return rate, surviving
 
 
 def fourfold_conditional_means(src, det, theta=0.0, clicks_a=2, clicks_b=2, n_max=None):
@@ -384,18 +381,12 @@ def fourfold_conditional_means(src, det, theta=0.0, clicks_a=2, clicks_b=2, n_ma
     if n_max is None:
         n_max = choose_truncation(src)
     _check_capacity(det, n_max)
-    per_sector_a = [
-        np.array([_path_click_stats(det.table_a, k, n - k, clicks_a) for k in range(n + 1)])
-        for n in range(n_max + 1)
-    ]
-    per_sector_b = [
-        np.array([_path_click_stats(det.table_b, l, n - l, clicks_b)[0] for l in range(n + 1)])
-        for n in range(n_max + 1)
-    ]
+    rate_a, surviving_a = _path_event_weights(det.table_a, clicks_a, n_max)
+    rate_b, _ = _path_event_weights(det.table_b, clicks_b, n_max)
 
     # rows: event rate, emitted and surviving photons on events
-    weights_a = [np.stack([a[:, 0], n * a[:, 0], a[:, 1]]) for n, a in enumerate(per_sector_a)]
-    weights_b = [b[None] for b in per_sector_b]
+    weights_a = [np.stack([p, n * p, s]) for n, (p, s) in enumerate(zip(rate_a, surviving_a))]
+    weights_b = [p[None] for p in rate_b]
     den, num_emitted, num_surviving = _sector_harmonics(
         src, theta, weights_a, weights_b, degree=0)[0, :, 0].real
     if den <= 0.0:

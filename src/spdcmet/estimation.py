@@ -7,6 +7,13 @@ estimator evaluates whole arrays of phases at once, and every best phase,
 fringe offset and likelihood maximum is found by :func:`argmax_over_phase`,
 which refines a batch of independent searches together; the bootstrap band
 fits and evaluates blocks of replicates, drawn as one random stream, at once.
+
+A fringe c0 + c1 cos(phi + phi0) + c2 cos 2(phi + phi0) lies in the span of
+{1, cos phi, sin phi, cos 2 phi, sin 2 phi} whatever its offset.  The fit
+takes one QR factorization F = QR of that basis at the sample phases and
+projects every column of fractions once, z = Q^T y, keeping the
+out-of-span residual.  At an offset the design is R T(phi0), so the offset
+scan and its refinement work on the five coordinates z alone.
 """
 
 from __future__ import annotations
@@ -143,6 +150,13 @@ def _golden_min(f, a, b, tol=1e-12, max_iter=200):
     return (a + b) / 2.0
 
 
+def _grid_peak(values):
+    """Per column of ``values[grid, ...]``, the first grid point within 1e-12
+    (relative) of the column's best."""
+    top = values.max(axis=0)
+    return np.argmax(values >= top - 1e-12 * np.abs(top), axis=0)
+
+
 def argmax_over_phase(fn, grid=96, values=None, tol=1e-9):
     """Maximum of a 2 pi-periodic function: the best point of an equispaced
     grid, refined by golden section over one grid step either side.
@@ -164,29 +178,25 @@ def argmax_over_phase(fn, grid=96, values=None, tol=1e-9):
     if values is None:
         blocks = np.split(grid, range(_SCAN_BLOCK, len(grid), _SCAN_BLOCK))
         values = np.concatenate([fn(block) for block in blocks])
-    values = np.asarray(values)
-    top = values.max(axis=0)
-    i = np.argmax(values >= top - 1e-12 * np.abs(top), axis=0)
+    i = _grid_peak(np.asarray(values))
     step = grid[1] - grid[0]
     phi = _golden_min(lambda p: -fn(p), grid[i] - step, grid[i] + step, tol=tol)
     return phi, fn(phi)
 
 
-def _fringe_lstsq(phi, y, offsets):
-    """Least-squares fringe coefficients at every phase offset in one batched solve.
-
-    ``y[..., n_phi, k]`` holds k columns of fractions sampled at ``phi``,
-    fitted at each offset of ``offsets[...]``.  Returns the coefficients
-    (c0, c1, c2), shape (..., 3, k), and the residual sums of squares,
-    shape (..., k), computed from the residuals themselves so that they
-    stay accurate near an exact fit.
-    """
-    u = np.add.outer(offsets, phi)
-    q, r = np.linalg.qr(np.stack([np.ones_like(u), np.cos(u), np.cos(2.0 * u)], axis=-1))
-    qty = np.swapaxes(q, -1, -2) @ y
-    resid = q @ qty
-    resid -= y
-    return np.linalg.solve(r, qty), np.einsum("...ik,...ik->...k", resid, resid)
+def _offset_fit(r, z, r0, offset):
+    """Fringe coefficients, shape (3, ...), and residual sums of squares at
+    ``offset`` of columns with span coordinates ``z[5, ...]``: the design is
+    R T(offset), c0 fits the first coordinate and Gram-Schmidt the rest."""
+    e = np.exp(1j * offset)  # cos h(phi + o) = Re(e^{i h phi} e^{i h o})
+    m1, m2 = (np.multiply.outer(r[:, 2 * h - 1] + 1j * r[:, 2 * h], e**h).real for h in (1, 2))
+    a, b, w = m1[1:], m2[1:], z[1:]
+    k1, ab = ((a * x).sum(axis=0) / (a * a).sum(axis=0) for x in (w, b))
+    b = b - ab * a  # the cos 2 column with its cos part taken out
+    k2 = (b * w).sum(axis=0) / (b * b).sum(axis=0)
+    ssr = r0 + ((w - k1 * a - k2 * b) ** 2).sum(axis=0)  # from the residual vector
+    k1 = k1 - ab * k2
+    return np.stack([(z[0] - m1[0] * k1 - m2[0] * k2) / r[0, 0], k1, k2]), ssr
 
 
 def _fit_fringe_columns(phi, counts):
@@ -205,16 +215,18 @@ def _fit_fringe_columns(phi, counts):
     if np.any(totals <= 0):
         raise ValueError("every phase sample needs a positive total count")
     y = np.moveaxis(counts / totals, 1, 0).reshape(phi.size, -1)  # one column per fit
-
+    q, r = np.linalg.qr(np.stack([np.ones_like(phi), np.cos(phi), np.sin(phi),
+                                  np.cos(2.0 * phi), np.sin(2.0 * phi)], axis=-1))
+    z = q.T @ y  # span coordinates; r0 is the out-of-span residual
+    r0 = ((q @ z - y) ** 2).sum(axis=0)
     offsets = np.linspace(-np.pi / 2.0, np.pi / 2.0, _PHI0_GRID, endpoint=False)
-    # a few offsets per solve, so the residuals are never held for the whole grid
-    ssr = np.concatenate([_fringe_lstsq(phi, y, block)[1]
+    # a few offsets at a time, so the residuals are never held for the whole grid
+    ssr = np.concatenate([_offset_fit(r, z[:, None], r0, block[:, None])[1]
                           for block in np.array_split(offsets, _PHI0_GRID // 16)])
-    columns = y.T[:, :, None]  # one fit per column, each at its own offset
-    phi0, _ = argmax_over_phase(lambda o: -_fringe_lstsq(phi, columns, o)[1][:, 0], offsets,
+    phi0, _ = argmax_over_phase(lambda o: -_offset_fit(r, z, r0, o)[1], offsets,
                                 values=-ssr, tol=1e-12)
-    coef, ssr = (x[..., 0] for x in _fringe_lstsq(phi, columns, phi0))
-    return tuple(x.reshape(counts.shape[::2] + x.shape[1:]) for x in (coef, phi0, ssr))
+    coef, ssr = _offset_fit(r, z, r0, phi0)
+    return tuple(x.reshape(counts.shape[::2] + x.shape[1:]) for x in (coef.T, phi0, ssr))
 
 
 def fit_fringes(phi, counts, renormalize=True) -> FringeSet:
@@ -301,6 +313,7 @@ class MLFisherResult:
     phi_true: float
     repetitions: int
     sample_size: int
+    edge_hits: int  # repetitions whose likelihood-scan maximum is a window end
 
 
 def monte_carlo_ml_fisher(family, phi_true, repetitions=10_000, sample_size=1000,
@@ -311,7 +324,9 @@ def monte_carlo_ml_fisher(family, phi_true, repetitions=10_000, sample_size=1000
     events at the true phase and estimates it back by likelihood search
     restricted to ``phi_true +- search_halfwidth``, refined up to one grid
     step beyond it (local estimation; keeps mirror-symmetric aliases of
-    the fringe period out of the window).  All repetitions share one
+    the fringe period out of the window).  ``edge_hits`` counts the
+    repetitions whose scan maximum is the first or last grid point, whose
+    estimates the window may have cut short.  All repetitions share one
     likelihood table and one batched search, so the family is evaluated
     the same number of times for any repetition count.  The quoted
     standard error is the large-M normal-theory error of a variance
@@ -322,17 +337,17 @@ def monte_carlo_ml_fisher(family, phi_true, repetitions=10_000, sample_size=1000
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(sample_size, family.probabilities(phi_true), size=repetitions)
     grid = _likelihood_grid(phi_true - search_halfwidth, phi_true + search_halfwidth)
+    ll = _log_probs(family, grid) @ counts.T
     estimates, _ = argmax_over_phase(
-        lambda p: (_log_probs(family, p) * counts).sum(axis=1), grid,
-        values=_log_probs(family, grid) @ counts.T, tol=1e-10,
-    )
+        lambda p: (_log_probs(family, p) * counts).sum(axis=1), grid, values=ll, tol=1e-10)
+    edge_hits = np.isin(_grid_peak(ll), (0, grid.size - 1)).sum()
     variance = float(np.var(estimates, ddof=1))
     i_ml = 1.0 / (sample_size * variance)
     stderr = i_ml * math.sqrt(2.0 / (repetitions - 1))
     return MLFisherResult(
         i_ml=i_ml, stderr=stderr, variance=variance,
         mean_estimate=float(estimates.mean()), phi_true=float(phi_true),
-        repetitions=repetitions, sample_size=sample_size,
+        repetitions=repetitions, sample_size=sample_size, edge_hits=int(edge_hits),
     )
 
 

@@ -23,7 +23,7 @@ from spdcmet.engine import (
     ideal_fisher_information,
 )
 from spdcmet.estimation import fisher_information
-from spdcmet.fock import SourceParams
+from spdcmet.fock import SourceParams, truncation_tail
 from spdcmet.timetags import (
     ChannelMap,
     count_coincidences,
@@ -155,6 +155,22 @@ def test_fisher_band_and_ml_sections(tmp_path):
     assert len(points) == 3
     for pt in points:
         assert pt["i_ml"] > 0.0 and pt["stderr"] > 0.0
+        assert isinstance(pt["edge_hits"], int) and 0 <= pt["edge_hits"] <= 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["fringes", "--phi-steps", "4"],
+    ["fisher", "--phi-steps", "4", "--bootstrap", "0", "--ml-reps", "0"],
+    ["curve", "--eta-steps", "2"],
+])
+def test_metadata_reports_the_truncation_tail_it_discards(tmp_path, argv):
+    out = tmp_path / "out.json"
+    assert run([*argv, "--tau", "0.3", "--eps", "1e-9", "--format", "json",
+                "--out", str(out)]) == 0
+    meta = json.loads(out.read_text())["meta"]
+    assert 0.0 < meta["truncation_tail"] <= meta["trunc_epsilon"] == 1e-9
+    assert meta["truncation_tail"] == truncation_tail(SourceParams(0.3, 1e-9),
+                                                      meta["truncation"])
 
 
 def test_fisher_ml_points_keep_their_mirror_out_of_the_window(tmp_path):

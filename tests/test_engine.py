@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from oracles import oracle_click_tensor, oracle_click_tensor_loss_first
-from spdcmet.detectors import DetectorModel
+from spdcmet.detectors import DetectorModel, binomial_thinning_matrix
 from spdcmet.engine import (
+    _sector_harmonics,
     PatternDistribution,
     PatternFamily,
     choose_truncation,
@@ -222,6 +223,40 @@ def test_conditional_means_exceed_two_pairs_worth():
     # accepted fourfolds come from n >= 2 sectors, so both conditional
     # means sit just above 2; survivors are fewer than emitted
     assert 2.0 < m.fourfold_surviving < m.fourfold_emitted < 2.1
+
+
+def _loop_path_click_stats(table, occ_h, occ_v, clicks):
+    """P(path total = clicks | occupation) and survivor-weighted sum, by
+    thinning each occupation and summing every survivor split in turn."""
+    W0, eta = table.base_weights, table.eta
+    p_event = surv_sum = 0.0
+    bh = binomial_thinning_matrix(occ_h, eta)[occ_h]
+    bv = binomial_thinning_matrix(occ_v, eta)[occ_v]
+    for jh in range(occ_h + 1):
+        for jv in range(occ_v + 1):
+            w = sum(W0[rh, jh] * W0[clicks - rh, jv] for rh in range(clicks + 1)
+                    if rh <= table.max_clicks and clicks - rh <= table.max_clicks)
+            pj = bh[jh] * bv[jv] * w
+            p_event += pj
+            surv_sum += pj * (jh + jv)
+    return p_event, surv_sum
+
+
+@pytest.mark.parametrize("d", [4, None])
+@pytest.mark.parametrize("tau", [0.061, 0.5])
+def test_conditional_means_match_the_per_occupation_loop(tau, d):
+    src = SourceParams(tau)
+    det = detector_for_source(src, d, 0.23, 0.12)
+    n_max = choose_truncation(src)
+    a = [np.array([_loop_path_click_stats(det.table_a, k, n - k, 2) for k in range(n + 1)])
+         for n in range(n_max + 1)]
+    b = [np.array([_loop_path_click_stats(det.table_b, k, n - k, 2)[0] for k in range(n + 1)])
+         for n in range(n_max + 1)]
+    weights_a = [np.stack([x[:, 0], n * x[:, 0], x[:, 1]]) for n, x in enumerate(a)]
+    den, emitted, surviving = _sector_harmonics(
+        src, 0.0, weights_a, [x[None] for x in b], degree=0)[0, :, 0].real
+    np.testing.assert_allclose(fourfold_conditional_means(src, det),
+                               (emitted / den, surviving / den), rtol=1e-13)
 
 
 def test_full_distribution_object():

@@ -1,6 +1,7 @@
 """Fisher information, fringe fitting, ML estimation, and baselines."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,26 +156,45 @@ def test_fitted_curves_stay_non_negative_and_normalized():
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
+def _dense_fringe_fit(phi, y, phi0):
+    """Least-squares (c0, c1, c2) and residual sum of squares of one column
+    of fractions at a fixed offset, from the full n_phi x 3 design."""
+    u = phi + phi0
+    X = np.column_stack([np.ones_like(u), np.cos(u), np.cos(2.0 * u)])
+    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
+    resid = X @ coef - y
+    return coef, resid @ resid
+
+
 def test_fitted_offset_is_a_local_residual_minimum_with_least_squares_coefficients():
     rng = np.random.default_rng(42)
     phi, fracs = _truth_samples()
     counts = rng.poisson(fracs * 10_000)
     fit = fit_fringes(phi, counts, renormalize=False)
     y = counts / counts.sum(axis=1, keepdims=True)
-
-    def lstsq_at(j, phi0):
-        u = phi + phi0
-        X = np.column_stack([np.ones_like(u), np.cos(u), np.cos(2.0 * u)])
-        coef, *_ = np.linalg.lstsq(X, y[:, j], rcond=None)
-        resid = X @ coef - y[:, j]
-        return coef, resid @ resid
-
     for j, f in enumerate(fit):
-        coef, ssr = lstsq_at(j, f.phi0)
+        coef, ssr = _dense_fringe_fit(phi, y[:, j], f.phi0)
         np.testing.assert_allclose([f.c0, f.c1, f.c2], coef, rtol=0.0, atol=1e-10)
         assert f.residual == pytest.approx(ssr, rel=1e-9)
         for delta in (1e-4, -1e-4):
-            assert lstsq_at(j, f.phi0 + delta)[1] > ssr
+            assert _dense_fringe_fit(phi, y[:, j], f.phi0 + delta)[1] > ssr
+
+
+@pytest.mark.parametrize("grid", ["equispaced", "non-uniform", "five distinct"])
+def test_span_fit_matches_the_dense_fit_at_its_offset(grid):
+    rng = np.random.default_rng(7)
+    phi = {
+        "equispaced": np.linspace(0.0, 2 * np.pi, 40, endpoint=False),
+        "non-uniform": np.sort(rng.uniform(0.0, 2 * np.pi, 23)),
+        # repeats, one of them a full turn apart, leave exactly five angles
+        "five distinct": np.array([0.1, 0.9, 2.0, 3.7, 5.2, 0.9, 2.0 + 2 * np.pi]),
+    }[grid]
+    counts = rng.poisson(np.array([TRUTH.probabilities(p) for p in phi]) * 5e3)
+    y = counts / counts.sum(axis=1, keepdims=True)
+    for j, f in enumerate(fit_fringes(phi, counts, renormalize=False)):
+        coef, ssr = _dense_fringe_fit(phi, y[:, j], f.phi0)
+        np.testing.assert_allclose([f.c0, f.c1, f.c2], coef, rtol=0.0, atol=1e-10)
+        assert f.residual == pytest.approx(ssr, rel=1e-9)
 
 
 def test_poisson_noised_fit_tracks_truth_within_three_sigma():
@@ -284,6 +304,21 @@ def test_batched_ml_repetitions_match_one_search_per_repetition():
     assert res.variance == pytest.approx(np.var(estimates, ddof=1), rel=1e-5)
 
 
+def test_ml_window_far_narrower_than_the_spread_puts_every_scan_peak_on_an_edge():
+    # at N = 100 the estimates spread by about 0.1; the maximum-likelihood
+    # phase, 2 acos(sqrt(n_1 / N)), misses 1.0 by far more than the window
+    res = monte_carlo_ml_fisher(cos2_family, 1.0, repetitions=200, sample_size=100,
+                                seed=3, search_halfwidth=1e-6)
+    assert res.edge_hits == 200
+
+
+def test_ml_huge_sample_keeps_every_scan_peak_inside_the_window():
+    # at N = 1e10 the estimates spread by 1e-5 in a window of half-width 0.5
+    res = monte_carlo_ml_fisher(cos2_family, 1.0, repetitions=200, sample_size=10**10,
+                                seed=3, search_halfwidth=0.5)
+    assert res.edge_hits == 0
+
+
 def test_monte_carlo_is_seed_deterministic():
     a = monte_carlo_ml_fisher(cos2_family, 1.0, repetitions=50, sample_size=200, seed=9)
     b = monte_carlo_ml_fisher(cos2_family, 1.0, repetitions=50, sample_size=200, seed=9)
@@ -360,13 +395,13 @@ def test_batched_band_matches_per_replicate_fits(monkeypatch, replicates, block_
 
 def test_band_fit_work_does_not_grow_with_replicates(monkeypatch):
     calls = []
-    lstsq = estimation._fringe_lstsq
+    offset_fit = estimation._offset_fit
 
     def counted(*args):
         calls.append(1)
-        return lstsq(*args)
+        return offset_fit(*args)
 
-    monkeypatch.setattr(estimation, "_fringe_lstsq", counted)
+    monkeypatch.setattr(estimation, "_offset_fit", counted)
     rng = np.random.default_rng(2)
     phi, fracs = _truth_samples(n_phi=17)
     counts = rng.poisson(fracs * 2e3)
@@ -375,7 +410,22 @@ def test_band_fit_work_does_not_grow_with_replicates(monkeypatch):
         calls.clear()
         bootstrap_fisher_band(phi, counts, replicates=replicates, seed=9)
         work.append(len(calls))
-    assert work[0] == work[1]
+    assert work[0] == work[1] > 0
+
+
+def test_band_memory_stays_bounded():
+    # 100 replicates of 100 phases x 9 patterns: 909 fitted columns in one block
+    family = experiment_family()
+    phi = np.linspace(0.0, 2 * np.pi, 100, endpoint=False)
+    counts = family.probabilities(phi) * 1e4
+    bootstrap_fisher_band(phi, counts, replicates=2, seed=0)  # first-call allocations
+    tracemalloc.start()
+    try:
+        bootstrap_fisher_band(phi, counts, replicates=100, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 def test_band_counts_the_rows_it_patches():
