@@ -87,7 +87,6 @@ from .timetags import (
     CoincidenceResult,
     ParseError,
     PatternHistogram,
-    TimetagRecord,
     TimetagStream,
     count_coincidences,
     generate_synthetic_timetags,
@@ -126,7 +125,7 @@ __all__ = [
     "HeraldError", "HeraldSpec", "HeraldTable", "conditional_fisher_per_photon",
     "herald_table",
     # timetags
-    "ParseError", "TimetagRecord", "TimetagStream", "ChannelMap",
+    "ParseError", "TimetagStream", "ChannelMap",
     "PatternHistogram", "CoincidenceResult", "parse_timetags", "to_csv",
     "to_binary", "count_coincidences", "generate_synthetic_timetags",
 ]

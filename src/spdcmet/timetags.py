@@ -26,15 +26,14 @@ parse, in memory that does not grow with the file.
 from __future__ import annotations
 
 import codecs
+import itertools
 import os
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "ParseError",
-    "TimetagRecord",
     "TimetagStream",
     "BinaryTimetagFile",
     "ChannelMap",
@@ -58,6 +57,8 @@ DEFAULT_REP_PERIOD_PS = 12_500  # 80 MHz pulse clock
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("time", "<u8")])
 _BLOCK_RECORDS = 1 << 16  # records per block of a streamed binary file
 _REORDER_PS = 1000  # default reorder tolerance of every parser
+_GEN_BLOCK = 1 << 15  # mode rows per block of the generator's arithmetic
+_TIME_LIMIT_PS = 1 << 60  # generated times share a uint64 key with a 4-bit channel
 _N_MASKS = 1 << N_CHANNELS
 _BIT = (1 << np.arange(N_CHANNELS)).astype(np.uint16)  # channel -> mask bit
 _POPCOUNT8 = sum((np.arange(256, dtype=np.uint8) >> k) & 1 for k in range(8))
@@ -66,11 +67,6 @@ _POPCOUNT = np.add.outer(_POPCOUNT8, _POPCOUNT8).ravel()  # set bits of each 16-
 
 class ParseError(ValueError):
     """Malformed timetag input; the message names the line or byte offset."""
-
-
-class TimetagRecord(NamedTuple):
-    channel: int
-    time_ps: int
 
 
 @dataclass(frozen=True)
@@ -93,10 +89,6 @@ class TimetagStream:
 
     def __len__(self):
         return self.channels.size
-
-    def __iter__(self):
-        for c, t in zip(self.channels, self.times):
-            yield TimetagRecord(int(c), int(t))
 
     def __eq__(self, other):
         if not isinstance(other, TimetagStream):
@@ -388,9 +380,6 @@ class PatternHistogram:
         masks, n = self._arrays()
         return int(_POPCOUNT[masks] @ n)
 
-    def nonzero_windows(self) -> int:
-        return sum(n for mask, n in self.counts.items() if mask != 0)
-
     def reduce(self, cmap: ChannelMap) -> dict:
         """Collapse channel patterns to per-mode click-count 4-tuples."""
         masks, n = self._arrays()
@@ -551,26 +540,30 @@ def count_coincidences(records, window_ps: float = DEFAULT_WINDOW_PS,
 # synthetic streams
 
 
-def generate_synthetic_timetags(distribution, pulses: int,
-                                rep_period_ps: int = DEFAULT_REP_PERIOD_PS,
-                                jitter_ps: int = 100, seed: int = 0,
-                                cmap: ChannelMap | None = None) -> TimetagStream:
-    """Sample a pulsed click stream from a detection-pattern distribution.
+def _stable_ranks(rows):
+    """Position of each column of a 4-column array in its row's stable sort.
 
-    ``distribution`` provides ``patterns`` (4-tuples over modes) and
-    ``probs``; any leftover probability mass goes to the empty pattern.
-    Each pattern's clicks land on channels drawn uniformly without
-    replacement within the mode's four channels, at pulse time plus a
-    uniform jitter in [0, jitter_ps].  Same seed, same stream, byte for
-    byte.
+    Column j ranks after every column i with x_i < x_j, or x_i == x_j and
+    i < j, so slot p of a row, ``argsort(rows, kind="stable")[p]``, is the
+    column of rank p.  Returns the ranks as int8, shape (4, n).
     """
-    if pulses < 1:
-        raise ValueError("pulses must be >= 1")
-    if jitter_ps < 0:
-        raise ValueError("jitter_ps must be >= 0")
-    if cmap is None:
-        cmap = ChannelMap.default()
+    x = np.ascontiguousarray(rows.T)
+    rank = np.repeat(np.arange(3, -1, -1, dtype=np.int8)[:, None], x.shape[1], axis=1)
+    for i, j in itertools.combinations(range(4), 2):
+        before = x[i] <= x[j]  # column i sorts before column j
+        rank[j] += before
+        rank[i] -= before
+    return rank
+
+
+def _pattern_probs(distribution):
+    """The distribution's patterns and normalized probabilities, with any
+    leftover mass on the empty pattern (appended last if absent)."""
     patterns = [tuple(int(v) for v in p) for p in distribution.patterns]
+    for k, pat in enumerate(patterns):
+        if len(pat) != len(MODES) or not all(0 <= r <= 4 for r in pat):
+            raise ValueError(f"pattern {k} {pat}: expected {len(MODES)} per-mode "
+                             f"click counts, each 0..4")
     probs = np.asarray(distribution.probs, dtype=float)
     if np.any(probs < -1e-15):
         raise ValueError("distribution has negative probabilities")
@@ -578,46 +571,85 @@ def generate_synthetic_timetags(distribution, pulses: int,
     leftover = 1.0 - probs.sum()
     if leftover < -1e-9:
         raise ValueError("distribution probabilities exceed 1")
-    zero = (0, 0, 0, 0)
-    if zero in patterns:
-        probs[patterns.index(zero)] += max(leftover, 0.0)
-    else:
-        patterns.append(zero)
-        probs = np.append(probs, max(leftover, 0.0))
-    probs = probs / probs.sum()
+    if (0, 0, 0, 0) not in patterns:
+        patterns.append((0, 0, 0, 0))
+        probs = np.append(probs, 0.0)
+    probs[patterns.index((0, 0, 0, 0))] += max(leftover, 0.0)
+    return patterns, probs / probs.sum()
+
+
+def generate_synthetic_timetags(distribution, pulses: int,
+                                rep_period_ps: int = DEFAULT_REP_PERIOD_PS,
+                                jitter_ps: int = 100, seed: int = 0,
+                                cmap: ChannelMap | None = None) -> TimetagStream:
+    """Sample a pulsed click stream from a detection-pattern distribution.
+
+    ``distribution`` provides ``patterns`` (4-tuples of per-mode click
+    counts, each 0..4) and ``probs``; leftover mass goes to the empty
+    pattern.  A pattern's clicks land on channels drawn uniformly without
+    replacement within each mode's four, at pulse time plus a uniform
+    jitter in [0, jitter_ps].  Times stay below 2^60 ps.
+
+    Same seed, same stream, byte for byte, at a given numpy, because the
+    generator calls keep one order: a ``choice`` of all pulses' patterns;
+    then per pattern (the empty one appended if absent) and per mode with
+    r > 0 clicks, over its n pulses in ascending order, ``random((n, 4))``,
+    whose row-wise stable argsort picks the r channels, and, if
+    jitter_ps > 0, ``integers(0, jitter_ps + 1, n * r)``, their jitters in
+    slot order.
+    """
+    if pulses < 1:
+        raise ValueError("pulses must be >= 1")
+    if jitter_ps < 0:
+        raise ValueError("jitter_ps must be >= 0")
+    if rep_period_ps < 1:
+        raise ValueError("rep_period_ps must be >= 1")
+    latest = (int(pulses) - 1) * int(rep_period_ps) + int(jitter_ps)
+    if latest >= _TIME_LIMIT_PS:
+        raise ValueError(f"latest click time (pulses - 1) * rep_period_ps + jitter_ps "
+                         f"= {latest} ps reaches the generator's 2^60 ps limit")
+    if cmap is None:
+        cmap = ChannelMap.default()
+    patterns, probs = _pattern_probs(distribution)
 
     rng = np.random.default_rng(seed)
     draw = rng.choice(len(patterns), size=pulses, p=probs)
-
-    # pulse indices grouped by pattern, ascending within each group
-    by_pattern = np.argsort(draw, kind="stable")
-    bounds = np.searchsorted(draw[by_pattern], np.arange(len(patterns) + 1))
-
-    mode_channels = [np.array(cmap.channels_of(m), dtype=np.uint8) for m in MODES]
-    chunks_ch, chunks_t = [], []
-    for k, pat in enumerate(patterns):
-        total = sum(pat)
-        if total == 0:
-            continue
-        idx = by_pattern[bounds[k]:bounds[k + 1]]
-        if idx.size == 0:
-            continue
-        base = idx.astype(np.uint64) * np.uint64(rep_period_ps)
-        for mode_i, r in enumerate(pat):
-            if r == 0:
-                continue
-            # batched unordered sampling of r of the mode's 4 channels
-            slots = np.argsort(rng.random((idx.size, 4)), axis=1)[:, :r]
-            chs = mode_channels[mode_i][slots]  # (n_pulses_with_pattern, r)
-            jit = (rng.integers(0, jitter_ps + 1, size=chs.shape).astype(np.uint64)
-                   if jitter_ps > 0 else np.zeros(chs.shape, dtype=np.uint64))
-            chunks_ch.append(chs.ravel())
-            chunks_t.append((base[:, None] + jit).ravel())
-
-    if not chunks_ch:
-        return TimetagStream(channels=np.empty(0, dtype=np.uint8),
-                             times=np.empty(0, dtype=np.uint64))
-    ch = np.concatenate(chunks_ch).astype(np.uint8)
-    t = np.concatenate(chunks_t)
-    order = np.lexsort((ch, t))
-    return TimetagStream(channels=ch[order], times=t[order])
+    counts = np.bincount(draw, minlength=len(patterns))
+    groups = [(k, m, r) for k, pat in enumerate(patterns) if counts[k]
+              for m, r in enumerate(pat) if r]  # one per (pattern, mode) with clicks
+    if not groups:
+        return _EMPTY
+    k_g, m_g, r_g = (np.array(v) for v in zip(*groups))
+    n_g = counts[k_g]
+    # each group's pulses in ascending order (a radix sort on the narrow key)
+    by_pattern = np.argsort(draw.astype(np.min_scalar_type(len(patterns) - 1)), kind="stable")
+    starts = np.cumsum(counts) - counts
+    pulse_t = np.concatenate([by_pattern[s:s + n] for s, n in zip(starts[k_g], n_g)],
+                             dtype=np.uint64, casting="unsafe") * np.uint64(rep_period_ps)
+    del draw, by_pattern  # freed before the per-row buffers
+    u, keys = np.empty((pulse_t.size, 4)), np.zeros(n_g @ r_g, dtype=np.uint64)
+    row = rec = 0
+    for n, r in zip(n_g.tolist(), r_g.tolist()):  # the generator calls, nothing else
+        rng.random(out=u[row:row + n])
+        if jitter_ps > 0:
+            keys[rec:rec + n * r] = rng.integers(0, jitter_ps + 1, size=n * r)
+        row, rec = row + n, rec + n * r
+    r_row = np.repeat(r_g.astype(np.int8), n_g)
+    chan_row = np.repeat((4 * m_g).astype(np.int8), n_g)  # the mode's row of ``table``
+    table = np.array([cmap.channels_of(m) for m in MODES], dtype=np.uint64).ravel()
+    rec = 0
+    for a in range(0, row, _GEN_BLOCK):  # each block's jitters become its records' keys
+        rows = slice(a, a + _GEN_BLOCK)
+        rank, r, pulse, chan = _stable_ranks(u[rows]), r_row[rows], pulse_t[rows], chan_row[rows]
+        first = np.cumsum(r, dtype=np.int64) - r  # row's first jitter in the block
+        block, parts = keys[rec:rec + first[-1] + r[-1]], []
+        for col in range(4):  # the rows that pick this column: its rank < r
+            i = np.flatnonzero(rank[col] < r)
+            parts.append(((pulse[i] + block[first[i] + rank[col][i]]) << 4) | table[chan[i] + col])
+        block[:] = np.concatenate(parts)
+        rec += block.size
+    # time << 4 | channel orders records as (time, channel); equal keys are equal records
+    keys.sort()
+    channels = (keys & 15).astype(np.uint8)
+    keys >>= 4
+    return TimetagStream(channels=channels, times=keys)

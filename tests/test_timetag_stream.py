@@ -18,7 +18,9 @@ from spdcmet import cli, timetags
 from spdcmet.engine import detector_for_source, full_pattern_distribution
 from spdcmet.fock import RotationSpec, SourceParams
 from spdcmet.timetags import (
+    MODES,
     BinaryTimetagFile,
+    ChannelMap,
     ParseError,
     TimetagStream,
     count_coincidences,
@@ -196,7 +198,7 @@ def test_count_metadata_reports_late_and_reordered(tmp_path):
 def test_streamed_counts_equal_the_whole_stream_count(tmp_path, monkeypatch, rep):
     stream = dense_stream()
     # the first record's time byte 0xc8 is not UTF-8, so "auto" streams too
-    later = [(c, t + REP) for c, t in stream]
+    later = [(int(c), int(t) + REP) for c, t in zip(stream.channels, stream.times)]
     arrival = [(0, 200)] + shuffled_within(later, 1000, seed=3)
     data = raw_binary(arrival)
     path = tmp_path / "tags.bin"
@@ -339,3 +341,82 @@ def test_generator_output_is_frozen():
     stream = generate_synthetic_timetags(dist, pulses=20_000, seed=12)
     assert hashlib.sha256(to_binary(stream)).hexdigest() == (
         "29f11d16ad47e76ac393281f39f36baee6969344821a5b39a96282494f52e42c")
+
+
+def ingest_distribution():
+    """The ingest benchmark's stream: tau 0.5, d 4, eta 0.9, phi 1.0; about
+    an eighth of its mode rows have two or more clicks."""
+    src = SourceParams(0.5)
+    det = detector_for_source(src, 4, 0.9, 0.9)
+    return full_pattern_distribution(RotationSpec(1.0), src, det)
+
+
+@pytest.mark.parametrize("jitter_ps, digest", [
+    (100, "1142deefa18e4b7657dc0507b6dc22ea5d9be9370fccd575351827cb64d71e83"),
+    # jitter beyond the 12.5 ns period: records of neighbouring pulses interleave
+    (15_000, "bac1ddc28a36338fec89bfeadc93492efde8654bb667510db99b01e47b7022cb"),
+    (0, "ec1af5fcd1255c9f0e7a72ea3720c699df687ee0a173d528e301440ddd8d59a5"),
+])
+def test_multi_click_generator_output_is_frozen(jitter_ps, digest):
+    stream = generate_synthetic_timetags(ingest_distribution(), pulses=50_000, seed=8,
+                                         jitter_ps=jitter_ps)
+    assert hashlib.sha256(to_binary(stream)).hexdigest() == digest
+
+
+def per_pattern_generator(distribution, pulses, rep_period_ps, jitter_ps, seed, cmap):
+    """The generator as one loop per (pattern, mode): an argsort of each
+    row's uniforms picks its channels, and a lexsort orders the records."""
+    patterns = [tuple(int(v) for v in p) for p in distribution.patterns]
+    probs = np.clip(np.asarray(distribution.probs, dtype=float), 0.0, None)
+    leftover = max(1.0 - probs.sum(), 0.0)
+    zero = (0, 0, 0, 0)
+    if zero in patterns:
+        probs[patterns.index(zero)] += leftover
+    else:
+        patterns.append(zero)
+        probs = np.append(probs, leftover)
+    rng = np.random.default_rng(seed)
+    draw = rng.choice(len(patterns), size=pulses, p=probs / probs.sum())
+    by_pattern = np.argsort(draw, kind="stable")
+    bounds = np.searchsorted(draw[by_pattern], np.arange(len(patterns) + 1))
+    mode_channels = [np.array(cmap.channels_of(m), dtype=np.uint8) for m in MODES]
+    chunks_ch, chunks_t = [], []
+    for k, pat in enumerate(patterns):
+        idx = by_pattern[bounds[k]:bounds[k + 1]]
+        if sum(pat) == 0 or idx.size == 0:
+            continue
+        base = idx.astype(np.uint64) * np.uint64(rep_period_ps)
+        for mode_i, r in enumerate(pat):
+            if r == 0:
+                continue
+            slots = np.argsort(rng.random((idx.size, 4)), axis=1)[:, :r]
+            chs = mode_channels[mode_i][slots]
+            jit = (rng.integers(0, jitter_ps + 1, size=chs.shape).astype(np.uint64)
+                   if jitter_ps > 0 else np.zeros(chs.shape, dtype=np.uint64))
+            chunks_ch.append(chs.ravel())
+            chunks_t.append((base[:, None] + jit).ravel())
+    ch, t = np.concatenate(chunks_ch), np.concatenate(chunks_t)
+    order = np.lexsort((ch, t))
+    return TimetagStream(channels=ch[order], times=t[order])
+
+
+@pytest.mark.parametrize("seed, jitter_ps, interleaved", [
+    (0, 100, False), (1, 15_000, True), (2, 0, False)])
+def test_generator_matches_the_per_pattern_loop(seed, jitter_ps, interleaved):
+    cmap = (ChannelMap(tuple(MODES[c % 4] for c in range(16))) if interleaved
+            else ChannelMap.default())
+    # about 78k mode rows: more than two of the generator's blocks
+    args = (ingest_distribution(), 100_000, REP, jitter_ps, seed, cmap)
+    got, want = generate_synthetic_timetags(*args), per_pattern_generator(*args)
+    assert len(got) == len(want)
+    np.testing.assert_array_equal(got.times, want.times)
+    np.testing.assert_array_equal(got.channels, want.channels)
+
+
+def test_stable_ranks_invert_a_stable_argsort():
+    rng = np.random.default_rng(3)
+    rows = rng.integers(0, 3, size=(5000, 4)).astype(float)  # ties in most rows
+    order = np.argsort(rows, axis=1, kind="stable")
+    rank = timetags._stable_ranks(rows)
+    np.testing.assert_array_equal(np.take_along_axis(rank.T, order, axis=1),
+                                  np.broadcast_to(np.arange(4), rows.shape))

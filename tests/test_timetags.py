@@ -1,5 +1,7 @@
 """Timetag parsing, coincidence windows, and the synthetic generator."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,45 @@ def test_zero_gain_source_emits_nothing():
     dist = full_pattern_distribution(RotationSpec(0.3), src, det)
     stream = generate_synthetic_timetags(dist, pulses=1000, seed=0)
     assert len(stream) == 0
+
+
+def one_click_distribution(*extra):
+    """Every pulse clicks once in mode a_h, unless ``extra`` patterns take
+    some of the probability."""
+    return SimpleNamespace(patterns=[(1, 0, 0, 0), *extra],
+                           probs=[1.0 - 0.1 * len(extra)] + [0.1] * len(extra))
+
+
+@pytest.mark.parametrize("pattern", [(5, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0)])
+def test_generator_rejects_per_mode_counts_outside_0_to_4(pattern):
+    dist = one_click_distribution(pattern)
+    with pytest.raises(ValueError, match=r"pattern 1 .*: expected 4 per-mode click "
+                                         r"counts, each 0\.\.4"):
+        generate_synthetic_timetags(dist, pulses=10)
+
+
+@pytest.mark.parametrize("period", [-5, 0])
+def test_generator_rejects_a_period_below_1_ps(period):
+    with pytest.raises(ValueError, match="rep_period_ps must be >= 1"):
+        generate_synthetic_timetags(one_click_distribution(), pulses=10, rep_period_ps=period)
+
+
+def test_generator_rejects_times_that_reach_2_60_ps():
+    with pytest.raises(ValueError, match=r"= 41505174165846491136 ps reaches .* 2\^60 ps"):
+        generate_synthetic_timetags(one_click_distribution(), pulses=10,
+                                    rep_period_ps=2**62, jitter_ps=0)
+    with pytest.raises(ValueError, match=r"2\^60 ps limit"):  # latest time exactly 2^60 ps
+        generate_synthetic_timetags(one_click_distribution(), pulses=2,
+                                    rep_period_ps=2**60 - 100, jitter_ps=100)
+
+
+def test_generator_times_reach_just_below_2_60_ps():
+    period = 2**60 - 101
+    stream = generate_synthetic_timetags(one_click_distribution(), pulses=2,
+                                         rep_period_ps=period, jitter_ps=100, seed=1)
+    assert set(stream.channels.tolist()) <= {0, 1, 2, 3}  # mode a_h
+    assert len(stream) == 2 and stream.times[0] <= 100
+    assert period <= int(stream.times[1]) <= 2**60 - 1
 
 
 def test_generator_is_seed_deterministic():
