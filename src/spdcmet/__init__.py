@@ -26,8 +26,6 @@ from .detectors import (
     binomial_thinning_matrix,
     lossless_weight_table,
     lossless_weights,
-    lossy_weights,
-    perfect_counting_weights,
     stirling2,
 )
 from .engine import (
@@ -40,7 +38,6 @@ from .engine import (
     detection_probability,
     detector_for_source,
     fourfold_conditional_means,
-    fourfold_distribution,
     fourfold_family,
     fourfold_patterns,
     full_pattern_distribution,
@@ -79,7 +76,6 @@ from .heralding import (
     HeraldError,
     HeraldSpec,
     HeraldTable,
-    conditional_fisher_per_photon,
     herald_table,
 )
 from .timetags import (
@@ -90,7 +86,6 @@ from .timetags import (
     TimetagStream,
     count_coincidences,
     generate_synthetic_timetags,
-    parse_timetags,
     to_binary,
     to_csv,
 )
@@ -102,13 +97,13 @@ __all__ = [
     "truncation_tail", "rotation_amplitude", "rotation_amplitude_derivative",
     "ideal_pattern_probability",
     # detectors
-    "stirling2", "lossless_weights", "lossless_weight_table", "lossy_weights",
-    "perfect_counting_weights", "binomial_thinning_matrix", "apply_loss",
+    "stirling2", "lossless_weights", "lossless_weight_table",
+    "binomial_thinning_matrix", "apply_loss",
     "PovmTable", "DetectorModel",
     # engine
     "choose_truncation", "detector_for_source", "click_probability_tensor",
     "PhaseSeries", "click_pair_series", "detection_probability",
-    "fourfold_distribution", "full_pattern_distribution",
+    "full_pattern_distribution",
     "PatternDistribution", "PatternFamily", "fourfold_patterns", "fourfold_family",
     "fourfold_conditional_means", "mean_photon_numbers", "ideal_fisher_information",
     # estimation
@@ -122,10 +117,9 @@ __all__ = [
     "efficiencies_from_rates", "tau_from_pair_probability",
     "pair_probability_from_tau", "model_rate_summary",
     # heralding
-    "HeraldError", "HeraldSpec", "HeraldTable", "conditional_fisher_per_photon",
-    "herald_table",
+    "HeraldError", "HeraldSpec", "HeraldTable", "herald_table",
     # timetags
     "ParseError", "TimetagStream", "ChannelMap",
-    "PatternHistogram", "CoincidenceResult", "parse_timetags", "to_csv",
+    "PatternHistogram", "CoincidenceResult", "to_csv",
     "to_binary", "count_coincidences", "generate_synthetic_timetags",
 ]

@@ -25,7 +25,6 @@ __all__ = [
     "efficiencies_from_rates",
     "pair_probability_from_tau",
     "tau_from_pair_probability",
-    "calibrate",
     "model_rate_summary",
 ]
 
@@ -100,9 +99,6 @@ def efficiencies_from_rates(rates: RateSummary) -> CalibrationResult:
     residuals = tuple(m - o for m, o in zip(model, (s_a, s_b, c)))
     return CalibrationResult(eta_a=eta_a, eta_b=eta_b, pair_probability=p,
                              tau=tau, residuals=residuals)
-
-
-calibrate = efficiencies_from_rates
 
 
 def pair_probability_from_tau(tau: float) -> float:

@@ -281,7 +281,7 @@ def cmd_herald(args) -> int:
 
 
 def cmd_count(args) -> int:
-    records = timetags.open_timetags(args.timetags, args.input_format)
+    records = timetags.TimetagFile(args.timetags, args.input_format)
     if args.map:
         with open(args.map) as fh:
             cmap = timetags.ChannelMap.from_text(fh.read())

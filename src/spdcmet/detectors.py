@@ -29,8 +29,6 @@ __all__ = [
     "stirling2",
     "lossless_weights",
     "lossless_weight_table",
-    "lossy_weights",
-    "perfect_counting_weights",
     "apply_loss",
     "binomial_thinning_matrix",
     "PovmTable",
@@ -79,13 +77,6 @@ def lossless_weight_table(d: int, c_max: int) -> np.ndarray:
         for r in range(min(c, d) + 1):
             W[r, c] = lossless_weights(d, r, c)
     return W
-
-
-def perfect_counting_weights(clicks: int, photons: int) -> float:
-    """Number-resolving weight: 1 when every photon is seen, else 0."""
-    if clicks < 0 or photons < 0:
-        raise ValueError("clicks and photons must be non-negative")
-    return 1.0 if clicks == photons else 0.0
 
 
 def binomial_thinning_matrix(c_max: int, eta: float) -> np.ndarray:
@@ -143,15 +134,6 @@ class PovmTable:
     @property
     def max_clicks(self) -> int:
         return self.base_weights.shape[0] - 1
-
-    def with_extra_loss(self, eta2: float) -> "PovmTable":
-        """Compose an additional transmission stage; etas multiply."""
-        return PovmTable(base_weights=self.base_weights, eta=self.eta * eta2, d=self.d)
-
-
-def lossy_weights(table: "PovmTable", eta: float) -> "PovmTable":
-    """Fold an additional transmission stage into a counter's table."""
-    return table.with_extra_loss(eta)
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,6 @@ __all__ = [
     "fourfold_patterns",
     "PatternFamily",
     "fourfold_family",
-    "fourfold_distribution",
     "MeanPhotons",
     "mean_photon_numbers",
     "fourfold_conditional_means",
@@ -330,20 +329,6 @@ def fourfold_family(src, det, theta=0.0, clicks_a=2, clicks_b=2, renormalize=Tru
     return PatternFamily(
         src, det, fourfold_patterns(clicks_a, clicks_b),
         theta=theta, renormalize=renormalize, n_max=n_max,
-    )
-
-
-def fourfold_distribution(rot, src, det, clicks_a=2, clicks_b=2,
-                          n_max=None) -> PatternDistribution:
-    """The coincidence-class distribution at one rotation, renormalized.
-
-    Defaults to the nine patterns with two clicks on each path; their
-    probabilities are divided by the class total at this phase.
-    """
-    family = fourfold_family(src, det, theta=rot.theta, clicks_a=clicks_a,
-                             clicks_b=clicks_b, renormalize=True, n_max=n_max)
-    return PatternDistribution(
-        patterns=family.patterns, probs=family.probabilities(rot.phi)
     )
 
 

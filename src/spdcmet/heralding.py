@@ -25,7 +25,6 @@ __all__ = [
     "HeraldSpec",
     "HeraldPoint",
     "HeraldTable",
-    "conditional_fisher_per_photon",
     "herald_point",
     "herald_table",
 ]
@@ -127,11 +126,6 @@ def herald_point(spec: HeraldSpec, phi=None) -> HeraldPoint:
     src = SourceParams(spec.tau)
     n_max = _truncation(src, spec.k)
     return _herald_compile(src, spec.eta, n_max)(spec, phi)
-
-
-def conditional_fisher_per_photon(spec: HeraldSpec, phi=None) -> float:
-    """Fisher information per photon given the herald; optimum phase if unset."""
-    return herald_point(spec, phi=phi).value
 
 
 @dataclass(frozen=True)

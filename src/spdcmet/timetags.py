@@ -5,11 +5,18 @@ Wire formats:
   binary  packed 9-byte records, 1 byte channel + 8 bytes little-endian
           unsigned time in picoseconds, no header
 
+A ``TimetagFile`` reads either format in fixed blocks: ``_BLOCK_RECORDS``
+records of a binary file, or that many lines of a CSV file.  Its "auto"
+format is decided once, from the first block: binary if the block is not
+UTF-8 or holds a NUL byte (every binary record with a time below 2^56 ps
+has one), else CSV if the block is blank or its first non-blank character
+is '#' or a digit, else binary.
+
 Sixteen channels feed four optical modes, four channels per mode.  A
 coincidence window groups clicks into one 16-bit pattern; repeated clicks
 on one channel inside a window collapse to a single click (binary
 counters).  Windows anchor on the pulse clock when the repetition period
-is known, otherwise on the first unconsumed click.
+is known, otherwise on the first click after the previous window.
 
 Reorder rule: each record is measured against the running maximum of the
 times read before it.  A record behind that maximum by at most
@@ -18,9 +25,9 @@ reader always uses 1000 ps) is sorted into place (stably, so equal times keep th
 arrival order) and counted as reordered; one further behind is a located
 error.  Because no later record can land more than ``reorder_ps`` behind
 the running maximum, a block reader releases every record up to that
-bound and holds back only the rest, so a binary file is validated,
-sorted and counted in fixed blocks with the same result as a whole-file
-parse, in memory that does not grow with the file.
+bound and holds back only the rest, so a file is validated, sorted and
+counted in fixed blocks with the same result as a whole-file parse, in
+memory that does not grow with the file.
 """
 
 from __future__ import annotations
@@ -35,12 +42,10 @@ import numpy as np
 __all__ = [
     "ParseError",
     "TimetagStream",
-    "BinaryTimetagFile",
+    "TimetagFile",
     "ChannelMap",
     "PatternHistogram",
     "CoincidenceResult",
-    "open_timetags",
-    "parse_timetags",
     "parse_timetags_text",
     "parse_timetags_binary",
     "to_csv",
@@ -55,7 +60,7 @@ DEFAULT_WINDOW_PS = 2_500
 DEFAULT_REP_PERIOD_PS = 12_500  # 80 MHz pulse clock
 
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("time", "<u8")])
-_BLOCK_RECORDS = 1 << 16  # records per block of a streamed binary file
+_BLOCK_RECORDS = 1 << 16  # records (binary) or lines (CSV) per block of a streamed file
 _REORDER_PS = 1000  # default reorder tolerance of every parser
 _GEN_BLOCK = 1 << 15  # mode rows per block of the generator's arithmetic
 _TIME_LIMIT_PS = 1 << 60  # generated times share a uint64 key with a 4-bit channel
@@ -174,39 +179,29 @@ def _check_whole_records(nbytes: int) -> int:
     return full
 
 
-class BinaryTimetagFile:
-    """A binary timetag file, read and validated in fixed blocks.
-
-    ``len()`` is the number of records in the file.  Iterating reads the
-    file block by block and yields each block's released records as a
-    time-ordered ``TimetagStream``, so ``count_coincidences`` counts the
-    file in memory bounded by one block plus one coincidence window.  A truncated trailing
-    record is reported on opening; the other errors name the same record
-    as a whole-file ``parse_timetags_binary``.
-    """
-
-    def __init__(self, path):
-        self.path = path
-        self._records = _check_whole_records(os.path.getsize(path))
-
-    def __len__(self):
-        return self._records
-
-    def __iter__(self):
-        order = _Reorderer(_REORDER_PS)
-        with open(self.path, "rb") as fh:
-            while True:  # a block shorter than _BLOCK_RECORDS ends the file
-                rec = np.fromfile(fh, dtype=_RECORD_DTYPE, count=_BLOCK_RECORDS)
-                last = rec.size < _BLOCK_RECORDS
-                yield order.push(rec["channel"], np.ascontiguousarray(rec["time"]),
-                                 last=last)
-                if last:
-                    return
+def _is_csv(head: bytes) -> bool:
+    """The "auto" format rule, applied to a file's first block."""
+    try:
+        text = codecs.getincrementaldecoder("utf-8")().decode(head).lstrip()
+    except UnicodeDecodeError:
+        return False
+    return b"\0" not in head and (not text or text[0] == "#" or text[0].isdigit())
 
 
-def parse_timetags_text(text: str, reorder_ps: int = _REORDER_PS) -> TimetagStream:
+def _decode(raw: bytes, first_line: int) -> str:
+    """Decode a block of CSV lines; an error names the line that is not UTF-8."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = first_line + len((raw[:exc.start].decode("utf-8") + "x").splitlines()) - 1
+        raise ParseError(f"line {lineno}: not UTF-8 text") from None
+
+
+def _push_lines(order, lines, first_line, last) -> TimetagStream:
+    """Validate CSV lines, numbered from ``first_line``, and push them
+    through the reorderer ``order``."""
     channels, times, linenos = [], [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=first_line):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -227,9 +222,58 @@ def parse_timetags_text(text: str, reorder_ps: int = _REORDER_PS) -> TimetagStre
         channels.append(ch)
         times.append(t)
         linenos.append(lineno)
-    return _Reorderer(reorder_ps).push(
-        np.array(channels, dtype=np.uint16), np.array(times, dtype=np.uint64),
-        where=lambda i: f"line {linenos[i]}", last=True)
+    return order.push(np.array(channels, dtype=np.uint16), np.array(times, dtype=np.uint64),
+                      where=lambda i: f"line {linenos[i]}", last=last)
+
+
+class TimetagFile:
+    """A timetag file, read and validated in fixed blocks.
+
+    ``input_format`` is "csv", "binary" or "auto" (the module's format
+    rule); ``csv`` tells which one was read.  Iterating reads the file block by block and yields each
+    block's released records as a time-ordered ``TimetagStream``, so
+    ``count_coincidences`` counts the file in memory bounded by one block.
+    ``len()`` is the number of records read so far.  A truncated trailing
+    binary record is reported on opening; the other errors name the same
+    line or record as a whole-input ``parse_timetags_text`` or
+    ``parse_timetags_binary``, and a CSV line that is not UTF-8 is named.
+    """
+
+    def __init__(self, path, input_format: str = "auto"):
+        self.path = path
+        self._records = 0
+        if input_format == "auto":
+            with open(path, "rb") as fh:
+                head = fh.read(_BLOCK_RECORDS * _RECORD_DTYPE.itemsize)
+            input_format = "csv" if _is_csv(head) else "binary"
+        self.csv = input_format == "csv"
+        if not self.csv:
+            _check_whole_records(os.path.getsize(path))
+
+    def __len__(self):
+        return self._records
+
+    def __iter__(self):
+        order, lineno, last = _Reorderer(_REORDER_PS), 1, False
+        with open(self.path, "rb") as fh:
+            while not last:  # a block shorter than _BLOCK_RECORDS ends the file
+                if self.csv:  # lines end at b"\n", so no line break spans two blocks
+                    raw = list(itertools.islice(fh, _BLOCK_RECORDS))
+                    last = len(raw) < _BLOCK_RECORDS
+                    lines = _decode(b"".join(raw), lineno).splitlines()
+                    block = _push_lines(order, lines, lineno, last)
+                    lineno += len(lines)
+                else:
+                    rec = np.fromfile(fh, dtype=_RECORD_DTYPE, count=_BLOCK_RECORDS)
+                    last = rec.size < _BLOCK_RECORDS
+                    block = order.push(rec["channel"], np.ascontiguousarray(rec["time"]),
+                                       last=last)
+                self._records = order.seen
+                yield block
+
+
+def parse_timetags_text(text: str, reorder_ps: int = _REORDER_PS) -> TimetagStream:
+    return _push_lines(_Reorderer(reorder_ps), text.splitlines(), 1, last=True)
 
 
 def parse_timetags_binary(data: bytes, reorder_ps: int = _REORDER_PS) -> TimetagStream:
@@ -237,53 +281,6 @@ def parse_timetags_binary(data: bytes, reorder_ps: int = _REORDER_PS) -> Timetag
     rec = np.frombuffer(data, dtype=_RECORD_DTYPE, count=n)
     return _Reorderer(reorder_ps).push(rec["channel"], np.ascontiguousarray(rec["time"]),
                                        last=True)
-
-
-def parse_timetags(source, reorder_ps: int = _REORDER_PS) -> TimetagStream:
-    """Parse either wire format; bytes that decode as CSV text are text.
-
-    Accepts str (text), bytes (sniffed), or a filesystem path.
-    """
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, os.PathLike) or (
-        isinstance(source, str) and "\n" not in source and "," not in source
-        and os.path.exists(source)
-    ):
-        with open(source, "rb") as fh:
-            source = fh.read()
-    if isinstance(source, str):
-        return parse_timetags_text(source, reorder_ps)
-    try:
-        text = source.decode("utf-8")
-    except UnicodeDecodeError:
-        return parse_timetags_binary(source, reorder_ps)
-    head = text.lstrip()
-    if not head or head[0] == "#" or head[0].isdigit():
-        return parse_timetags_text(text, reorder_ps)
-    return parse_timetags_binary(source, reorder_ps)
-
-
-def open_timetags(path, input_format: str = "auto"):
-    """Open a timetag file for ``count_coincidences``.
-
-    ``input_format`` is "auto", "csv" or "binary".  Binary input comes back
-    as a ``BinaryTimetagFile`` that is counted block by block; so does
-    "auto" input whose first block is not UTF-8, since such a file can
-    never decode as text.  Any other "auto" file is parsed whole by
-    ``parse_timetags``'s rule, and CSV is parsed whole as text.
-    """
-    if input_format == "binary":
-        return BinaryTimetagFile(path)
-    with open(path, "rb") as fh:
-        if input_format == "csv":
-            return parse_timetags_text(fh.read().decode("utf-8"))
-        head = fh.read(_BLOCK_RECORDS * _RECORD_DTYPE.itemsize)
-        try:
-            codecs.getincrementaldecoder("utf-8")().decode(head)
-        except UnicodeDecodeError:
-            return BinaryTimetagFile(path)
-        return parse_timetags(head + fh.read())
 
 
 def to_csv(stream: TimetagStream) -> str:
@@ -417,11 +414,11 @@ def _first_click_starts(times, window_ps):
 class _WindowCounter:
     """Coincidence windows of one time-ordered stream, fed block by block.
 
-    Window masks go into one bin per 16-bit pattern.  With a pulse clock a
-    window id is the pulse number, so ids are non-decreasing and a window
-    starts wherever the id changes; the window open at a block's end is
-    carried into the next block.  Without one, the records of the last,
-    possibly unfinished window are carried instead.
+    Window masks go into one bin per 16-bit pattern.  Every window has a
+    key: its pulse number with a pulse clock, its first click's time
+    without one.  The window open at a block's end is carried into the
+    next block as its key and mask; the next block's clicks with the same
+    pulse number, or earlier than the key + ``window_ps``, join it.
     """
 
     def __init__(self, window_ps, rep_period_ps):
@@ -431,71 +428,62 @@ class _WindowCounter:
         self.late = 0
         self.reordered = 0
         self.occupied = 0
-        self.open_id = None  # pulse id and mask of the window left open
+        self.last_key = None  # pulse number or time of the latest click fed
+        self.open_key = None  # key and mask of the window left open
         self.open_mask = 0
-        self.carry_ch, self.carry_t = _EMPTY.channels, _EMPTY.times
-
-    def _tally(self, masks):
-        self.bins += np.bincount(masks, minlength=_N_MASKS)
-        self.occupied += len(masks)
 
     def _close_open_window(self):
-        if self.open_id is not None:
+        if self.open_key is not None:
             self.bins[self.open_mask] += 1
             self.occupied += 1
-            self.open_id = None
+            self.open_key = None
 
     def feed(self, block: TimetagStream):
         self.reordered += block.reordered
-        if self.rep_period_ps is None:
-            self._feed_first_click(block)
+        key, ch = block.times, block.channels
+        if self.rep_period_ps is not None:
+            period = np.uint64(self.rep_period_ps)
+            key = block.times // period
+            keep = block.times - key * period < self.window_ps
+            if not keep.all():
+                self.late += int(keep.size - np.count_nonzero(keep))
+                key, ch = key[keep], ch[keep]
+        if key.size == 0:
             return
-        period = np.uint64(self.rep_period_ps)
-        wid = block.times // period
-        keep = block.times - wid * period < self.window_ps
-        ch = block.channels
-        if not keep.all():
-            self.late += int(keep.size - np.count_nonzero(keep))
-            wid, ch = wid[keep], ch[keep]
-        if wid.size == 0:
-            return
-        starts = np.flatnonzero(np.concatenate(([True], wid[1:] != wid[:-1])))
-        ids = wid[starts]
-        if np.any(ids[1:] < ids[:-1]) or (self.open_id is not None and ids[0] < self.open_id):
+        if np.any(key[1:] < key[:-1]) or (self.last_key is not None and key[0] < self.last_key):
             raise ValueError("records must be time-ordered; parse with a reorder buffer")
+        self.last_key = int(key[-1])
+        if self.rep_period_ps is not None:
+            starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+            keys = key[starts]
+        else:  # clicks before the open window's end join it
+            joined = 0 if self.open_key is None else int(np.searchsorted(
+                key, np.uint64(self.open_key + int(self.window_ps)), side="left"))
+            starts = joined + np.array(_first_click_starts(key[joined:], self.window_ps),
+                                       dtype=np.intp)
+            keys = key[starts]
+            if joined:
+                starts, keys = np.insert(starts, 0, 0), np.insert(keys, 0, self.open_key)
         masks = np.bitwise_or.reduceat(_BIT[ch], starts)
-        if ids[0] == self.open_id:
+        if keys[0] == self.open_key:
             masks[0] |= self.open_mask
         else:
             self._close_open_window()
-        self._tally(masks[:-1])
-        self.open_id, self.open_mask = int(ids[-1]), int(masks[-1])
-
-    def _feed_first_click(self, block, last=False):
-        ch = np.concatenate((self.carry_ch, block.channels))
-        t = np.concatenate((self.carry_t, block.times))
-        if np.any(t[1:] < t[:-1]):
-            raise ValueError("records must be time-ordered; parse with a reorder buffer")
-        starts = _first_click_starts(t, self.window_ps)
-        # unless input has ended, the last window may go on in the next block
-        end = t.size if last or not starts else starts.pop()
-        self.carry_ch, self.carry_t = ch[end:], t[end:]
-        if starts:
-            self._tally(np.bitwise_or.reduceat(_BIT[ch[:end]], starts))
+        self.bins += np.bincount(masks[:-1], minlength=_N_MASKS)
+        self.occupied += len(masks) - 1
+        self.open_key, self.open_mask = int(keys[-1]), int(masks[-1])
 
     def histogram(self, n_windows) -> PatternHistogram:
         """Close the open window and return the histogram."""
+        last_key = self.open_key
+        self._close_open_window()
         if self.rep_period_ps is None:
-            self._feed_first_click(_EMPTY, last=True)
             n_windows = self.occupied
-        else:
-            last_id = self.open_id
-            self._close_open_window()
-            if n_windows is None:
-                n_windows = last_id + 1 if last_id is not None else 0
-            if n_windows < self.occupied:
-                raise ValueError("n_windows smaller than the number of occupied pulses")
-            self.bins[0] += n_windows - self.occupied
+        elif n_windows is None:
+            n_windows = last_key + 1 if last_key is not None else 0
+        if n_windows < self.occupied:
+            raise ValueError("n_windows smaller than the number of occupied pulses")
+        self.bins[0] += n_windows - self.occupied
         nz = np.flatnonzero(self.bins)
         return PatternHistogram(counts=dict(zip(nz.tolist(), self.bins[nz].tolist())),
                                 windows=int(n_windows), window_ps=float(self.window_ps))
@@ -512,9 +500,9 @@ def count_coincidences(records, window_ps: float = DEFAULT_WINDOW_PS,
     ``late_clicks``.  ``n_windows`` supplies the number of pulses covered
     so empty windows enter the zero-pattern bin (else the span of observed
     pulse ids is used).  Without a pulse clock, each window opens at the
-    first unconsumed click.  ``records`` is a ``TimetagStream``, a
-    ``BinaryTimetagFile`` (counted block by block) or an iterable of
-    ``(channel, time_ps)`` pairs, in time order.
+    first click after the previous one ends.  ``records`` is a
+    ``TimetagStream`` or an iterable of them in time order, such as a
+    ``TimetagFile`` (counted block by block).
     """
     if cmap is None:
         cmap = ChannelMap.default()
@@ -522,14 +510,8 @@ def count_coincidences(records, window_ps: float = DEFAULT_WINDOW_PS,
         raise ValueError("window must not exceed the repetition period")
     if rep_period_ps is None and int(window_ps) < 1:
         raise ValueError("window must be at least 1 ps without a pulse clock")
-    if isinstance(records, BinaryTimetagFile):
-        blocks = records
-    elif isinstance(records, TimetagStream):
-        blocks = (records,)
-    else:
-        blocks = (TimetagStream.from_records(records),)
     counter = _WindowCounter(window_ps, rep_period_ps)
-    for block in blocks:
+    for block in (records,) if isinstance(records, TimetagStream) else records:
         counter.feed(block)
     hist = counter.histogram(n_windows)
     return CoincidenceResult(histogram=hist, pattern_counts=hist.reduce(cmap),

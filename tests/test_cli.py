@@ -26,6 +26,7 @@ from spdcmet.estimation import fisher_information
 from spdcmet.fock import SourceParams, truncation_tail
 from spdcmet.timetags import (
     ChannelMap,
+    TimetagStream,
     count_coincidences,
     generate_synthetic_timetags,
     to_binary,
@@ -367,14 +368,30 @@ def test_count_bad_map_file_exit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line, message", [
-    ("70000,60", "line 2: unknown channel 70000"),
-    (f"3,{2 ** 64}", f"line 2: time {2 ** 64} ps does not fit in 64 bits"),
+    (b"70000,60", "line 2: unknown channel 70000"),
+    (f"3,{2 ** 64}".encode(), f"line 2: time {2 ** 64} ps does not fit in 64 bits"),
+    (b"# caf\xe9", "line 2: not UTF-8 text"),
 ])
 def test_count_out_of_range_text_field_is_located(tmp_path, capsys, line, message):
     tag_file = tmp_path / "tags.csv"
-    tag_file.write_text(f"3,50\n{line}\n")
-    assert run(["count", str(tag_file)]) == 3
+    tag_file.write_bytes(b"3,50\n" + line + b"\n4,60\n")
+    assert run(["count", str(tag_file), "--input-format", "csv"]) == 3
     assert message in capsys.readouterr().err
+
+
+def test_count_auto_takes_a_file_with_nul_bytes_for_binary(tmp_path):
+    # channel 9 is a tab and times 49 and 50 start with the digits '1' and
+    # '2': UTF-8 that starts with a digit, made binary by its NUL bytes
+    tag_file = tmp_path / "tags.dat"
+    tag_file.write_bytes(to_binary(TimetagStream.from_records([(9, 49), (9, 50)])))
+    outs = []
+    for fmt in ("auto", "binary"):
+        out = tmp_path / f"{fmt}.json"
+        assert run(["count", str(tag_file), "--input-format", fmt, "--format", "json",
+                    "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["meta"]["records"] == 2
 
 
 def test_count_missing_file_exit(tmp_path, capsys):

@@ -17,8 +17,6 @@ from spdcmet.detectors import (
     binomial_thinning_matrix,
     lossless_weight_table,
     lossless_weights,
-    lossy_weights,
-    perfect_counting_weights,
     stirling2,
 )
 
@@ -95,17 +93,15 @@ def test_zero_below_diagonal_and_click_probability_bound():
 
 
 def test_large_arity_approaches_number_resolution():
-    d = 64
-    for c in range(5):
-        for r in range(c + 1):
-            dev = abs(lossless_weights(d, r, c) - perfect_counting_weights(r, c))
-            assert dev < 0.1
+    W = lossless_weight_table(64, 4)[:5]
+    assert np.abs(W - PovmTable.perfect_counting(4).weights).max() < 0.1
 
 
 def test_perfect_counting_is_kronecker_delta():
-    assert perfect_counting_weights(2, 2) == 1.0
-    assert perfect_counting_weights(1, 2) == 0.0
-    assert perfect_counting_weights(0, 0) == 1.0
+    W = PovmTable.perfect_counting(2).weights
+    assert W[2, 2] == 1.0
+    assert W[1, 2] == 0.0
+    assert W[0, 0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +144,9 @@ def test_completeness_survives_loss():
 
 
 def test_loss_composition_multiplies_transmissions():
-    t1 = lossy_weights(PovmTable.multiplexed(4, c_max=10, eta=0.8), 0.5)
+    t1 = apply_loss(PovmTable.multiplexed(4, c_max=10, eta=0.8).weights, 0.5)
     t2 = PovmTable.multiplexed(4, c_max=10, eta=0.4)
-    np.testing.assert_allclose(t1.weights, t2.weights, atol=1e-12)
+    np.testing.assert_allclose(t1, t2.weights, atol=1e-12)
 
 
 def test_transmission_domain_checked():

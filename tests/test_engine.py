@@ -10,7 +10,6 @@ from oracles import oracle_click_tensor, oracle_click_tensor_loss_first
 from spdcmet.detectors import DetectorModel, binomial_thinning_matrix
 from spdcmet.engine import (
     _sector_harmonics,
-    PatternDistribution,
     PatternFamily,
     choose_truncation,
     click_pair_series,
@@ -18,7 +17,6 @@ from spdcmet.engine import (
     detection_probability,
     detector_for_source,
     fourfold_conditional_means,
-    fourfold_distribution,
     fourfold_family,
     fourfold_patterns,
     full_pattern_distribution,
@@ -141,18 +139,21 @@ def test_fourfold_pattern_roster_and_order():
 
 def test_fourfold_distribution_normalizes_exactly():
     src, det = experiment_model()
-    dist = fourfold_distribution(RotationSpec(0.7), src, det)
-    assert isinstance(dist, PatternDistribution)
-    assert dist.patterns == NINE
-    assert dist.total == pytest.approx(1.0, abs=1e-14)
-    assert min(dist.probs) >= 0.0
+    fam = fourfold_family(src, det)
+    probs = fam.probabilities(0.7)
+    assert fam.patterns == NINE
+    assert probs.sum() == pytest.approx(1.0, abs=1e-14)
+    assert probs.min() >= 0.0
 
 
 def test_fourfold_family_matches_distribution():
+    # the nine patterns of the full distribution, renormalized
     src, det = experiment_model()
+    full = full_pattern_distribution(RotationSpec(1.3), src, det)
+    patterns = [tuple(p) for p in full.patterns]
+    probs = np.array([full.probs[patterns.index(p)] for p in NINE])
     fam = fourfold_family(src, det)
-    dist = fourfold_distribution(RotationSpec(1.3), src, det)
-    np.testing.assert_allclose(fam.probabilities(1.3), dist.probs, atol=1e-14)
+    np.testing.assert_allclose(fam.probabilities(1.3), probs / probs.sum(), atol=1e-14)
 
 
 def test_fourfold_curves_have_no_harmonics_above_two():
@@ -171,8 +172,8 @@ def test_reference_rotation_translates_the_fringes():
     src, det = experiment_model()
     delta = math.radians(80.0)
     for phi in (0.3, 1.1, 2.5, 4.0):
-        shifted = fourfold_distribution(RotationSpec(phi, delta), src, det).probs
-        base = fourfold_distribution(RotationSpec(phi - delta, 0.0), src, det).probs
+        shifted = fourfold_family(src, det, theta=delta).probabilities(phi)
+        base = fourfold_family(src, det).probabilities(phi - delta)
         np.testing.assert_allclose(shifted, base, atol=1e-12)
 
 

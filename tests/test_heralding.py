@@ -11,7 +11,6 @@ from spdcmet.fock import RotationSpec, SourceParams
 from spdcmet.heralding import (
     HeraldError,
     HeraldSpec,
-    conditional_fisher_per_photon,
     herald_point,
     herald_table,
 )
@@ -27,21 +26,21 @@ ANCHORS = [
 
 @pytest.mark.parametrize("tau,eta,k,want", ANCHORS)
 def test_frozen_anchor_cells(tau, eta, k, want):
-    got = conditional_fisher_per_photon(HeraldSpec(k=k, eta=eta, tau=tau))
+    got = herald_point(HeraldSpec(k=k, eta=eta, tau=tau)).value
     assert got == pytest.approx(want, abs=1e-3)
 
 
 @pytest.mark.parametrize("tau", [0.05, 0.1])
 def test_lossless_zero_and_one_herald_coincide(tau):
-    a = conditional_fisher_per_photon(HeraldSpec(k=0, eta=1.0, tau=tau))
-    b = conditional_fisher_per_photon(HeraldSpec(k=1, eta=1.0, tau=tau))
+    a = herald_point(HeraldSpec(k=0, eta=1.0, tau=tau)).value
+    b = herald_point(HeraldSpec(k=1, eta=1.0, tau=tau)).value
     assert a == pytest.approx(b, abs=1e-9)
 
 
 def test_information_grows_with_transmission():
     for k in range(4):
         vals = [
-            conditional_fisher_per_photon(HeraldSpec(k=k, eta=e, tau=0.05))
+            herald_point(HeraldSpec(k=k, eta=e, tau=0.05)).value
             for e in (0.7, 0.8, 0.9, 0.95, 1.0)
         ]
         assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -50,7 +49,7 @@ def test_information_grows_with_transmission():
 def test_heralding_helps_at_high_transmission():
     for eta in (0.8, 0.9, 1.0):
         vals = [
-            conditional_fisher_per_photon(HeraldSpec(k=k, eta=eta, tau=0.05))
+            herald_point(HeraldSpec(k=k, eta=eta, tau=0.05)).value
             for k in (1, 2, 3)
         ]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))

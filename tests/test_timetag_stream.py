@@ -19,13 +19,12 @@ from spdcmet.engine import detector_for_source, full_pattern_distribution
 from spdcmet.fock import RotationSpec, SourceParams
 from spdcmet.timetags import (
     MODES,
-    BinaryTimetagFile,
     ChannelMap,
     ParseError,
+    TimetagFile,
     TimetagStream,
     count_coincidences,
     generate_synthetic_timetags,
-    open_timetags,
     parse_timetags_binary,
     parse_timetags_text,
     to_binary,
@@ -147,6 +146,17 @@ def test_sub_picosecond_first_click_window_is_rejected():
         count_coincidences(stream, window_ps=0.5)
 
 
+def test_records_out_of_time_order_are_rejected():
+    # within one stream and across two streams; a pulse clock checks pulse
+    # numbers, first-click windows check times
+    first = [(0, 3 * REP), (1, 3 * REP + 10)]
+    for rep, late in [(REP, (2, 100)), (None, (2, 3 * REP + 5))]:
+        for records in ([TimetagStream.from_records(first), TimetagStream.from_records([late])],
+                        TimetagStream.from_records(first + [late])):
+            with pytest.raises(ValueError, match="time-ordered"):
+                count_coincidences(records, rep_period_ps=rep)
+
+
 # ---------------------------------------------------------------------------
 # late clicks and reordered records
 
@@ -176,7 +186,7 @@ def test_late_clicks_and_reordered_are_reported_at_every_block_size(
     assert (whole.late_clicks, whole.reordered) == (late, swaps)
     for block in BLOCKS:
         monkeypatch.setattr(timetags, "_BLOCK_RECORDS", block)
-        same_result(counted(BinaryTimetagFile(path), REP), whole)
+        same_result(counted(TimetagFile(path, "binary"), REP), whole)
 
 
 def test_count_metadata_reports_late_and_reordered(tmp_path):
@@ -197,37 +207,56 @@ def test_count_metadata_reports_late_and_reordered(tmp_path):
 @pytest.mark.parametrize("rep", [REP, None], ids=["clocked", "first_click"])
 def test_streamed_counts_equal_the_whole_stream_count(tmp_path, monkeypatch, rep):
     stream = dense_stream()
-    # the first record's time byte 0xc8 is not UTF-8, so "auto" streams too
     later = [(int(c), int(t) + REP) for c, t in zip(stream.channels, stream.times)]
     arrival = [(0, 200)] + shuffled_within(later, 1000, seed=3)
     data = raw_binary(arrival)
-    path = tmp_path / "tags.bin"
+    path, csv_path = tmp_path / "tags.bin", tmp_path / "tags.csv"
     path.write_bytes(data)
+    csv_path.write_text(raw_csv(arrival))
     whole = counted(parse_timetags_text(raw_csv(arrival)), rep)
     assert whole.reordered > 0
     assert whole.histogram.counts == reference_count(by_time(arrival), WINDOW, rep)[0]
     for block in BLOCKS:
         monkeypatch.setattr(timetags, "_BLOCK_RECORDS", block)
         assert parse_timetags_binary(data) == TimetagStream.from_records(by_time(arrival))
-        same_result(counted(open_timetags(path, "binary"), rep), whole)
-        auto = open_timetags(path, "auto")
-        assert isinstance(auto, BinaryTimetagFile)
-        same_result(counted(auto, rep), whole)
+        for src, fmt in [(path, "binary"), (path, "auto"), (csv_path, "csv"),
+                         (csv_path, "auto")]:
+            tags = TimetagFile(src, fmt)
+            assert tags.csv == (src == csv_path)
+            same_result(counted(tags, rep), whole)
+            assert len(tags) == len(arrival)
 
 
 def test_windows_and_reorders_straddling_a_block_boundary(tmp_path, monkeypatch):
-    # block 1 ends inside pulse 0 and inside a first-click window; the
-    # first record of block 2 sorts before the last record of block 1
+    # at 7 records a block, block 1 ends inside pulse 0 and inside a
+    # first-click window; the first record of block 2 sorts before the last
+    # record of block 1
     records = [(0, 100), (1, 700), (2, 1200), (3, 1900), (4, 2100), (5, 2300),
                (6, 2400), (7, 2350), (8, 2450), (9, REP + 50)]
-    path = tmp_path / "straddle.bin"
+    path, csv_path = tmp_path / "straddle.bin", tmp_path / "straddle.csv"
     path.write_bytes(raw_binary(records))
-    monkeypatch.setattr(timetags, "_BLOCK_RECORDS", 7)
-    for rep in (REP, None):
-        res = counted(BinaryTimetagFile(path), rep)
-        assert res.reordered == 1
-        assert res.histogram.counts == reference_count(by_time(records), WINDOW, rep)[0]
-    assert counted(BinaryTimetagFile(path), REP).histogram.counts == {0x1FF: 1, 1 << 9: 1}
+    csv_path.write_text(raw_csv(records))
+    for block, src in itertools.product(BLOCKS, (path, csv_path)):
+        monkeypatch.setattr(timetags, "_BLOCK_RECORDS", block)
+        for rep in (REP, None):
+            res = counted(TimetagFile(src), rep)
+            assert res.reordered == 1
+            assert res.histogram.counts == reference_count(by_time(records), WINDOW, rep)[0]
+        assert counted(TimetagFile(src), REP).histogram.counts == {0x1FF: 1, 1 << 9: 1}
+        # one first-click window over every record, spanning all the blocks
+        wide = count_coincidences(TimetagFile(src), window_ps=REP)
+        assert wide.histogram.counts == {0x3FF: 1}
+
+
+def csv_with_comments(records):
+    """CSV lines of records with a comment and a blank line after every
+    ninth record."""
+    lines = []
+    for i, (c, t) in enumerate(records):
+        lines.append(f"{c},{t}".encode())
+        if i % 9 == 4:
+            lines += [b"# comment", b""]
+    return lines
 
 
 def test_located_errors_match_the_whole_file_parse(tmp_path):
@@ -245,24 +274,48 @@ def test_located_errors_match_the_whole_file_parse(tmp_path):
         path.write_bytes(data)
         for block, fmt in itertools.product(BLOCKS, ("binary", "auto")):
             with block_size(block), pytest.raises(ParseError) as streamed:
-                counted(open_timetags(path, fmt), REP)
+                counted(TimetagFile(path, fmt), REP)
             assert str(streamed.value) == str(whole.value)
+    # CSV errors past the first block, with comment and blank lines inside blocks
+    lines = csv_with_comments([(i % 16, 1000 * i) for i in range(100)])
+    bad = {  # line number -> replacement line and its error
+        83: (b"16,90000", "line 83: unknown channel 16"),
+        90: (b"3,10000", "line 90: time goes backwards by"),
+        98: (b"3,x", "line 98: non-numeric field in '3,x'"),
+        101: (b"# caf\xe9", "line 101: not UTF-8 text"),
+        120: (b"3", "line 120: expected 'channel,time_ps', got '3'"),
+    }
+    for k, (lineno, (line, message)) in enumerate(bad.items()):
+        data = b"\n".join(lines[:lineno - 1] + [line] + lines[lineno:]) + b"\n"
+        if lineno != 101:  # the whole-text parser takes decoded text
+            with pytest.raises(ParseError, match=message) as whole:
+                parse_timetags_text(data.decode())
+            message = str(whole.value)
+        path = tmp_path / f"bad{k}.csv"
+        path.write_bytes(data)
+        for block in BLOCKS:
+            with block_size(block), pytest.raises(ParseError) as streamed:
+                counted(TimetagFile(path, "csv"), REP)
+            assert str(streamed.value) == message
 
 
 def test_cli_count_streams_binary_with_the_same_output(tmp_path, monkeypatch):
     stream = dense_stream(pulses=2000, seed=9)
     path = tmp_path / "tags.bin"
     path.write_bytes(to_binary(stream))
-    csv_path = tmp_path / "tags.csv"
-    csv_path.write_text(to_csv(stream))
-    outs = []
-    for block, src, fmt in [(1 << 16, csv_path, "csv"), (7, path, "binary"), (64, path, "auto")]:
+    inputs = [(path, "binary"), (path, "auto")]
+    for name, newline in [("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")]:
+        csv_path = tmp_path / f"tags_{name}.csv"
+        csv_path.write_bytes(to_csv(stream).replace("\n", newline).encode())
+        inputs += [(csv_path, "csv"), (csv_path, "auto")]
+    outs = set()
+    for block, (src, fmt) in itertools.product(BLOCKS + (1 << 16,), inputs):
         monkeypatch.setattr(timetags, "_BLOCK_RECORDS", block)
-        out = tmp_path / f"out{block}.json"
+        out = tmp_path / "out.json"
         assert cli.main(["count", str(src), "--input-format", fmt, "--format", "json",
                          "--out", str(out)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+        outs.add(out.read_bytes())
+    assert len(outs) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +348,7 @@ def test_streamed_counts_equal_whole_counts(records, block, rep, seed):
     with tempfile.TemporaryDirectory() as tmp, block_size(block):
         path = Path(tmp) / "tags.bin"
         path.write_bytes(data)
-        same_result(counted(BinaryTimetagFile(path), rep), whole)
+        same_result(counted(TimetagFile(path, "binary"), rep), whole)
 
 
 @settings(max_examples=60, deadline=None)
@@ -312,26 +365,40 @@ def test_accepted_records_and_late_clicks_add_up_to_records_read(records):
 # bounded memory and the generator
 
 
-def peak_count_bytes(tmp_path, n):
+def peak_count_bytes(tmp_path, n, fmt, options):
     i = np.arange(n, dtype=np.uint64)
     stream = TimetagStream(channels=((i * 7) % 16).astype(np.uint8), times=i * np.uint64(4100))
-    path = tmp_path / f"mem{n}.bin"
-    path.write_bytes(to_binary(stream))
+    path = tmp_path / f"mem{n}.{fmt}"
+    if fmt == "csv":
+        path.write_text(to_csv(stream))
+    else:
+        path.write_bytes(to_binary(stream))
     del stream, i
     out = tmp_path / f"mem{n}.json"
     tracemalloc.start()
     try:
-        assert cli.main(["count", str(path), "--input-format", "binary",
+        assert cli.main(["count", str(path), "--input-format", fmt, *options,
                          "--format", "json", "--out", str(out)]) == 0
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_count_peak_memory_does_not_grow_with_the_file(tmp_path):
-    small = peak_count_bytes(tmp_path, 200_000)
-    large = peak_count_bytes(tmp_path, 2_000_000)
-    assert large < 1.5 * small, (small, large)
+def test_count_peak_memory_does_not_grow_with_the_file(tmp_path, monkeypatch):
+    cases = [
+        ("binary", [], 200_000),
+        # one first-click window wider than the whole file's time span
+        ("binary", ["--rep-period", "0", "--window", str(4100 * 2_000_000)], 200_000),
+        # tracemalloc slows the per-line CSV parser about tenfold, so CSV runs
+        # a tenth of the records in blocks of a sixteenth of the lines
+        ("csv", [], 20_000),
+    ]
+    for fmt, options, n in cases:
+        if fmt == "csv":
+            monkeypatch.setattr(timetags, "_BLOCK_RECORDS", 1 << 12)
+        small = peak_count_bytes(tmp_path, n, fmt, options)
+        large = peak_count_bytes(tmp_path, 10 * n, fmt, options)
+        assert large < 1.5 * small, (fmt, options, small, large)
 
 
 def test_generator_output_is_frozen():

@@ -10,10 +10,10 @@ from spdcmet.fock import RotationSpec, SourceParams
 from spdcmet.timetags import (
     ChannelMap,
     ParseError,
+    TimetagFile,
     TimetagStream,
     count_coincidences,
     generate_synthetic_timetags,
-    parse_timetags,
     parse_timetags_binary,
     parse_timetags_text,
     to_binary,
@@ -93,10 +93,9 @@ def test_path_and_filelike_dispatch(tmp_path):
     csv_file.write_text(to_csv(stream))
     bin_file = tmp_path / "tags.bin"
     bin_file.write_bytes(to_binary(stream))
-    assert parse_timetags(csv_file) == stream
-    assert parse_timetags(str(bin_file)) == stream
-    with open(csv_file) as fh:
-        assert parse_timetags(fh) == stream
+    for path in (csv_file, str(bin_file)):  # "auto" input; one block each
+        [block] = TimetagFile(path)
+        assert block == stream
 
 
 # ---------------------------------------------------------------------------
