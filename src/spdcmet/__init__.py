@@ -68,8 +68,6 @@ from .fock import (
     SourceParams,
     ideal_pattern_probability,
     pair_number_weights,
-    rotation_amplitude,
-    rotation_amplitude_derivative,
     truncation_tail,
 )
 from .heralding import (
@@ -94,8 +92,7 @@ __all__ = [
     "__version__",
     # fock
     "GainRangeError", "SourceParams", "RotationSpec", "pair_number_weights",
-    "truncation_tail", "rotation_amplitude", "rotation_amplitude_derivative",
-    "ideal_pattern_probability",
+    "truncation_tail", "ideal_pattern_probability",
     # detectors
     "stirling2", "lossless_weights", "lossless_weight_table",
     "binomial_thinning_matrix", "apply_loss",

@@ -33,6 +33,7 @@ from .fock import (
     RotationSpec,  # noqa: F401  (re-exported)
     SourceParams,
     pair_number_weights,
+    rotation_generator,
     rotation_matrices,
     truncation_tail,
 )
@@ -86,23 +87,17 @@ def detector_for_source(
     return DetectorModel.multiplexed(d, eta_a, eta_b, c_max)
 
 
-def _joint_amplitudes(src, phi, theta, n_max, derivative=False):
+def _joint_amplitudes(src, phi, theta, n_max):
     """Joint amplitude matrices A_n[..., k, l] of sectors n = 0..n_max, one at a
     time, from one all-sector build per path; an array of phases ``phi``
-    leads the axes.  With ``derivative`` yields pairs (A_n, dA_n/dphi)."""
+    leads the axes."""
     g_theta = rotation_matrices(n_max, theta)
-    g_phi = rotation_matrices(n_max, phi, derivative)
+    g_phi = rotation_matrices(n_max, phi)
     for n in range(n_max + 1):
         pref = math.tanh(src.tau) ** n / math.cosh(src.tau) ** 2
         signs = (-1.0) ** np.arange(n + 1)
-
-        def amplitude(g):  # g[..., ::-1] is the sensing transition matrix
-            return pref * ((g[..., ::-1] * signs) @ g_theta[n].T)
-
-        if derivative:
-            yield amplitude(g_phi[0][n]), amplitude(g_phi[1][n])
-        else:
-            yield amplitude(g_phi[n])
+        # g_phi[n][..., ::-1] is the sensing transition matrix
+        yield pref * ((g_phi[n][..., ::-1] * signs) @ g_theta[n].T)
 
 
 def sector_probabilities(n, src, rot):
@@ -126,8 +121,6 @@ def _check_capacity(det: DetectorModel, n_max: int):
 def _direct_clicks(src, rot, det, pairs_a, pairs_b, n_max):
     """Probabilities P[i, j] of the patterns (*pairs_a[i], *pairs_b[j]) at one
     rotation, summed sector by sector."""
-    if n_max is None:
-        n_max = choose_truncation(src)
     _check_capacity(det, n_max)
     ka = _click_weights(det.table_a, pairs_a, n_max)
     kb = _click_weights(det.table_b, pairs_b, n_max)
@@ -140,6 +133,8 @@ def click_probability_tensor(src, rot, det, n_max=None):
 
     Axes run to each table's maximum click number.
     """
+    if n_max is None:
+        n_max = choose_truncation(src)
     ra, rb = det.table_a.max_clicks + 1, det.table_b.max_clicks + 1
     P = _direct_clicks(src, rot, det, np.argwhere(np.ones((ra, ra))),
                        np.argwhere(np.ones((rb, rb))), n_max)
@@ -240,14 +235,15 @@ def click_pair_series(src, det, n_max=None):
     return (PhaseSeries(_click_harmonics(src, det, *pairs, 0.0, n_max)), *pairs)
 
 
-def detection_probability(pattern, rot, src, det, n_max=None) -> float:
+def detection_probability(pattern, rot, src, det) -> float:
     """Probability of one click pattern (r_ah, r_av, r_bh, r_bv)."""
     r_ah, r_av, r_bh, r_bv = pattern
     if min(pattern) < 0:
         raise ValueError("click counts must be non-negative")
     if max(r_ah, r_av) > det.table_a.max_clicks or max(r_bh, r_bv) > det.table_b.max_clicks:
         raise ValueError(f"pattern {pattern} exceeds the detector click range")
-    return float(_direct_clicks(src, rot, det, [pattern[:2]], [pattern[2:]], n_max)[0, 0])
+    return float(_direct_clicks(src, rot, det, [pattern[:2]], [pattern[2:]],
+                                choose_truncation(src))[0, 0])
 
 
 @dataclass(frozen=True)
@@ -268,9 +264,9 @@ class PatternDistribution:
         return float(self.probs.sum())
 
 
-def full_pattern_distribution(rot, src, det, n_max=None) -> PatternDistribution:
+def full_pattern_distribution(rot, src, det) -> PatternDistribution:
     """Distribution over every representable click pattern."""
-    P = click_probability_tensor(src, rot, det, n_max)
+    P = click_probability_tensor(src, rot, det)
     ra = det.table_a.max_clicks
     rb = det.table_b.max_clicks
     patterns = tuple(
@@ -283,17 +279,13 @@ def full_pattern_distribution(rot, src, det, n_max=None) -> PatternDistribution:
     return PatternDistribution(patterns=patterns, probs=P.reshape(-1))
 
 
-def fourfold_patterns(clicks_a: int = 2, clicks_b: int = 2) -> tuple:
-    """Click patterns with fixed per-path click totals.
+def fourfold_patterns() -> tuple:
+    """The 2+2 click patterns, two clicks on each path.
 
-    For the default 2+2 class the order is (2002, 2011, 2020, 1102, 1111,
-    1120, 0202, 0211, 0220), reading each code as r_ah r_av r_bh r_bv.
+    The order is (2002, 2011, 2020, 1102, 1111, 1120, 0202, 0211, 0220),
+    reading each code as r_ah r_av r_bh r_bv.
     """
-    return tuple(
-        (r_ah, clicks_a - r_ah, r_bh, clicks_b - r_bh)
-        for r_ah in range(clicks_a, -1, -1)
-        for r_bh in range(clicks_b + 1)
-    )
+    return tuple((r_ah, 2 - r_ah, r_bh, 2 - r_bh) for r_ah in (2, 1, 0) for r_bh in (0, 1, 2))
 
 
 class PatternFamily(PhaseSeries):
@@ -302,34 +294,30 @@ class PatternFamily(PhaseSeries):
     Compiled once per source, detector and theta to its phase series, so
     probabilities and exact derivatives cost one small contraction per
     phase.  Probabilities are renormalized within the subset pattern class
-    per phi (the way coincidence counts are normalized per setting),
-    unless ``renormalize=False``.
+    per phi (the way coincidence counts are normalized per setting);
+    :meth:`raw` gives them unrenormalized.
     """
 
-    def __init__(self, src, det, patterns, theta=0.0, renormalize=True, n_max=None):
+    def __init__(self, src, det, patterns, theta=0.0):
         self.src = src
         self.det = det
         self.patterns = tuple(tuple(p) for p in patterns)
         self.theta = theta
-        self.n_max = choose_truncation(src) if n_max is None else n_max
+        self.n_max = choose_truncation(src)
         rows_a = sorted({p[:2] for p in self.patterns})
         rows_b = sorted({p[2:] for p in self.patterns})
         c = _click_harmonics(src, det, rows_a, rows_b, theta, self.n_max)
         super().__init__(c[:, [rows_a.index(p[:2]) for p in self.patterns],
-                           [rows_b.index(p[2:]) for p in self.patterns]], renormalize)
+                           [rows_b.index(p[2:]) for p in self.patterns]], renormalize=True)
 
     def subset_probability(self, phi) -> float:
         """Total unrenormalized probability of the pattern subset."""
         return float(self.raw(phi)[0].sum())
 
 
-def fourfold_family(src, det, theta=0.0, clicks_a=2, clicks_b=2, renormalize=True,
-                    n_max=None) -> PatternFamily:
-    """Family over the coincidence class with fixed clicks per path."""
-    return PatternFamily(
-        src, det, fourfold_patterns(clicks_a, clicks_b),
-        theta=theta, renormalize=renormalize, n_max=n_max,
-    )
+def fourfold_family(src, det, theta=0.0) -> PatternFamily:
+    """Family over the 2+2 coincidence class."""
+    return PatternFamily(src, det, fourfold_patterns(), theta=theta)
 
 
 def _path_event_weights(table: PovmTable, clicks: int, n_max: int):
@@ -354,8 +342,8 @@ def _path_event_weights(table: PovmTable, clicks: int, n_max: int):
     return rate, surviving
 
 
-def fourfold_conditional_means(src, det, theta=0.0, clicks_a=2, clicks_b=2, n_max=None):
-    """Mean sensing-path photons per accepted coincidence event.
+def fourfold_conditional_means(src, det, theta=0.0):
+    """Mean sensing-path photons per accepted 2+2 coincidence event.
 
     Returns (emitted, surviving): the first counts all photons the source
     put into the sensing path on accepted events, the second only those
@@ -363,11 +351,10 @@ def fourfold_conditional_means(src, det, theta=0.0, clicks_a=2, clicks_b=2, n_ma
     over phase, weighted by the event rate; the averages are the exact
     zeroth harmonics.
     """
-    if n_max is None:
-        n_max = choose_truncation(src)
+    n_max = choose_truncation(src)
     _check_capacity(det, n_max)
-    rate_a, surviving_a = _path_event_weights(det.table_a, clicks_a, n_max)
-    rate_b, _ = _path_event_weights(det.table_b, clicks_b, n_max)
+    rate_a, surviving_a = _path_event_weights(det.table_a, 2, n_max)
+    rate_b, _ = _path_event_weights(det.table_b, 2, n_max)
 
     # rows: event rate, emitted and surviving photons on events
     weights_a = [np.stack([p, n * p, s]) for n, (p, s) in enumerate(zip(rate_a, surviving_a))]
@@ -389,19 +376,19 @@ class MeanPhotons:
     fourfold_surviving: float | None = None
 
 
-def mean_photon_numbers(src: SourceParams, det: DetectorModel | None = None,
-                        theta: float = 0.0) -> MeanPhotons:
+def mean_photon_numbers(src: SourceParams, det: DetectorModel | None = None) -> MeanPhotons:
     """Unconditional per-path means plus coincidence-conditioned sensing means.
 
     The per-path mean is sum_n n q_n = 2 sinh(tau)^2; each path carries
-    the same mean because pairs are emitted symmetrically.
+    the same mean because pairs are emitted symmetrically.  The
+    conditioned means are taken at theta = 0.
     """
     n_max = choose_truncation(src)
     q = pair_number_weights(src, n_max)
     per_path = float(np.arange(n_max + 1) @ q)
     if det is None:
         return MeanPhotons(per_path=per_path, total=2.0 * per_path)
-    emitted, surviving = fourfold_conditional_means(src, det, theta=theta)
+    emitted, surviving = fourfold_conditional_means(src, det)
     return MeanPhotons(
         per_path=per_path,
         total=2.0 * per_path,
@@ -410,18 +397,16 @@ def mean_photon_numbers(src: SourceParams, det: DetectorModel | None = None,
     )
 
 
-def ideal_fisher_information(src: SourceParams, phi: float, theta: float = 0.0,
-                             n_max: int | None = None) -> float:
+def ideal_fisher_information(src: SourceParams, phi: float) -> float:
     """Fisher information of the full pattern family at unit efficiency
-    with number-resolving counters.
+    with number-resolving counters, at theta = 0.
 
     In this limit every pattern probability is the square of a single real
     amplitude, so the information reduces to 4 sum (dA/dphi)^2 including
     the correct finite limits where amplitudes cross zero.  This form is
     free of the 0/0 ambiguity a floored probability quotient would hit at
-    isolated phases.
+    isolated phases.  The sensing rotation acts on the rows of A_n, so
+    dA_n/dphi = K_n A_n with the rotation generator K_n.
     """
-    if n_max is None:
-        n_max = choose_truncation(src)
-    return sum(4.0 * float((dA * dA).sum())
-               for _, dA in _joint_amplitudes(src, phi, theta, n_max, derivative=True))
+    return sum(4.0 * float(np.square(rotation_generator(n) @ A).sum())
+               for n, A in enumerate(_joint_amplitudes(src, phi, 0.0, choose_truncation(src))))

@@ -111,11 +111,11 @@ class FringeSet(engine.PhaseSeries):
     """Jointly renormalized collection of fitted fringes: the phase series
     whose harmonics 0-2 per fit are (c0, c1 e^{i phi0}, c2 e^{2 i phi0})."""
 
-    def __init__(self, fits, renormalize=True):
+    def __init__(self, fits):
         self.fits = tuple(fits)
         coef = np.reshape([(f.c0, f.c1, f.c2) for f in self.fits], (-1, 3))
         super().__init__(_fringe_harmonics(coef, np.array([f.phi0 for f in self.fits])),
-                         renormalize)
+                         renormalize=True)
 
     def __iter__(self):
         return iter(self.fits)
@@ -128,25 +128,23 @@ def _golden_min(f, a, b, tol=1e-12, max_iter=200):
     points to their values; each bracket stops once narrower than ``tol``,
     so every entry equals its own scalar search.
     """
-    if np.ndim(a) or np.ndim(b):
-        pick, any_ = np.where, np.any
-    else:
-        pick, any_ = (lambda c, x, y: x if c else y), bool
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
     for _ in range(max_iter):
         live = b - a >= tol
-        if not any_(live):
+        if not np.any(live):
             break
         left = live & (f1 <= f2)  # the minimum is in [a, x2]
         right = live ^ left  # ... or in [x1, b]
-        a, b = pick(right, x1, a), pick(left, x2, b)
-        x = pick(left, b - invphi * (b - a), a + invphi * (b - a))
+        a, b = np.where(right, x1, a), np.where(left, x2, b)
+        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
         fx = f(x)
-        x1, f1, x2, f2 = (pick(left, x, pick(right, x2, x1)), pick(left, fx, pick(right, f2, f1)),
-                          pick(right, x, pick(left, x1, x2)), pick(right, fx, pick(left, f1, f2)))
+        x1, f1, x2, f2 = (np.where(left, x, np.where(right, x2, x1)),
+                          np.where(left, fx, np.where(right, f2, f1)),
+                          np.where(right, x, np.where(left, x1, x2)),
+                          np.where(right, fx, np.where(left, f1, f2)))
     return (a + b) / 2.0
 
 
@@ -229,15 +227,16 @@ def _fit_fringe_columns(phi, counts):
     return tuple(x.reshape(counts.shape[::2] + x.shape[1:]) for x in (coef.T, phi0, ssr))
 
 
-def fit_fringes(phi, counts, renormalize=True) -> FringeSet:
+def fit_fringes(phi, counts) -> FringeSet:
     """Least-squares cosine-series fit to per-phase pattern fractions.
 
     Args:
         phi: sample phases, shape (n_phi,).
         counts: counts or fractions per pattern, shape (n_phi, n_patterns).
             Rows are normalized to fractions before fitting.
-        renormalize: renormalize the fitted curves jointly so they sum to
-            one at every phase when evaluated as a distribution.
+
+    The fitted curves are renormalized jointly, so they sum to one at every
+    phase when evaluated as a distribution; ``raw`` gives them as fitted.
 
     The offset enters both harmonics as a shared shift, so the fit is
     linear at fixed phi0 and the residual over phi0 is minimized directly:
@@ -247,7 +246,7 @@ def fit_fringes(phi, counts, renormalize=True) -> FringeSet:
     """
     coef, phi0, ssr = (x[0] for x in _fit_fringe_columns(phi, np.expand_dims(counts, 0)))
     return FringeSet(fits=[FringeFit(*c.tolist(), phi0=float(p), residual=float(s))
-                           for c, p, s in zip(coef, phi0, ssr)], renormalize=renormalize)
+                           for c, p, s in zip(coef, phi0, ssr)])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ path as the 2x2 map
 
 and its two-mode Fock amplitudes are built for all photon-number sectors
 at once, each sector from the previous one by applying one transformed
-creation operator (:func:`rotation_matrices`).
+creation operator (:func:`rotation_matrices`).  The map is a rotation
+exp(ang K) times a fixed reflection, so every angle derivative follows
+from the generator K (:func:`rotation_generator`).
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ __all__ = [
     "pair_number_weights",
     "truncation_tail",
     "rotation_matrices",
-    "rotation_amplitude",
-    "rotation_amplitude_derivative",
+    "rotation_generator",
     "sensing_transition_matrix",
     "reference_transition_matrix",
     "ideal_pattern_probability",
@@ -114,7 +115,7 @@ def truncation_tail(src: SourceParams, n_max: int) -> float:
     return x ** (n_max + 1) * ((n_max + 2) - (n_max + 1) * x)
 
 
-def rotation_matrices(n_max: int, ang, derivative: bool = False):
+def rotation_matrices(n_max: int, ang):
     """Every sector matrix G_n[..., k, p] = <k, n-k| U(ang) |p, n-p>, n = 0..n_max.
 
     ``ang`` may be an array of angles; its shape leads the axes of each G_n.
@@ -123,66 +124,38 @@ def rotation_matrices(n_max: int, ang, derivative: bool = False):
         U|p, q> = (c a_h^+ + s a_v^+) U|p-1, q> / sqrt(p)
         U|0, q> = (s a_h^+ - c a_v^+) U|0, q-1> / sqrt(q)
 
-    with c = cos(ang/2), s = sin(ang/2), in O(n^2) array operations.  With
-    ``derivative`` returns (G, dG/dang), the derivative carried through the
-    same recursion by the product rule.
+    with c = cos(ang/2), s = sin(ang/2), in O(n^2) array operations.
     """
     ang = np.asarray(ang, dtype=float)[..., None, None]
     c, s = np.cos(ang / 2.0), np.sin(ang / 2.0)
-    G, dG = [np.ones(ang.shape)], [np.zeros(ang.shape)]
+    G = [np.ones(ang.shape)]
     for n in range(1, n_max + 1):
         p = np.arange(n + 1)
         first = p == 0
         # the creation operator x a_h^+ + y a_v^+ that makes column p
         x, y = np.where(first, s, c), np.where(first, -c, s)
-        dx, dy = np.where(first, c, -s) / 2.0, np.where(first, s, c) / 2.0
-        norm = np.sqrt(np.where(first, n, p))
-        source = np.maximum(p - 1, 0)  # column of sector n-1 it acts on
-
-        def lift(g):  # a_h^+ and a_v^+ applied to the source columns, rows k
-            g = g[..., source]
-            zero = np.zeros(g.shape[:-2] + (1, n + 1))
-            return (np.sqrt(p[:, None]) * np.concatenate([zero, g], axis=-2),
-                    np.sqrt(n - p[:, None]) * np.concatenate([g, zero], axis=-2))
-
-        h, v = lift(G[-1])
-        G.append((x * h + y * v) / norm)
-        if derivative:
-            dh, dv = lift(dG[-1])
-            dG.append((dx * h + x * dh + dy * v + y * dv) / norm)
-    return (G, dG) if derivative else G
+        g = G[-1][..., np.maximum(p - 1, 0)]  # the column of sector n-1 it acts on
+        zero = np.zeros(g.shape[:-2] + (1, n + 1))
+        h = np.sqrt(p[:, None]) * np.concatenate([zero, g], axis=-2)  # a_h^+, rows k
+        v = np.sqrt(n - p[:, None]) * np.concatenate([g, zero], axis=-2)  # a_v^+
+        G.append((x * h + y * v) / np.sqrt(np.where(first, n, p)))
+    return G
 
 
-def rotation_amplitude(out_pair, in_pair, ang: float) -> float:
-    """Two-mode Fock amplitude <p', q'| U(ang) |p, q> of the half-wave map.
+def rotation_generator(n: int) -> np.ndarray:
+    """Generator K_n = (a_v^+ a_h - a_h^+ a_v) / 2 on the kets |k, n-k>, k = 0..n.
 
-    Args:
-        out_pair: (p', q') occupation of the output (h, v) modes.
-        in_pair: (p, q) occupation of the input (h, v) modes.
-        ang: phase rotation angle in radians.
-
-    Returns:
-        Real amplitude; zero when photon number is not conserved.
+    The half-wave map is exp(ang K) times a fixed reflection, so
+    dG_n/dang = K_n G_n exactly for the G_n of :func:`rotation_matrices`.
+    K_n is tridiagonal and antisymmetric, K[k, k+1] = sqrt((k+1)(n-k)) / 2.
     """
-    pp, qq = out_pair
-    p, q = in_pair
-    if min(pp, qq, p, q) < 0:
-        raise ValueError("occupations must be non-negative")
-    if pp + qq != p + q:
-        return 0.0
-    return float(reference_transition_matrix(p + q, ang)[pp, p])
+    k = np.arange(n)
+    K = np.zeros((n + 1, n + 1))
+    K[k, k + 1] = np.sqrt((k + 1) * (n - k)) / 2.0
+    return K - K.T
 
 
-def rotation_amplitude_derivative(out_pair, in_pair, ang: float) -> float:
-    """d/d(ang) of :func:`rotation_amplitude`, exact."""
-    pp, qq = out_pair
-    p, q = in_pair
-    if pp + qq != p + q:
-        return 0.0
-    return float(reference_transition_matrix(p + q, ang, derivative=True)[pp, p])
-
-
-def sensing_transition_matrix(n: int, phi, derivative: bool = False) -> np.ndarray:
+def sensing_transition_matrix(n: int, phi) -> np.ndarray:
     """Matrix M[k, m] = <k, n-k| U(phi) |n-m, m> on the sensing path.
 
     Column m corresponds to the sensing-path part |n-m, m> of the m-th
@@ -190,17 +163,16 @@ def sensing_transition_matrix(n: int, phi, derivative: bool = False) -> np.ndarr
     (k, n-k) after the rotation.  It is G_n of :func:`rotation_matrices`
     with its columns reversed.
     """
-    return reference_transition_matrix(n, phi, derivative)[..., ::-1]
+    return reference_transition_matrix(n, phi)[..., ::-1]
 
 
-def reference_transition_matrix(n: int, theta, derivative: bool = False) -> np.ndarray:
+def reference_transition_matrix(n: int, theta) -> np.ndarray:
     """Matrix M[l, m] = <l, n-l| U(theta) |m, n-m> on the reference path.
 
     The reference-path part of the m-th source term is |m, n-m>, with the
     occupation mirrored relative to the sensing path.
     """
-    built = rotation_matrices(n, theta, derivative)
-    return (built[1] if derivative else built)[-1]
+    return rotation_matrices(n, theta)[-1]
 
 
 def ideal_pattern_probability(occupation, rot: RotationSpec, src: SourceParams) -> float:

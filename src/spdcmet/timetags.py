@@ -6,7 +6,8 @@ Wire formats:
           unsigned time in picoseconds, no header
 
 A ``TimetagFile`` reads either format in fixed blocks: ``_BLOCK_RECORDS``
-records of a binary file, or that many lines of a CSV file.  Its "auto"
+records of a binary file, or the same number of bytes of a CSV file, cut
+after its last line end (``\n``, ``\r\n`` or a lone ``\r``).  Its "auto"
 format is decided once, from the first block: binary if the block is not
 UTF-8 or holds a NUL byte (every binary record with a time below 2^56 ps
 has one), else CSV if the block is blank or its first non-blank character
@@ -19,15 +20,14 @@ counters).  Windows anchor on the pulse clock when the repetition period
 is known, otherwise on the first click after the previous window.
 
 Reorder rule: each record is measured against the running maximum of the
-times read before it.  A record behind that maximum by at most
-``reorder_ps`` (1000 ps unless a parser is given another; the block
-reader always uses 1000 ps) is sorted into place (stably, so equal times keep their
-arrival order) and counted as reordered; one further behind is a located
-error.  Because no later record can land more than ``reorder_ps`` behind
-the running maximum, a block reader releases every record up to that
-bound and holds back only the rest, so a file is validated, sorted and
-counted in fixed blocks with the same result as a whole-file parse, in
-memory that does not grow with the file.
+times read before it.  A record behind that maximum by at most 1000 ps
+is sorted into place (stably, so equal times keep their arrival order)
+and counted as reordered; one further behind is a located error.
+Because no later record can land more than 1000 ps behind the running
+maximum, a block reader releases every record up to that bound and holds
+back only the rest, so a file is validated, sorted and counted in fixed
+blocks with the same result as a whole-file parse, in memory that does
+not grow with the file.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ DEFAULT_REP_PERIOD_PS = 12_500  # 80 MHz pulse clock
 
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("time", "<u8")])
 _BLOCK_RECORDS = 1 << 16  # records (binary) or lines (CSV) per block of a streamed file
-_REORDER_PS = 1000  # default reorder tolerance of every parser
+_REORDER_PS = 1000  # reorder tolerance of every parser
 _GEN_BLOCK = 1 << 15  # mode rows per block of the generator's arithmetic
 _TIME_LIMIT_PS = 1 << 60  # generated times share a uint64 key with a 4-bit channel
 _N_MASKS = 1 << N_CHANNELS
@@ -110,12 +110,11 @@ class _Reorderer:
     """Validates raw records block by block and releases them time-sorted.
 
     Applies the module's reorder rule against the running maximum carried
-    across blocks; records within ``reorder_ps`` of it are held back into
+    across blocks; records within ``_REORDER_PS`` of it are held back into
     the next block, since a later record may still sort before them.
     """
 
-    def __init__(self, reorder_ps):
-        self.reorder_ps = int(reorder_ps)
+    def __init__(self):
         self.seen = 0  # records validated so far
         self.max_time = 0
         self.held_ch, self.held_t = _EMPTY.channels, _EMPTY.times
@@ -135,7 +134,7 @@ class _Reorderer:
         prev = np.maximum.accumulate(
             np.concatenate((np.array([self.max_time], dtype=np.uint64), times))[:-1])
         behind = np.flatnonzero(times < prev)
-        far = behind[prev[behind] - times[behind] > np.uint64(self.reorder_ps)]
+        far = behind[prev[behind] - times[behind] > np.uint64(_REORDER_PS)]
         unknown = np.flatnonzero(channels >= N_CHANNELS)
         if far.size or unknown.size:
             i = min(far[:1].tolist() + unknown[:1].tolist())
@@ -143,7 +142,7 @@ class _Reorderer:
                 raise ParseError(f"{where(i)}: unknown channel {channels[i]}")
             raise ParseError(
                 f"{where(i)}: time goes backwards by {int(prev[i] - times[i])} ps "
-                f"from the latest time read, beyond the {self.reorder_ps} ps "
+                f"from the latest time read, beyond the {_REORDER_PS} ps "
                 f"reorder tolerance"
             )
         if times.size:
@@ -154,7 +153,7 @@ class _Reorderer:
         if behind.size:
             order = np.argsort(t, kind="stable")
             ch, t = ch[order], t[order]
-        bound = self.max_time - self.reorder_ps  # no later record can sort below it
+        bound = self.max_time - _REORDER_PS  # no later record can sort below it
         if last:
             cut = t.size
         else:
@@ -254,13 +253,19 @@ class TimetagFile:
         return self._records
 
     def __iter__(self):
-        order, lineno, last = _Reorderer(_REORDER_PS), 1, False
+        order, lineno, last, rest = _Reorderer(), 1, False, b""
+        size = _BLOCK_RECORDS * _RECORD_DTYPE.itemsize
         with open(self.path, "rb") as fh:
-            while not last:  # a block shorter than _BLOCK_RECORDS ends the file
-                if self.csv:  # lines end at b"\n", so no line break spans two blocks
-                    raw = list(itertools.islice(fh, _BLOCK_RECORDS))
-                    last = len(raw) < _BLOCK_RECORDS
-                    lines = _decode(b"".join(raw), lineno).splitlines()
+            while not last:  # a short read ends the file
+                if self.csv:
+                    raw = rest + fh.read(size)
+                    last = len(raw) - len(rest) < size
+                    # cut after the last line end, but not between a \r and a \n
+                    # that may open the next read
+                    cut = len(raw) if last else 1 + max(raw.rfind(b"\n"),
+                                                        raw.rfind(b"\r", 0, len(raw) - 1))
+                    raw, rest = raw[:cut], raw[cut:]
+                    lines = _decode(raw, lineno).splitlines()
                     block = _push_lines(order, lines, lineno, last)
                     lineno += len(lines)
                 else:
@@ -272,15 +277,14 @@ class TimetagFile:
                 yield block
 
 
-def parse_timetags_text(text: str, reorder_ps: int = _REORDER_PS) -> TimetagStream:
-    return _push_lines(_Reorderer(reorder_ps), text.splitlines(), 1, last=True)
+def parse_timetags_text(text: str) -> TimetagStream:
+    return _push_lines(_Reorderer(), text.splitlines(), 1, last=True)
 
 
-def parse_timetags_binary(data: bytes, reorder_ps: int = _REORDER_PS) -> TimetagStream:
+def parse_timetags_binary(data: bytes) -> TimetagStream:
     n = _check_whole_records(len(data))
     rec = np.frombuffer(data, dtype=_RECORD_DTYPE, count=n)
-    return _Reorderer(reorder_ps).push(rec["channel"], np.ascontiguousarray(rec["time"]),
-                                       last=True)
+    return _Reorderer().push(rec["channel"], np.ascontiguousarray(rec["time"]), last=True)
 
 
 def to_csv(stream: TimetagStream) -> str:
@@ -401,9 +405,19 @@ class CoincidenceResult:
     reordered: int = 0  # records the parser sorted back into time order
 
 
+def _window_ends(times, opens, window_ps):
+    """Index into sorted ``times`` of the first click at or past the end of
+    the window opened at each of ``opens``.  A window whose end passes
+    2^64 ps holds every later click."""
+    w = int(window_ps)
+    past = opens > (1 << 64) - 1 - w  # numpy compares to a Python int of any size exactly
+    ends = np.searchsorted(times, opens + np.uint64(min(w, (1 << 64) - 1)), side="left")
+    return np.where(past, times.size, ends)
+
+
 def _first_click_starts(times, window_ps):
     """Start index of each first-click-anchored window of sorted times."""
-    ends = np.searchsorted(times, times + np.uint64(int(window_ps)), side="left").tolist()
+    ends = _window_ends(times, times, window_ps).tolist()
     starts, i, n = [], 0, len(ends)
     while i < n:
         starts.append(i)
@@ -457,8 +471,8 @@ class _WindowCounter:
             starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
             keys = key[starts]
         else:  # clicks before the open window's end join it
-            joined = 0 if self.open_key is None else int(np.searchsorted(
-                key, np.uint64(self.open_key + int(self.window_ps)), side="left"))
+            joined = 0 if self.open_key is None else int(_window_ends(
+                key, np.array([self.open_key], dtype=np.uint64), self.window_ps)[0])
             starts = joined + np.array(_first_click_starts(key[joined:], self.window_ps),
                                        dtype=np.intp)
             keys = key[starts]

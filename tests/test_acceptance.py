@@ -261,10 +261,8 @@ def test_criterion_11_control_phase_shift(capsys):
 
     # 10-degree grid: the 80-degree shift is exactly eight cells
     phi = np.linspace(0.0, 2.0 * math.pi, 36, endpoint=False)
-    fit0 = fit_fringes(phi, np.array([base.probabilities(p) for p in phi]),
-                       renormalize=False)
-    fit1 = fit_fringes(phi, np.array([shifted.probabilities(p) for p in phi]),
-                       renormalize=False)
+    fit0 = fit_fringes(phi, np.array([base.probabilities(p) for p in phi]))
+    fit1 = fit_fringes(phi, np.array([shifted.probabilities(p) for p in phi]))
     worst_c = max(
         max(abs(a.c0 - b.c0), abs(abs(a.c1) - abs(b.c1)), abs(abs(a.c2) - abs(b.c2)))
         for a, b in zip(fit0.fits, fit1.fits)

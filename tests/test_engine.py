@@ -28,7 +28,9 @@ from spdcmet.fock import (
     RotationSpec,
     SourceParams,
     ideal_pattern_probability,
+    pair_number_weights,
     reference_transition_matrix,
+    rotation_generator,
     sensing_transition_matrix,
 )
 from spdcmet.heralding import herald_table
@@ -284,6 +286,17 @@ def test_ideal_information_is_phase_flat():
     assert max(vals) - min(vals) < 1e-9 * max(vals)
 
 
+@pytest.mark.parametrize("tau", [0.061, 0.3, 0.9])
+def test_ideal_information_is_a_pair_number_moment(tau):
+    # A_n A_n^T = x^n (1 - x)^2 times the identity, so sector n gives
+    # 4 |K_n A_n|^2 = q_n n (n + 2) / 3 at every phase
+    src = SourceParams(tau)
+    n = np.arange(choose_truncation(src) + 1)
+    want = pair_number_weights(src, n[-1]) @ (n * (n + 2) / 3.0)
+    for phi in (0.0, 0.7, 2.3, 5.1):
+        assert ideal_fisher_information(src, phi) == pytest.approx(want, rel=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # compiled phase series
 
@@ -297,7 +310,7 @@ def direct_pattern_sum(src, det, patterns, phi, theta, n_max):
         pref = math.tanh(src.tau) ** n / math.cosh(src.tau) ** 2 * (-1.0) ** np.arange(n + 1)
         R = reference_transition_matrix(n, theta)
         A = (sensing_transition_matrix(n, phi) * pref) @ R.T
-        dA = (sensing_transition_matrix(n, phi, derivative=True) * pref) @ R.T
+        dA = rotation_generator(n) @ A
         for i, (r_ah, r_av, r_bh, r_bv) in enumerate(patterns):
             va = Wa[r_ah, : n + 1] * Wa[r_av, : n + 1][::-1]
             vb = Wb[r_bh, : n + 1] * Wb[r_bv, : n + 1][::-1]
@@ -310,14 +323,13 @@ def direct_pattern_sum(src, det, patterns, phi, theta, n_max):
 def test_compiled_family_matches_direct_sector_sum(tau, d, theta):
     src = SourceParams(tau)
     det = detector_for_source(src, d, 0.23, 0.12)
-    fam = PatternFamily(src, det, NINE + ((1, 0, 0, 1), (0, 0, 0, 0)), theta=theta,
-                        renormalize=False)
+    fam = PatternFamily(src, det, NINE + ((1, 0, 0, 1), (0, 0, 0, 0)), theta=theta)
     # rounding in each pattern is relative to that pattern's own size
     scale = np.abs(fam.harmonics).sum(axis=0)
     rng = np.random.default_rng(5)
     for phi in rng.uniform(-2 * np.pi, 4 * np.pi, size=6):
         want, dwant = direct_pattern_sum(src, det, fam.patterns, phi, theta, fam.n_max)
-        got, dgot = fam.probabilities_and_derivatives(phi)
+        got, dgot = fam.raw(phi)
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
         assert np.all(np.abs(dgot - dwant) <= 1e-12 * scale)
 
@@ -347,7 +359,7 @@ def test_compiled_herald_tensor_matches_direct_sector_sum():
 def test_zeroth_harmonic_is_the_phase_average(tau, d):
     src = SourceParams(tau)
     det = detector_for_source(src, d, 0.23, 0.12)
-    fam = PatternFamily(src, det, NINE, theta=0.4, renormalize=False)
+    fam = PatternFamily(src, det, NINE, theta=0.4)
     grid = np.linspace(0.0, 2 * np.pi, 4 * fam.n_max + 3, endpoint=False)
     dense = np.mean([direct_pattern_sum(src, det, NINE, g, 0.4, fam.n_max)[0] for g in grid],
                     axis=0)
@@ -370,8 +382,6 @@ def test_click_series_matches_the_tensor_it_compiles(d):
 # one matrix element, one sector or one phase at a time: none of these may
 # serve a compile, which builds every sector over every sample phase at once
 SCALAR_PATHS = (
-    ("fock", "rotation_amplitude"),
-    ("fock", "rotation_amplitude_derivative"),
     ("fock", "sensing_transition_matrix"),
     ("fock", "reference_transition_matrix"),
     ("engine", "sector_probabilities"),

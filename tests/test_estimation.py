@@ -118,18 +118,18 @@ TRUTH = FringeSet(fits=(
     FringeFit(c0=0.30, c1=0.12, c2=-0.04, phi0=0.35),
     FringeFit(c0=0.45, c1=-0.20, c2=0.06, phi0=0.35),
     FringeFit(c0=0.25, c1=0.08, c2=-0.02, phi0=0.35),
-), renormalize=False)
+))
 
 
 def _truth_samples(n_phi=13, scale=1.0):
     phi = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    fracs = np.array([TRUTH.probabilities(p) for p in phi])
+    fracs = np.array([TRUTH.raw(p)[0] for p in phi])
     return phi, fracs * scale
 
 
 def test_noiseless_fit_recovers_the_model():
     phi, counts = _truth_samples()
-    fit = fit_fringes(phi, counts, renormalize=False)
+    fit = fit_fringes(phi, counts)
     grid = np.linspace(0, 2 * np.pi, 101)
     for got, want in zip(fit, TRUTH):
         assert np.abs(got.value(grid) - want.value(grid)).max() < 1e-8
@@ -170,7 +170,7 @@ def test_fitted_offset_is_a_local_residual_minimum_with_least_squares_coefficien
     rng = np.random.default_rng(42)
     phi, fracs = _truth_samples()
     counts = rng.poisson(fracs * 10_000)
-    fit = fit_fringes(phi, counts, renormalize=False)
+    fit = fit_fringes(phi, counts)
     y = counts / counts.sum(axis=1, keepdims=True)
     for j, f in enumerate(fit):
         coef, ssr = _dense_fringe_fit(phi, y[:, j], f.phi0)
@@ -189,9 +189,9 @@ def test_span_fit_matches_the_dense_fit_at_its_offset(grid):
         # repeats, one of them a full turn apart, leave exactly five angles
         "five distinct": np.array([0.1, 0.9, 2.0, 3.7, 5.2, 0.9, 2.0 + 2 * np.pi]),
     }[grid]
-    counts = rng.poisson(np.array([TRUTH.probabilities(p) for p in phi]) * 5e3)
+    counts = rng.poisson(np.array([TRUTH.raw(p)[0] for p in phi]) * 5e3)
     y = counts / counts.sum(axis=1, keepdims=True)
-    for j, f in enumerate(fit_fringes(phi, counts, renormalize=False)):
+    for j, f in enumerate(fit_fringes(phi, counts)):
         coef, ssr = _dense_fringe_fit(phi, y[:, j], f.phi0)
         np.testing.assert_allclose([f.c0, f.c1, f.c2], coef, rtol=0.0, atol=1e-10)
         assert f.residual == pytest.approx(ssr, rel=1e-9)
@@ -202,7 +202,7 @@ def test_poisson_noised_fit_tracks_truth_within_three_sigma():
     n_per_phi = 10_000
     phi, fracs = _truth_samples()
     counts = rng.poisson(fracs * n_per_phi)
-    fit = fit_fringes(phi, counts, renormalize=False)
+    fit = fit_fringes(phi, counts)
     for j, want in enumerate(TRUTH):
         truth = want.value(phi)
         sigma = np.sqrt(truth / n_per_phi)

@@ -3,6 +3,10 @@ dropped-record reporting, property checks and bounded memory."""
 
 import hashlib
 import itertools
+import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from contextlib import contextmanager
@@ -14,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spdcmet
 from spdcmet import cli, timetags
 from spdcmet.engine import detector_for_source, full_pattern_distribution
 from spdcmet.fock import RotationSpec, SourceParams
@@ -80,6 +85,13 @@ def reference_count(records, window_ps, rep_period_ps):
     return counts, late
 
 
+def crlf_straddles_a_read(data, block):
+    """Whether a \\r\\n pair of CSV ``data`` is split between two reads of a
+    ``TimetagFile`` at ``block`` records a block."""
+    size = block * timetags._RECORD_DTYPE.itemsize
+    return any(data[i - 1:i + 1] == b"\r\n" for i in range(size, len(data), size))
+
+
 def same_result(a, b):
     assert a.histogram == b.histogram
     assert a.pattern_counts == b.pattern_counts
@@ -118,10 +130,10 @@ def shuffled_within(records, reorder_ps, seed):
 def test_descending_chain_is_measured_against_the_running_maximum():
     chain = "0,3000\n1,2500\n2,2000\n3,1500\n4,1000\n"
     with pytest.raises(ParseError, match="line 4: time goes backwards by 1500 ps"):
-        parse_timetags_text(chain, reorder_ps=1000)
+        parse_timetags_text(chain)
     with pytest.raises(ParseError, match="record 4: time goes backwards by 1500 ps"):
         parse_timetags_binary(raw_binary([(0, 3000), (1, 2500), (2, 2000),
-                                          (3, 1500), (4, 1000)]), reorder_ps=1000)
+                                          (3, 1500), (4, 1000)]))
 
 
 def test_first_offending_record_is_named():
@@ -210,19 +222,24 @@ def test_streamed_counts_equal_the_whole_stream_count(tmp_path, monkeypatch, rep
     later = [(int(c), int(t) + REP) for c, t in zip(stream.channels, stream.times)]
     arrival = [(0, 200)] + shuffled_within(later, 1000, seed=3)
     data = raw_binary(arrival)
-    path, csv_path = tmp_path / "tags.bin", tmp_path / "tags.csv"
+    path = tmp_path / "tags.bin"
     path.write_bytes(data)
-    csv_path.write_text(raw_csv(arrival))
+    inputs = [(path, "binary"), (path, "auto")]
+    for name, newline in [("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")]:
+        csv_path = tmp_path / f"tags_{name}.csv"
+        csv_path.write_bytes(raw_csv(arrival).replace("\n", newline).encode())
+        inputs += [(csv_path, "csv"), (csv_path, "auto")]
     whole = counted(parse_timetags_text(raw_csv(arrival)), rep)
     assert whole.reordered > 0
     assert whole.histogram.counts == reference_count(by_time(arrival), WINDOW, rep)[0]
+    crlf = (tmp_path / "tags_crlf.csv").read_bytes()
+    assert crlf_straddles_a_read(crlf, 1) and crlf_straddles_a_read(crlf, 7)
     for block in BLOCKS:
         monkeypatch.setattr(timetags, "_BLOCK_RECORDS", block)
         assert parse_timetags_binary(data) == TimetagStream.from_records(by_time(arrival))
-        for src, fmt in [(path, "binary"), (path, "auto"), (csv_path, "csv"),
-                         (csv_path, "auto")]:
+        for src, fmt in inputs:
             tags = TimetagFile(src, fmt)
-            assert tags.csv == (src == csv_path)
+            assert tags.csv == (src != path)
             same_result(counted(tags, rep), whole)
             assert len(tags) == len(arrival)
 
@@ -246,6 +263,33 @@ def test_windows_and_reorders_straddling_a_block_boundary(tmp_path, monkeypatch)
         # one first-click window over every record, spanning all the blocks
         wide = count_coincidences(TimetagFile(src), window_ps=REP)
         assert wide.histogram.counts == {0x3FF: 1}
+
+
+@pytest.mark.parametrize("times, window", [
+    ((18446744073709551000, 18446744073709551100), "2500"),
+    # at one record a block the first is released alone, so its open window
+    # is carried into the next block
+    ((2**64 - 1 - 5000, 2**64 - 1 - 3000, 2**64 - 1), "10000"),
+    # a window of 2^64 ps or more, which once overflowed on conversion
+    ((0, 5), "2e19"),
+], ids=["one_block", "carried", "window_past_2_64"])
+def test_first_click_window_ending_past_2_64_ps_holds_every_later_click(tmp_path, times, window):
+    # the window end once wrapped in uint64 and the count never ended; each
+    # count runs in its own process with a timeout, so a regression fails
+    path = tmp_path / "late.csv"
+    path.write_text("".join(f"{c},{t}\n" for c, t in enumerate(times)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(spdcmet.__file__)), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys; from spdcmet import cli, timetags; "
+            "timetags._BLOCK_RECORDS = int(sys.argv[1]); sys.exit(cli.main(sys.argv[2:]))")
+    argv = ["count", str(path), "--rep-period", "0", "--window", window, "--format", "json"]
+    for block in (1, 1 << 16):
+        run = subprocess.run([sys.executable, "-c", code, str(block), *argv],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 0, run.stderr
+        out = json.loads(run.stdout)
+        assert out["meta"]["windows"] == 1
+        assert ["mask", f"0x{(1 << len(times)) - 1:04x}", 1] in out["rows"]
 
 
 def csv_with_comments(records):
@@ -285,8 +329,10 @@ def test_located_errors_match_the_whole_file_parse(tmp_path):
         101: (b"# caf\xe9", "line 101: not UTF-8 text"),
         120: (b"3", "line 120: expected 'channel,time_ps', got '3'"),
     }
-    for k, (lineno, (line, message)) in enumerate(bad.items()):
-        data = b"\n".join(lines[:lineno - 1] + [line] + lines[lineno:]) + b"\n"
+    # line ends \r\n split between two reads, or a lone \r, keep the numbering
+    for (k, (lineno, (line, message))), newline in itertools.product(
+            enumerate(bad.items()), (b"\n", b"\r\n", b"\r")):
+        data = newline.join(lines[:lineno - 1] + [line] + lines[lineno:]) + newline
         if lineno != 101:  # the whole-text parser takes decoded text
             with pytest.raises(ParseError, match=message) as whole:
                 parse_timetags_text(data.decode())
@@ -365,12 +411,12 @@ def test_accepted_records_and_late_clicks_add_up_to_records_read(records):
 # bounded memory and the generator
 
 
-def peak_count_bytes(tmp_path, n, fmt, options):
+def peak_count_bytes(tmp_path, n, fmt, options, newline="\n"):
     i = np.arange(n, dtype=np.uint64)
     stream = TimetagStream(channels=((i * 7) % 16).astype(np.uint8), times=i * np.uint64(4100))
     path = tmp_path / f"mem{n}.{fmt}"
     if fmt == "csv":
-        path.write_text(to_csv(stream))
+        path.write_bytes(to_csv(stream).replace("\n", newline).encode())
     else:
         path.write_bytes(to_binary(stream))
     del stream, i
@@ -386,19 +432,20 @@ def peak_count_bytes(tmp_path, n, fmt, options):
 
 def test_count_peak_memory_does_not_grow_with_the_file(tmp_path, monkeypatch):
     cases = [
-        ("binary", [], 200_000),
+        ("binary", [], 200_000, "\n"),
         # one first-click window wider than the whole file's time span
-        ("binary", ["--rep-period", "0", "--window", str(4100 * 2_000_000)], 200_000),
+        ("binary", ["--rep-period", "0", "--window", str(4100 * 2_000_000)], 200_000, "\n"),
         # tracemalloc slows the per-line CSV parser about tenfold, so CSV runs
-        # a tenth of the records in blocks of a sixteenth of the lines
-        ("csv", [], 20_000),
+        # a tenth of the records in blocks of a sixteenth of the size
+        ("csv", [], 20_000, "\n"),
+        ("csv", [], 20_000, "\r"),
     ]
-    for fmt, options, n in cases:
+    for fmt, options, n, newline in cases:
         if fmt == "csv":
             monkeypatch.setattr(timetags, "_BLOCK_RECORDS", 1 << 12)
-        small = peak_count_bytes(tmp_path, n, fmt, options)
-        large = peak_count_bytes(tmp_path, 10 * n, fmt, options)
-        assert large < 1.5 * small, (fmt, options, small, large)
+        small = peak_count_bytes(tmp_path, n, fmt, options, newline)
+        large = peak_count_bytes(tmp_path, 10 * n, fmt, options, newline)
+        assert large < 1.5 * small, (fmt, options, newline, small, large)
 
 
 def test_generator_output_is_frozen():

@@ -81,10 +81,10 @@ def test_comments_and_blank_lines_ignored():
 
 
 def test_reorder_buffer_sorts_small_jitter_but_rejects_big_jumps():
-    ok = parse_timetags_text("0,1000\n1,400\n", reorder_ps=1000)
+    ok = parse_timetags_text("0,1000\n1,400\n")
     assert list(ok.times) == [400, 1000]
     with pytest.raises(ParseError, match="line 2"):
-        parse_timetags_text("0,10000\n1,400\n", reorder_ps=1000)
+        parse_timetags_text("0,10000\n1,400\n")
 
 
 def test_path_and_filelike_dispatch(tmp_path):
