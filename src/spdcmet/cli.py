@@ -149,7 +149,7 @@ def cmd_fisher(args) -> int:
     grid = _phi_grid(args)
 
     central, clipped = estimation.fisher_curve(family, grid)
-    snl = estimation.snl_fisher(src, det, theta=args.theta)
+    snl = estimation.snl_fisher(src, det)
 
     # best information over a finer scan for the advantage summary
     phi_star, i_star = estimation.argmax_over_phase(
@@ -265,13 +265,15 @@ def cmd_calibrate(args) -> int:
 
 def cmd_herald(args) -> int:
     etas = [float(s) for s in args.etas.split(",") if s.strip()]
-    k_values = list(range(args.k_max + 1))
-    table = heralding.herald_table(args.tau, etas, k_values)
+    if args.k_max < 0:
+        raise heralding.HeraldError(f"k-max must be a nonnegative herald count, got {args.k_max}")
+    table = heralding.herald_table(args.tau, etas, range(args.k_max + 1))
     meta = {
         "command": "herald",
         "version": __version__,
         "tau": args.tau,
         "truncation": table.truncation,
+        "truncation_tail": truncation_tail(SourceParams(args.tau), table.truncation),
         "etas": args.etas,
     }
     columns = ["k"] + [f"eta={_fmt(e)}" for e in etas]
@@ -409,8 +411,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (GainRangeError, ValueError) as exc:
-        if isinstance(exc, (calibration.CalibrationError, timetags.ParseError,
-                            heralding.HeraldError)):
+        if isinstance(exc, (calibration.CalibrationError, timetags.ParseError)):
             print(f"error: {exc}", file=sys.stderr)
             return DATA_ERROR
         print(f"error: {exc}", file=sys.stderr)

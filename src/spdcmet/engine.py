@@ -3,27 +3,27 @@
 Everything observable in the experiment is a joint click pattern
 r = (r_ah, r_av, r_bh, r_bv).  Its probability composes three layers:
 
-    P_r(phi, theta) = sum_c prod_mode W_mode[r_mode, c_mode] p_c(phi, theta)
+    P_r(phi, theta) = sum_c prod_mode W_mode[r_mode, c_mode] p_c(phi - theta)
 
 where p_c is the ideal occupation probability of the rotated source state
 and W are the per-mode counter tables from :mod:`spdcmet.detectors`.
 Because each emitted pair puts one photon in each path, only occupations
 with equal path totals contribute, and the sum organizes naturally per
-pair sector n.  Within a sector the joint amplitude over sensing
-occupation (k, n-k) and reference occupation (l, n-l) is
+pair sector n.  Each sector is unchanged by a joint rotation of both
+paths, so only phi - theta matters: sensing occupation (k, n-k) and
+reference occupation (l, n-l) have probability
 
-    A_n[k, l] = tanh(tau)^n / cosh(tau)^2 *
-                sum_m (-1)^m Phi_n[k, m] Theta_n[l, m]
+    p_n[k, l](phi) = q_n / (n+1) * G_n(phi)[k, n-l]^2
 
-with the transition matrices of :mod:`spdcmet.fock`.  Each P_r is a
-trigonometric polynomial in phi of degree n_max, compiled once to its
-:class:`PhaseSeries`, which serves probabilities, exact phi-derivatives
-and the exact phase average.
+with the pair-number weights q_n and rotation matrices G_n of
+:mod:`spdcmet.fock`.  Each P_r is a trigonometric polynomial in phi of
+degree n_max, compiled once at theta = 0 to its :class:`PhaseSeries`, which
+serves probabilities, exact phi-derivatives and the exact phase average.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,17 +87,13 @@ def detector_for_source(
     return DetectorModel.multiplexed(d, eta_a, eta_b, c_max)
 
 
-def _joint_amplitudes(src, phi, theta, n_max):
-    """Joint amplitude matrices A_n[..., k, l] of sectors n = 0..n_max, one at a
-    time, from one all-sector build per path; an array of phases ``phi``
-    leads the axes."""
-    g_theta = rotation_matrices(n_max, theta)
-    g_phi = rotation_matrices(n_max, phi)
-    for n in range(n_max + 1):
-        pref = math.tanh(src.tau) ** n / math.cosh(src.tau) ** 2
-        signs = (-1.0) ** np.arange(n + 1)
-        # g_phi[n][..., ::-1] is the sensing transition matrix
-        yield pref * ((g_phi[n][..., ::-1] * signs) @ g_theta[n].T)
+def _occupations(src, phi, n_max):
+    """Occupation probabilities p_n[..., k, l] of sectors n = 0..n_max at
+    theta = 0, one at a time, from one all-sector build; an array of phases
+    ``phi`` leads the axes."""
+    weights = pair_number_weights(src, n_max) / np.arange(1, n_max + 2)
+    for w, g in zip(weights, rotation_matrices(n_max, phi)):
+        yield w * np.square(g[..., ::-1])
 
 
 def sector_probabilities(n, src, rot):
@@ -106,8 +102,8 @@ def sector_probabilities(n, src, rot):
     Index k is the sensing-path h occupation (v holds n-k), l the same on
     the reference path.
     """
-    *_, A = _joint_amplitudes(src, rot.phi, rot.theta, n)
-    return A * A
+    *_, p = _occupations(src, rot.phi - rot.theta, n)
+    return p
 
 
 def _check_capacity(det: DetectorModel, n_max: int):
@@ -124,8 +120,8 @@ def _direct_clicks(src, rot, det, pairs_a, pairs_b, n_max):
     _check_capacity(det, n_max)
     ka = _click_weights(det.table_a, pairs_a, n_max)
     kb = _click_weights(det.table_b, pairs_b, n_max)
-    return sum(ka[n] @ (A * A) @ kb[n].T
-               for n, A in enumerate(_joint_amplitudes(src, rot.phi, rot.theta, n_max)))
+    return sum(ka[n] @ p @ kb[n].T
+               for n, p in enumerate(_occupations(src, rot.phi - rot.theta, n_max)))
 
 
 def click_probability_tensor(src, rot, det, n_max=None):
@@ -187,12 +183,12 @@ class PhaseSeries:
         return self.probabilities(phi)
 
 
-def _sector_harmonics(src, theta, weights_a, weights_b, degree):
+def _sector_harmonics(src, weights_a, weights_b, degree):
     """Harmonics c[j, i, i'], j <= degree, of sum_n weights_a[n] @ p_n(phi) @ weights_b[n].T
     for phi-independent per-path weights over the occupations of sectors
-    n = 0..n_max.  Each p_n, of degree n in phi, is evaluated at 2 n_max + 1
-    equispaced phases in one batched product of all-sector rotation
-    matrices, transformed to harmonics and contracted once with the weights.
+    n = 0..n_max, at theta = 0.  Each p_n, of degree n in phi, is evaluated
+    at 2 n_max + 1 equispaced phases from one all-sector rotation build,
+    transformed to harmonics and contracted once with the weights.
     """
     n_max = len(weights_a) - 1
     samples = 2 * n_max + 1
@@ -201,8 +197,8 @@ def _sector_harmonics(src, theta, weights_a, weights_b, degree):
     dft *= 2.0 / samples
     dft[0] /= 2.0
     c = np.zeros((degree + 1, len(weights_a[0]), len(weights_b[0])), dtype=complex)
-    for n, A in enumerate(_joint_amplitudes(src, phases, theta, n_max)):
-        h = np.tensordot(dft[: min(n, degree) + 1], A * A, axes=1)
+    for n, p in enumerate(_occupations(src, phases, n_max)):
+        h = np.tensordot(dft[: min(n, degree) + 1], p, axes=1)
         for j, h_j in enumerate(h):  # one harmonic at a time keeps temporaries small
             c[j] += weights_a[n] @ h_j @ weights_b[n].T
     return c
@@ -215,9 +211,9 @@ def _click_weights(table: PovmTable, pairs, n_max):
     return [table.weights[h, : n + 1] * table.weights[v, n::-1] for n in range(n_max + 1)]
 
 
-def _click_harmonics(src, det, pairs_a, pairs_b, theta, n_max):
+def _click_harmonics(src, det, pairs_a, pairs_b, n_max):
     _check_capacity(det, n_max)
-    return _sector_harmonics(src, theta, _click_weights(det.table_a, pairs_a, n_max),
+    return _sector_harmonics(src, _click_weights(det.table_a, pairs_a, n_max),
                              _click_weights(det.table_b, pairs_b, n_max), n_max)
 
 
@@ -232,7 +228,7 @@ def click_pair_series(src, det, n_max=None):
         n_max = choose_truncation(src)
     pairs = [np.argwhere(np.add.outer(r, r) <= n_max) for r in
              (np.arange(min(t.max_clicks, n_max) + 1) for t in (det.table_a, det.table_b))]
-    return (PhaseSeries(_click_harmonics(src, det, *pairs, 0.0, n_max)), *pairs)
+    return (PhaseSeries(_click_harmonics(src, det, *pairs, n_max)), *pairs)
 
 
 def detection_probability(pattern, rot, src, det) -> float:
@@ -267,15 +263,7 @@ class PatternDistribution:
 def full_pattern_distribution(rot, src, det) -> PatternDistribution:
     """Distribution over every representable click pattern."""
     P = click_probability_tensor(src, rot, det)
-    ra = det.table_a.max_clicks
-    rb = det.table_b.max_clicks
-    patterns = tuple(
-        (i, j, k, l)
-        for i in range(ra + 1)
-        for j in range(ra + 1)
-        for k in range(rb + 1)
-        for l in range(rb + 1)
-    )
+    patterns = tuple(itertools.product(*map(range, P.shape)))  # in the order of P.reshape(-1)
     return PatternDistribution(patterns=patterns, probs=P.reshape(-1))
 
 
@@ -291,11 +279,11 @@ def fourfold_patterns() -> tuple:
 class PatternFamily(PhaseSeries):
     """phi-parametrized distribution over a fixed pattern subset.
 
-    Compiled once per source, detector and theta to its phase series, so
+    Compiled once per source and detector to its phase series, so
     probabilities and exact derivatives cost one small contraction per
-    phase.  Probabilities are renormalized within the subset pattern class
-    per phi (the way coincidence counts are normalized per setting);
-    :meth:`raw` gives them unrenormalized.
+    phase; theta only delays the harmonics.  Probabilities are renormalized
+    within the subset pattern class per phi (the way coincidence counts are
+    normalized per setting); :meth:`raw` gives them unrenormalized.
     """
 
     def __init__(self, src, det, patterns, theta=0.0):
@@ -306,9 +294,13 @@ class PatternFamily(PhaseSeries):
         self.n_max = choose_truncation(src)
         rows_a = sorted({p[:2] for p in self.patterns})
         rows_b = sorted({p[2:] for p in self.patterns})
-        c = _click_harmonics(src, det, rows_a, rows_b, theta, self.n_max)
-        super().__init__(c[:, [rows_a.index(p[:2]) for p in self.patterns],
-                           [rows_b.index(p[2:]) for p in self.patterns]], renormalize=True)
+        c = _click_harmonics(src, det, rows_a, rows_b, self.n_max)
+        c = c[:, [rows_a.index(p[:2]) for p in self.patterns],
+              [rows_b.index(p[2:]) for p in self.patterns]]
+        if not c[0].real.sum() > 0.0:
+            raise ValueError("pattern class has zero probability at this gain and transmission")
+        # each pair sector is invariant under a joint rotation: P(phi, theta) = P(phi - theta, 0)
+        super().__init__(c * np.exp(-1j * theta * np.arange(len(c)))[:, None], renormalize=True)
 
     def subset_probability(self, phi) -> float:
         """Total unrenormalized probability of the pattern subset."""
@@ -342,14 +334,14 @@ def _path_event_weights(table: PovmTable, clicks: int, n_max: int):
     return rate, surviving
 
 
-def fourfold_conditional_means(src, det, theta=0.0):
+def fourfold_conditional_means(src, det):
     """Mean sensing-path photons per accepted 2+2 coincidence event.
 
     Returns (emitted, surviving): the first counts all photons the source
     put into the sensing path on accepted events, the second only those
     that survive transmission and reach the counters.  Both are averaged
     over phase, weighted by the event rate; the averages are the exact
-    zeroth harmonics.
+    zeroth harmonics, the same at every theta.
     """
     n_max = choose_truncation(src)
     _check_capacity(det, n_max)
@@ -360,7 +352,7 @@ def fourfold_conditional_means(src, det, theta=0.0):
     weights_a = [np.stack([p, n * p, s]) for n, (p, s) in enumerate(zip(rate_a, surviving_a))]
     weights_b = [p[None] for p in rate_b]
     den, num_emitted, num_surviving = _sector_harmonics(
-        src, theta, weights_a, weights_b, degree=0)[0, :, 0].real
+        src, weights_a, weights_b, degree=0)[0, :, 0].real
     if den <= 0.0:
         raise ValueError("conditioning class has zero probability at this gain")
     return num_emitted / den, num_surviving / den
@@ -381,7 +373,7 @@ def mean_photon_numbers(src: SourceParams, det: DetectorModel | None = None) -> 
 
     The per-path mean is sum_n n q_n = 2 sinh(tau)^2; each path carries
     the same mean because pairs are emitted symmetrically.  The
-    conditioned means are taken at theta = 0.
+    conditioned means are phase averages and hold at every theta.
     """
     n_max = choose_truncation(src)
     q = pair_number_weights(src, n_max)
@@ -402,11 +394,12 @@ def ideal_fisher_information(src: SourceParams, phi: float) -> float:
     with number-resolving counters, at theta = 0.
 
     In this limit every pattern probability is the square of a single real
-    amplitude, so the information reduces to 4 sum (dA/dphi)^2 including
-    the correct finite limits where amplitudes cross zero.  This form is
-    free of the 0/0 ambiguity a floored probability quotient would hit at
-    isolated phases.  The sensing rotation acts on the rows of A_n, so
-    dA_n/dphi = K_n A_n with the rotation generator K_n.
+    amplitude, sqrt(q_n / (n+1)) G_n[k, n-l], so the information reduces to
+    4 sum (dA/dphi)^2 = 4 sum_n q_n / (n+1) |K_n G_n|^2 with the rotation
+    generator K_n, including the correct finite limits where amplitudes
+    cross zero: no floored probability quotient, so no 0/0 at any phase.
     """
-    return sum(4.0 * float(np.square(rotation_generator(n) @ A).sum())
-               for n, A in enumerate(_joint_amplitudes(src, phi, 0.0, choose_truncation(src))))
+    n_max = choose_truncation(src)
+    weights = pair_number_weights(src, n_max) / np.arange(1, n_max + 2)
+    return sum(4.0 * w * float(np.square(rotation_generator(n) @ g).sum())
+               for n, (w, g) in enumerate(zip(weights, rotation_matrices(n_max, phi))))

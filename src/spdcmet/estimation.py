@@ -410,7 +410,7 @@ def bootstrap_fisher_band(phi, counts, replicates=1000, seed=0,
 # baselines
 
 
-def snl_fisher(src, det, theta=0.0) -> float:
+def snl_fisher(src, det) -> float:
     """Shot-noise baseline: Fisher information of an ideal classical probe
     using the same number of sensing-path photons per accepted event.
 
@@ -419,7 +419,7 @@ def snl_fisher(src, det, theta=0.0) -> float:
     counters per accepted coincidence (loss commutes with the phase, so
     these are the photons that actually probe it).
     """
-    _, surviving = engine.fourfold_conditional_means(src, det, theta=theta)
+    _, surviving = engine.fourfold_conditional_means(src, det)
     return float(surviving)
 
 
@@ -460,6 +460,8 @@ def performance_curve(src, etas, d=4, coarse=96) -> list:
     hl = heisenberg_limit(src)
     points = []
     for eta in etas:
+        if not eta > 0.0:  # no photon reaches a counter, so no information
+            raise ValueError(f"transmission must be positive, got {eta}")
         det = engine.detector_for_source(src, d, eta, eta)
         fam, _, _ = engine.click_pair_series(src, det)
         phi_opt, fisher = argmax_over_phase(lambda p: fisher_information(fam, p), coarse)

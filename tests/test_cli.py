@@ -286,6 +286,27 @@ def test_herald_metadata_reports_the_cutoff_it_used(tmp_path):
         SourceParams(0.1)) + 4 == 10
 
 
+def test_herald_metadata_reports_the_tail_of_its_cutoff(tmp_path):
+    out = tmp_path / "herald.json"
+    assert run(["herald", "--tau", "0.3", "--etas", "0.9", "--k-max", "1",
+                "--format", "json", "--out", str(out)]) == 0
+    meta = json.loads(out.read_text())["meta"]
+    # sum_{n > N} q_n = x^(N+1) ((N+2) - (N+1) x), x = tanh(tau)^2
+    n, x = meta["truncation"], math.tanh(0.3) ** 2
+    assert meta["truncation_tail"] == pytest.approx(x ** (n + 1) * ((n + 2) - (n + 1) * x),
+                                                    rel=1e-12)
+    assert 0.0 < meta["truncation_tail"] < 1e-12
+
+
+@pytest.mark.parametrize("argv", [["herald", "--k-max", "-1"],
+                                  ["herald", "--tau", "0.05", "--k-max", "40"]])
+def test_herald_count_outside_the_support_is_a_usage_error(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # count
 
@@ -471,6 +492,21 @@ def test_invalid_gain_is_usage_error(capsys):
     assert run(["fringes", "--tau", "-0.5"]) == 2
     assert "error:" in capsys.readouterr().err
     assert run(["fringes", "--tau", "1.2"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["fringes", "--tau", "0"], ["fringes", "--eta-a", "0"],
+                                  ["fisher", "--eta-b", "0"],
+                                  ["curve", "--eta-start", "0", "--eta-steps", "2"]])
+def test_configuration_that_measures_nothing_is_a_usage_error(argv, capsys):
+    # a class of zero probability, or no transmission, would write nan rows
+    # or a perfect 0 uncertainty; nothing but the error line is written
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nan" not in captured.err
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert ("gain and transmission" in captured.err
+            or "transmission must be positive" in captured.err)
 
 
 def test_empty_phi_grid_is_usage_error(capsys):

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import oracle_click_tensor, oracle_click_tensor_loss_first
+from oracles import oracle_click_tensor, oracle_click_tensor_loss_first, wigner_d_squared
 from spdcmet.detectors import DetectorModel, binomial_thinning_matrix
 from spdcmet.engine import (
     _sector_harmonics,
@@ -22,6 +22,7 @@ from spdcmet.engine import (
     full_pattern_distribution,
     ideal_fisher_information,
     mean_photon_numbers,
+    sector_probabilities,
 )
 from spdcmet.fock import (
     GainRangeError,
@@ -187,6 +188,15 @@ def test_family_derivatives_sum_to_zero():
     assert dp.sum() == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("tau, eta_a, eta_b", [(0.0, 0.23, 0.12), (0.061, 0.0, 0.12),
+                                               (0.061, 0.23, 0.0)])
+def test_a_class_of_zero_probability_is_refused_at_compile(tau, eta_a, eta_b):
+    src = SourceParams(tau)
+    det = detector_for_source(src, 4, eta_a, eta_b)
+    with pytest.raises(ValueError, match="gain and transmission"):
+        fourfold_family(src, det)
+
+
 def test_subset_probability_is_small_but_positive():
     src, det = experiment_model()
     fam = fourfold_family(src, det)
@@ -257,9 +267,26 @@ def test_conditional_means_match_the_per_occupation_loop(tau, d):
          for n in range(n_max + 1)]
     weights_a = [np.stack([x[:, 0], n * x[:, 0], x[:, 1]]) for n, x in enumerate(a)]
     den, emitted, surviving = _sector_harmonics(
-        src, 0.0, weights_a, [x[None] for x in b], degree=0)[0, :, 0].real
+        src, weights_a, [x[None] for x in b], degree=0)[0, :, 0].real
     np.testing.assert_allclose(fourfold_conditional_means(src, det),
                                (emitted / den, surviving / den), rtol=1e-13)
+
+
+@pytest.mark.parametrize("phi, theta", [(1.1, 0.4), (4.0, 1.3)])
+@pytest.mark.parametrize("tau", [0.3, 0.9])
+@pytest.mark.parametrize("n", [12, 24, 40])
+def test_sector_probabilities_match_the_wigner_d_closed_form(n, tau, phi, theta):
+    # a joint rotation leaves every sector unchanged, so p_n depends on
+    # phi - theta alone: x^n (1 - x)^2 d^{n/2}_{k - n/2, n/2 - l}(phi - theta)^2.
+    # Near |phi - theta| = pi/2 the float oracle itself is off by up to 3e-11
+    # of the sector maximum at n = 40 (against a 50-digit reference), and so
+    # is the rotation recursion; at these differences the oracle holds 5e-13.
+    src = SourceParams(tau)
+    weight = math.tanh(tau) ** (2 * n) / math.cosh(tau) ** 4
+    want = weight * np.array([[wigner_d_squared(n, 2 * k - n, n - 2 * l, phi - theta)
+                               for l in range(n + 1)] for k in range(n + 1)])
+    got = sector_probabilities(n, src, RotationSpec(phi, theta))
+    assert np.abs(got - want).max() <= 2e-12 * want.max()
 
 
 def test_full_distribution_object():

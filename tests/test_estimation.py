@@ -524,6 +524,14 @@ def test_performance_curve_shape():
     assert crossings == 1
 
 
+@pytest.mark.parametrize("eta", [0.0, -0.2])
+def test_performance_curve_rejects_a_transmission_that_measures_nothing(eta):
+    # at eta = 0 the information is rounding noise, and delta_phi * sqrt(eta)
+    # would report a perfect 0
+    with pytest.raises(ValueError, match=f"got {eta}"):
+        performance_curve(SourceParams(0.05), [eta, 0.5], d=4, coarse=48)
+
+
 # ---------------------------------------------------------------------------
 # phase search
 
