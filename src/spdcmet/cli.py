@@ -40,11 +40,11 @@ def _write_output(path, text):
 def _render(meta, columns, rows, fmt, extra_sections=None):
     """Serialize a table plus metadata as CSV ('#' header) or JSON."""
     if fmt == "json":
-        doc = {"meta": meta, "columns": list(columns),
-               "rows": [[_json_cell(v) for v in row] for row in rows]}
+        doc = {"meta": meta, "columns": list(columns), "rows": rows}
         if extra_sections:
             doc.update(extra_sections)
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        # numpy integers and non-double floats; np.float64 is a float already
+        return json.dumps(doc, indent=2, sort_keys=True, default=lambda v: v.item()) + "\n"
     lines = [f"# {k} = {_fmt(v)}" for k, v in meta.items()]
     if extra_sections:
         for name, payload in extra_sections.items():
@@ -53,14 +53,6 @@ def _render(meta, columns, rows, fmt, extra_sections=None):
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def _json_cell(v):
-    if isinstance(v, (np.floating, float)):
-        return float(v)
-    if isinstance(v, (np.integer, int)):
-        return int(v)
-    return v
 
 
 def _add_model_args(sp, tau=0.061, eta_a=0.23, eta_b=0.12):

@@ -3,9 +3,9 @@
 Every family of phase-parametrized distributions is a compiled phase
 series (:class:`spdcmet.engine.PhaseSeries`) with exact derivatives;
 fitted fringes are the same series truncated to harmonics 0-2.  Each
-estimator evaluates whole arrays of phases at once, and every best phase,
-fringe offset and likelihood maximum is found by :func:`argmax_over_phase`,
-which refines a batch of independent searches together; the bootstrap band
+estimator evaluates whole arrays of phases at once: every best phase and
+fringe offset is found by :func:`argmax_over_phase`, which refines a batch
+of independent searches together by Brent's method; the bootstrap band
 fits and evaluates blocks of replicates, drawn as one random stream, at once.
 
 A fringe c0 + c1 cos(phi + phi0) + c2 cos 2(phi + phi0) lies in the span of
@@ -121,31 +121,53 @@ class FringeSet(engine.PhaseSeries):
         return iter(self.fits)
 
 
-def _golden_min(f, a, b, tol=1e-12, max_iter=200):
-    """Golden-section minimum of a unimodal function on [a, b].
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)  # Brent's relative position tolerance
 
+
+def _brent_min(f, a, b, tol):
+    """(x, f(x)) at the minimum of a unimodal function on [a, b] by Brent's
+    method (1973, ch. 5): parabolic steps, golden section where they fail.
     Arrays of brackets are refined together, ``f`` mapping an array of
-    points to their values; each bracket stops once narrower than ``tol``,
-    so every entry equals its own scalar search.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        live = b - a >= tol
+    points to their values; each entry stops on its own test |x - m| <=
+    2 tol1 - (b - a)/2, tol1 = tol + sqrt(eps) |x|, so every entry equals
+    its own scalar search."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    d = e = np.zeros_like(x)  # the last step and the one before it
+    for _ in range(200):
+        m = (a + b) / 2.0
+        tol1 = tol + _SQRT_EPS * np.abs(x)
+        live = np.abs(x - m) > 2.0 * tol1 - (b - a) / 2.0
         if not np.any(live):
             break
-        left = live & (f1 <= f2)  # the minimum is in [a, x2]
-        right = live ^ left  # ... or in [x1, b]
-        a, b = np.where(right, x1, a), np.where(left, x2, b)
-        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
-        fx = f(x)
-        x1, f1, x2, f2 = (np.where(left, x, np.where(right, x2, x1)),
-                          np.where(left, fx, np.where(right, f2, f1)),
-                          np.where(right, x, np.where(left, x1, x2)),
-                          np.where(right, fx, np.where(left, f1, f2)))
-    return (a + b) / 2.0
+        # vertex x + p/q of the parabola through (x, fx), (w, fw), (v, fv)
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+        p, q = np.where(q > 0.0, -p, p), np.abs(q)
+        parabolic = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
+                     & (p > q * (a - x)) & (p < q * (b - x)))
+        golden = np.where(x >= m, a - x, b - x)
+        step = np.where(parabolic, p / np.where(parabolic, q, 1.0), _GOLDEN * golden)
+        near_end = parabolic & ((x + step - a < 2.0 * tol1) | (b - x - step < 2.0 * tol1))
+        e = np.where(parabolic, d, golden)
+        d = np.where(near_end, np.copysign(tol1, m - x), step)
+        u = np.where(live, x + np.where(np.abs(d) >= tol1, d, np.copysign(tol1, d)), x)
+        fu = f(u)
+        better = live & (fu <= fx)
+        worse = live ^ better
+        # the worse of x and u becomes the bracket end on its side
+        a = np.where(live & (better == (u >= x)), np.where(better, x, u), a)
+        b = np.where(live & (better != (u >= x)), np.where(better, x, u), b)
+        to_w = worse & ((fu <= fw) | (w == x))
+        to_v = worse & ~to_w & ((fu <= fv) | (v == x) | (v == w))
+        v, fv = (np.where(better | to_w, w, np.where(to_v, u, v)),
+                 np.where(better | to_w, fw, np.where(to_v, fu, fv)))
+        w, fw = (np.where(better, x, np.where(to_w, u, w)),
+                 np.where(better, fx, np.where(to_w, fu, fw)))
+        x, fx = np.where(better, u, x), np.where(better, fu, fx)
+    return x[()], np.asarray(fx)[()]
 
 
 def _grid_peak(values):
@@ -157,29 +179,34 @@ def _grid_peak(values):
 
 def argmax_over_phase(fn, grid=96, values=None, tol=1e-9):
     """Maximum of a 2 pi-periodic function: the best point of an equispaced
-    grid, refined by golden section over one grid step either side.
+    grid, refined by Brent's method over one grid step either side.
 
     ``fn`` takes a phase or an array of phases.  ``grid`` is a point count
-    over [0, 2 pi) or an increasing equispaced array of phases, scanned a
-    few phases per call of ``fn`` so that large outputs stay small in
-    memory; ``values`` are ``fn`` on that grid when the caller already has
-    them.  A ``values`` table of shape (grid, B) runs B independent
-    searches together: ``fn`` then maps B phases to the B functions'
-    values, the b-th function at the b-th phase.  Symmetric images of one
-    maximum tie up to rounding, so the first grid point within 1e-12
-    (relative) of the best is taken.  The bracket is never clipped to the
-    grid, which is safe because ``fn`` is periodic.  Returns (phi, fn(phi));
-    phi may lie up to one grid step outside the grid.
+    over [0, 2 pi) or an increasing equispaced array of at least two
+    phases, scanned a few phases per call of ``fn`` so that large outputs
+    stay small in memory; ``values`` are ``fn`` on that grid when the caller
+    already has them.  A ``values`` table of shape (grid, B) runs B
+    independent searches together: ``fn`` then maps B phases to the B
+    functions' values, the b-th function at the b-th phase.  Symmetric
+    images of one maximum tie up to rounding, so the first grid point
+    within 1e-12 (relative) of the best is taken.  The bracket is never
+    clipped to the grid, which is safe because ``fn`` is periodic.  The
+    maximum is located to about ``tol + sqrt(eps) |phi|``; rounding of
+    ``fn`` hides a flat maximum's position below that.  Returns
+    (phi, fn(phi)); phi may lie up to one grid step outside the grid.
     """
+    n = int(grid) if np.ndim(grid) == 0 else len(grid)
+    if n < 2:
+        raise ValueError(f"phase search needs at least two grid points, got {n}")
     if np.ndim(grid) == 0:
-        grid = np.linspace(0.0, 2.0 * np.pi, int(grid), endpoint=False)
+        grid = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     if values is None:
         blocks = np.split(grid, range(_SCAN_BLOCK, len(grid), _SCAN_BLOCK))
         values = np.concatenate([fn(block) for block in blocks])
     i = _grid_peak(np.asarray(values))
     step = grid[1] - grid[0]
-    phi = _golden_min(lambda p: -fn(p), grid[i] - step, grid[i] + step, tol=tol)
-    return phi, fn(phi)
+    phi, f_min = _brent_min(lambda p: -fn(p), grid[i] - step, grid[i] + step, tol)
+    return phi, -f_min
 
 
 def _offset_fit(r, z, r0, offset):
@@ -274,7 +301,7 @@ def ml_estimate(counts, family, interval) -> MLEstimate:
     """Maximum-likelihood phase from multinomial pattern counts.
 
     A coarse likelihood scan brackets local maxima, all refined together
-    by golden section.  All refined maxima are reported; the estimate is
+    by Brent's method.  All refined maxima are reported; the estimate is
     ambiguous when two distinct phases tie in log-likelihood within 1e-6.
     """
     counts = np.asarray(counts, dtype=float)
@@ -287,9 +314,8 @@ def ml_estimate(counts, family, interval) -> MLEstimate:
     peaks = np.flatnonzero((ll >= padded[:-2]) & (ll >= padded[2:]))
     lo = grid[np.maximum(peaks - 1, 0)]
     hi = grid[np.minimum(peaks + 1, grid.size - 1)]
-    phi_c = _golden_min(lambda p: -(_log_probs(family, p) @ counts), lo, hi)
-    ll_c = _log_probs(family, phi_c) @ counts
-    candidates = sorted(zip(phi_c.tolist(), ll_c.tolist()), key=lambda t: -t[1])
+    phi_c, nll = _brent_min(lambda p: -(_log_probs(family, p) @ counts), lo, hi, tol=1e-12)
+    candidates = sorted(zip(phi_c.tolist(), (-nll).tolist()), key=lambda t: -t[1])
     # drop duplicates that refined into the same point
     unique = []
     for phi_k, l in candidates:
@@ -326,20 +352,28 @@ def monte_carlo_ml_fisher(family, phi_true, repetitions=10_000, sample_size=1000
     the fringe period out of the window).  ``edge_hits`` counts the
     repetitions whose scan maximum is the first or last grid point, whose
     estimates the window may have cut short.  All repetitions share one
-    likelihood table and one batched search, so the family is evaluated
-    the same number of times for any repetition count.  The quoted
-    standard error is the large-M normal-theory error of a variance
-    estimate, Var * sqrt(2 / (M - 1)), propagated to the information.
+    likelihood table and one refinement, bisection of each scan maximum's
+    bracket (a grid step either side) on the sign of the exact score, so
+    the family is evaluated the same number of times for any repetition
+    count.  The quoted standard error is the large-M normal-theory error
+    of a variance estimate, Var * sqrt(2 / (M - 1)), propagated to the
+    information.
     """
     if not search_halfwidth > 0.0:
         raise ValueError("search_halfwidth must be positive")
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(sample_size, family.probabilities(phi_true), size=repetitions)
     grid = _likelihood_grid(phi_true - search_halfwidth, phi_true + search_halfwidth)
-    ll = _log_probs(family, grid) @ counts.T
-    estimates, _ = argmax_over_phase(
-        lambda p: (_log_probs(family, p) * counts).sum(axis=1), grid, values=ll, tol=1e-10)
-    edge_hits = np.isin(_grid_peak(ll), (0, grid.size - 1)).sum()
+    peak, step = _grid_peak(_log_probs(family, grid) @ counts.T), grid[1] - grid[0]
+    lo, hi = grid[peak] - step, grid[peak] + step
+    for _ in range(math.ceil(math.log2(2.0 * step / 1e-10))):
+        mid = (lo + hi) / 2.0
+        p, dp = family.probabilities_and_derivatives(mid)
+        # d/dphi of each repetition's log-likelihood, counts @ log max(p, floor)
+        score = (counts * np.where(p > PROB_FLOOR, dp, 0.0) / np.maximum(p, PROB_FLOOR)).sum(1)
+        lo, hi = np.where(score > 0.0, mid, lo), np.where(score > 0.0, hi, mid)
+    estimates = (lo + hi) / 2.0
+    edge_hits = np.isin(peak, (0, grid.size - 1)).sum()
     variance = float(np.var(estimates, ddof=1))
     i_ml = 1.0 / (sample_size * variance)
     stderr = i_ml * math.sqrt(2.0 / (repetitions - 1))

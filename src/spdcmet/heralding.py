@@ -95,15 +95,17 @@ def _herald_compile(src: SourceParams, eta: float, n_max: int):
     def point(spec: HeraldSpec, phi=None) -> HeraldPoint:
         accepted = pairs_b.sum(axis=1) >= spec.k
         mean_n = _mean_heralded_photons(src, eta, spec.k, n_max)
+        joint = series if accepted.all() else engine.PhaseSeries(series.harmonics[..., accepted])
 
         def joint_fisher(p):  # at a phase or an array of phases
-            Pm, dPm = (x[..., accepted].reshape(np.shape(p) + (-1,)) for x in series.raw(p))
-            p_event = Pm.sum(-1)
+            Pm, dPm = joint.raw(p)
+            p_event = Pm.sum((-2, -1))
             ok = Pm > _TERM_FLOOR
-            return np.where(ok, dPm**2 / np.where(ok, Pm, 1.0), 0.0).sum(-1) / p_event, p_event
+            info = np.where(ok, dPm**2 / np.where(ok, Pm, 1.0), 0.0).sum((-2, -1))
+            return info / p_event, p_event
 
         if phi is None:
-            phi, _ = argmax_over_phase(lambda p: joint_fisher(p)[0], 96)
+            phi, _ = argmax_over_phase(lambda p: joint_fisher(p)[0], np.linspace(0.0, np.pi, 49))
             phi = abs(math.remainder(phi, 2.0 * math.pi))
         info, p_event = joint_fisher(phi)
         return HeraldPoint(value=float(info) / mean_n, phi=float(phi),
@@ -116,12 +118,13 @@ def herald_point(spec: HeraldSpec, phi=None) -> HeraldPoint:
     """Heralded Fisher information per photon, with diagnostics.
 
     The click tensor is compiled once to its phase series over the patterns
-    a path can produce, and the accepted reference-path patterns selected
-    from it.  With ``phi=None`` the information is maximized over phase; the
-    acceptance probability itself carries no phase dependence (each
-    emission sector puts a fixed photon number into the reference path),
-    so the optimum is a plain 1-D search.  The information is symmetric
-    under phi -> -phi, so the optimum is reported in [0, pi].
+    a path can produce, and cut to the accepted reference-path patterns
+    before any evaluation.  With ``phi=None`` the information is maximized
+    over phase; the acceptance probability itself carries no phase
+    dependence (each emission sector puts a fixed photon number into the
+    reference path), so the optimum is a plain 1-D search.  The information
+    is even in phi, so [0, pi] is scanned on the 96-point grid's 49 points
+    there, and the optimum is reported in [0, pi].
     """
     src = SourceParams(spec.tau)
     n_max = _truncation(src, spec.k)

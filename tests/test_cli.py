@@ -7,10 +7,15 @@ format parity, and determinism.
 """
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spdcmet
 from spdcmet.calibration import model_rate_summary
 from spdcmet.cli import main
 from spdcmet.engine import (
@@ -512,6 +517,19 @@ def test_configuration_that_measures_nothing_is_a_usage_error(argv, capsys):
 def test_empty_phi_grid_is_usage_error(capsys):
     assert run(["fringes", "--phi-steps", "0"]) == 2
     assert "phi-steps" in capsys.readouterr().err
+
+
+def test_commands_run_without_importing_scipy():
+    # scipy is a test-only dependency, installed wherever the tests run
+    script = ("import sys, spdcmet.cli as cli\n"
+              "assert cli.main(['herald', '--tau', '0.05', '--etas', '0.9']) == 0\n"
+              "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    package_root = str(Path(spdcmet.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_unknown_subcommand_exits_via_argparse():

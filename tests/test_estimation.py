@@ -602,6 +602,37 @@ def test_phase_search_on_a_window_refines_past_its_end():
     assert value == pytest.approx(1.3, abs=1e-14)
 
 
+@pytest.mark.parametrize("grid,n", [(0, 0), (1, 1), (np.array([0.3]), 1)])
+def test_phase_search_needs_two_grid_points(grid, n):
+    message = f"at least two grid points, got {n}"
+    with pytest.raises(ValueError, match=message):
+        argmax_over_phase(trig_bump(1.0), grid)
+    if np.ndim(grid) == 0:
+        with pytest.raises(ValueError, match=message):
+            performance_curve(SourceParams(0.05), [0.5], d=4, coarse=grid)
+
+
+def test_phase_search_refines_a_grid_bracket_in_few_evaluations():
+    # golden section takes 41 evaluations from every such bracket to tol=1e-9;
+    # a maximum on a grid point at phase 0 is the slow case, where tol is absolute
+    grid = np.linspace(0.0, 2.0 * math.pi, 96, endpoint=False)
+    evaluations = []
+    for center in [0.0, *np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, 100)]:
+        calls = []
+
+        def fn(p):
+            calls.append(p)
+            return trig_bump(center)(p)
+
+        phi, value = argmax_over_phase(fn, 96, values=trig_bump(center)(grid), tol=1e-9)
+        assert math.remainder(phi - center, 2.0 * math.pi) == pytest.approx(0.0, abs=1e-7)
+        assert value == pytest.approx(1.3, abs=1e-14)
+        evaluations.append(len(calls))
+    assert np.median(evaluations) <= 8
+    assert np.mean(np.array(evaluations) <= 12) >= 0.9
+    assert max(evaluations) < 41
+
+
 def test_ml_search_window_must_be_positive():
     with pytest.raises(ValueError):
         monte_carlo_ml_fisher(cos2_family, 1.0, repetitions=3, search_halfwidth=0.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spdcmet import engine
+from spdcmet.detectors import DetectorModel
 from spdcmet.engine import choose_truncation, click_probability_tensor, detector_for_source
 from spdcmet.fock import RotationSpec, SourceParams
 from spdcmet.heralding import (
@@ -61,6 +62,27 @@ def test_herald_point_structure():
     assert 0.0 < pt.event_probability < 1.0
     assert pt.mean_heralded_photons > 0
     assert 0.0 < pt.phi < math.pi
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_search_reaches_the_top_of_a_nearly_flat_maximum(k):
+    # at unit transmission the information is flat in phi to ~1e-9 relative
+    # away from a few zeros, so a search that stalls short of the top of its
+    # bracket, one 96-grid step either side, shows only at this resolution
+    tau, eta = 0.5, 1.0
+    pt = herald_point(HeraldSpec(k=k, eta=eta, tau=tau))
+    assert 0.0 <= pt.phi <= math.pi
+    n_max = choose_truncation(SourceParams(tau)) + 4
+    det = DetectorModel.perfect_counting(eta_a=eta, eta_b=eta, c_max=n_max)
+    series, _, pairs_b = engine.click_pair_series(SourceParams(tau), det, n_max=n_max)
+    accepted = engine.PhaseSeries(series.harmonics[..., pairs_b.sum(axis=1) >= k])
+    scan = []
+    for block in np.array_split(np.linspace(pt.phi - np.pi / 48, pt.phi + np.pi / 48, 2000), 250):
+        p, dp = accepted.raw(block)
+        kept = p > 1e-14
+        terms = np.where(kept, dp**2 / np.where(kept, p, 1.0), 0.0)
+        scan.append(terms.sum((-2, -1)) / p.sum((-2, -1)) / pt.mean_heralded_photons)
+    assert pt.value >= np.concatenate(scan).max() * (1.0 - 1e-12)
 
 
 def test_herald_count_beyond_support_rejected():
