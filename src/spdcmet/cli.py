@@ -99,12 +99,12 @@ def _base_meta(args, src, command):
         "command": command,
         "version": __version__,
         "tau": args.tau,
-        "eta_a": getattr(args, "eta_a", ""),
-        "eta_b": getattr(args, "eta_b", ""),
-        "d": getattr(args, "d", ""),
-        "theta": getattr(args, "theta", 0.0),
+        "eta_a": args.eta_a,
+        "eta_b": args.eta_b,
+        "d": args.d,
+        "theta": args.theta,
         **_truncation_meta(src),
-        "seed": getattr(args, "seed", 0),
+        "seed": args.seed,
     }
 
 
@@ -149,13 +149,14 @@ def cmd_fisher(args) -> int:
     advantage = i_star / snl - 1.0
 
     band_low = band_high = None
-    patched_rows = 0
+    patched_rows = band_misses = 0
     if args.bootstrap > 0:
         counts = family.probabilities(grid) * args.counts_per_phase
         band = estimation.bootstrap_fisher_band(
             grid, counts, replicates=args.bootstrap, seed=args.seed
         )
         band_low, band_high, patched_rows = band.low, band.high, band.patched_rows
+        band_misses = int(np.sum((central < band_low) | (central > band_high)))
 
     ml_points = []
     if args.ml_reps > 0:
@@ -190,6 +191,7 @@ def cmd_fisher(args) -> int:
         "ideal_information": engine.ideal_fisher_information(src, phi_star),
         "bootstrap": args.bootstrap,
         "bootstrap_patched_rows": patched_rows,
+        "band_misses": band_misses,
         "ml_reps": args.ml_reps,
         "ml_samples": args.ml_samples,
     })
@@ -250,8 +252,7 @@ def cmd_calibrate(args) -> int:
                "residual_singles_a", "residual_singles_b", "residual_twofold"]
     rows = [[result.tau, result.eta_a, result.eta_b, result.pair_probability,
              *result.residuals]]
-    fmt = "json" if args.format == "json" else "csv"
-    _write_output(args.out, _render(meta, columns, rows, fmt))
+    _write_output(args.out, _render(meta, columns, rows, args.format))
     return 0
 
 

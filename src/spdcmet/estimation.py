@@ -3,17 +3,15 @@
 Every family of phase-parametrized distributions is a compiled phase
 series (:class:`spdcmet.engine.PhaseSeries`) with exact derivatives;
 fitted fringes are the same series truncated to harmonics 0-2.  Each
-estimator evaluates whole arrays of phases at once: every best phase and
-fringe offset is found by :func:`argmax_over_phase`, which refines a batch
-of independent searches together by Brent's method; the bootstrap band
-fits and evaluates blocks of replicates, drawn as one random stream, at once.
+estimator evaluates whole arrays of phases at once: every best phase is
+found by :func:`argmax_over_phase`, which refines a grid bracket by
+Brent's method; the bootstrap band fits and evaluates blocks of
+replicates, drawn as one random stream, at once.
 
-A fringe c0 + c1 cos(phi + phi0) + c2 cos 2(phi + phi0) lies in the span of
-{1, cos phi, sin phi, cos 2 phi, sin 2 phi} whatever its offset.  The fit
-takes one QR factorization F = QR of that basis at the sample phases and
-projects every column of fractions once, z = Q^T y, keeping the
-out-of-span residual.  At an offset the design is R T(phi0), so the offset
-scan and its refinement work on the five coordinates z alone.
+A fringe c0 + c1 cos(phi + phi1) + c2 cos(2 phi + phi2) lies in the span
+of {1, cos phi, sin phi, cos 2 phi, sin 2 phi}, so its least-squares fit
+is linear: one QR factorization F = QR of that basis at the sample phases
+fits every column of fractions y at once, b = R^-1 Q^T y, with no search.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ PROB_FLOOR = 1e-12
 _SCAN_BLOCK = 4  # phases per evaluation of a phase scan; bounds its temporaries
 _GRID_DENSITY = 1000  # likelihood-scan points per 2 pi
 _TIE_TOL = 1e-6  # log-likelihood gap below which distinct maxima tie
-_PHI0_GRID = 181  # fringe offsets scanned over one period of the residual
 _BAND_COLUMNS = 1024  # fitted pattern columns per bootstrap block; bounds the fit temporaries
 _BAND_PERCENTILES = (2.5, 97.5)
 
@@ -85,37 +82,36 @@ def fisher_curve(family, phi_grid):
 
 @dataclass(frozen=True)
 class FringeFit:
-    """One pattern's fringe: c0 + c1 cos(phi + phi0) + c2 cos(2 (phi + phi0))."""
+    """One pattern's fringe: c0 + c1 cos(phi + phi1) + c2 cos(2 phi + phi2).
+
+    Fits return the harmonic amplitudes c1, c2 >= 0 and their phases."""
 
     c0: float
     c1: float
     c2: float
-    phi0: float
+    phi1: float
+    phi2: float
     residual: float = 0.0
 
     def value(self, phi):
-        u = np.asarray(phi, dtype=float) + self.phi0
-        return self.c0 + self.c1 * np.cos(u) + self.c2 * np.cos(2.0 * u)
+        phi = np.asarray(phi, dtype=float)
+        return (self.c0 + self.c1 * np.cos(phi + self.phi1)
+                + self.c2 * np.cos(2.0 * phi + self.phi2))
 
     def derivative(self, phi):
-        u = np.asarray(phi, dtype=float) + self.phi0
-        return -self.c1 * np.sin(u) - 2.0 * self.c2 * np.sin(2.0 * u)
-
-
-def _fringe_harmonics(coef, phi0):
-    """Harmonics (c0, c1 e^{i phi0}, c2 e^{2 i phi0}), shape (3, ...), of coef[..., 3]."""
-    return np.moveaxis(coef * np.exp(1j * np.multiply.outer(phi0, np.arange(3))), -1, 0)
+        phi = np.asarray(phi, dtype=float)
+        return -self.c1 * np.sin(phi + self.phi1) - 2.0 * self.c2 * np.sin(2.0 * phi + self.phi2)
 
 
 class FringeSet(engine.PhaseSeries):
     """Jointly renormalized collection of fitted fringes: the phase series
-    whose harmonics 0-2 per fit are (c0, c1 e^{i phi0}, c2 e^{2 i phi0})."""
+    whose harmonics 0-2 per fit are (c0, c1 e^{i phi1}, c2 e^{i phi2})."""
 
     def __init__(self, fits):
         self.fits = tuple(fits)
-        coef = np.reshape([(f.c0, f.c1, f.c2) for f in self.fits], (-1, 3))
-        super().__init__(_fringe_harmonics(coef, np.array([f.phi0 for f in self.fits])),
-                         renormalize=True)
+        harmonics = [(f.c0, f.c1 * np.exp(1j * f.phi1), f.c2 * np.exp(1j * f.phi2))
+                     for f in self.fits]
+        super().__init__(np.reshape(harmonics, (-1, 3)).T, renormalize=True)
 
     def __iter__(self):
         return iter(self.fits)
@@ -177,63 +173,44 @@ def _grid_peak(values):
     return np.argmax(values >= top - 1e-12 * np.abs(top), axis=0)
 
 
-def argmax_over_phase(fn, grid=96, values=None, tol=1e-9):
+def argmax_over_phase(fn, grid=96):
     """Maximum of a 2 pi-periodic function: the best point of an equispaced
     grid, refined by Brent's method over one grid step either side.
 
     ``fn`` takes a phase or an array of phases.  ``grid`` is a point count
     over [0, 2 pi) or an increasing equispaced array of at least two
     phases, scanned a few phases per call of ``fn`` so that large outputs
-    stay small in memory; ``values`` are ``fn`` on that grid when the caller
-    already has them.  A ``values`` table of shape (grid, B) runs B
-    independent searches together: ``fn`` then maps B phases to the B
-    functions' values, the b-th function at the b-th phase.  Symmetric
-    images of one maximum tie up to rounding, so the first grid point
-    within 1e-12 (relative) of the best is taken.  The bracket is never
-    clipped to the grid, which is safe because ``fn`` is periodic.  The
-    maximum is located to about ``tol + sqrt(eps) |phi|``; rounding of
-    ``fn`` hides a flat maximum's position below that.  Returns
-    (phi, fn(phi)); phi may lie up to one grid step outside the grid.
+    stay small in memory.  Symmetric images of one maximum tie up to
+    rounding, so the first grid point within 1e-12 (relative) of the best
+    is taken.  The bracket is never clipped to the grid, which is safe
+    because ``fn`` is periodic.  The maximum is located to about
+    1e-9 + sqrt(eps) |phi|; rounding of ``fn`` hides a flat maximum's
+    position below that.  Returns (phi, fn(phi)); phi may lie up to one
+    grid step outside the grid.
     """
     n = int(grid) if np.ndim(grid) == 0 else len(grid)
     if n < 2:
         raise ValueError(f"phase search needs at least two grid points, got {n}")
     if np.ndim(grid) == 0:
         grid = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    if values is None:
-        blocks = np.split(grid, range(_SCAN_BLOCK, len(grid), _SCAN_BLOCK))
-        values = np.concatenate([fn(block) for block in blocks])
-    i = _grid_peak(np.asarray(values))
+    blocks = np.split(grid, range(_SCAN_BLOCK, len(grid), _SCAN_BLOCK))
+    i = _grid_peak(np.concatenate([fn(block) for block in blocks]))
     step = grid[1] - grid[0]
-    phi, f_min = _brent_min(lambda p: -fn(p), grid[i] - step, grid[i] + step, tol)
+    phi, f_min = _brent_min(lambda p: -fn(p), grid[i] - step, grid[i] + step, 1e-9)
     return phi, -f_min
 
 
-def _offset_fit(r, z, r0, offset):
-    """Fringe coefficients, shape (3, ...), and residual sums of squares at
-    ``offset`` of columns with span coordinates ``z[5, ...]``: the design is
-    R T(offset), c0 fits the first coordinate and Gram-Schmidt the rest."""
-    e = np.exp(1j * offset)  # cos h(phi + o) = Re(e^{i h phi} e^{i h o})
-    m1, m2 = (np.multiply.outer(r[:, 2 * h - 1] + 1j * r[:, 2 * h], e**h).real for h in (1, 2))
-    a, b, w = m1[1:], m2[1:], z[1:]
-    k1, ab = ((a * x).sum(axis=0) / (a * a).sum(axis=0) for x in (w, b))
-    b = b - ab * a  # the cos 2 column with its cos part taken out
-    k2 = (b * w).sum(axis=0) / (b * b).sum(axis=0)
-    ssr = r0 + ((w - k1 * a - k2 * b) ** 2).sum(axis=0)  # from the residual vector
-    k1 = k1 - ab * k2
-    return np.stack([(z[0] - m1[0] * k1 - m2[0] * k2) / r[0, 0], k1, k2]), ssr
-
-
 def _fit_fringe_columns(phi, counts):
-    """Fringe fits of every pattern of count sets ``counts[sets, n_phi, k]``
-    in one search; returns coef (sets, k, 3), phi0 and residuals (sets, k)."""
+    """Least-squares fringes of every pattern of count sets ``counts[sets, n_phi, k]``:
+    harmonics (c0, c1 e^{i phi1}, c2 e^{i phi2}), shape (3, sets, k), and the
+    residual sums of squares, shape (sets, k)."""
     phi = np.asarray(phi, dtype=float)
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 3 or counts.shape[1] != phi.size:
         raise ValueError("counts must have shape (n_phi, n_patterns)")
     distinct = np.unique(np.round(phi / (2.0 * np.pi) % 1.0, 9) % 1.0).size  # in turns
     if distinct < 5:
-        # four parameters per pattern; fewer angles leave the fit rank-deficient
+        # five coefficients per pattern; fewer angles leave the fit rank-deficient
         raise ValueError(f"need at least five distinct phases modulo 2 pi to fit the "
                          f"fringe model, got {distinct}")
     totals = counts.sum(axis=-1, keepdims=True)
@@ -242,16 +219,11 @@ def _fit_fringe_columns(phi, counts):
     y = np.moveaxis(counts / totals, 1, 0).reshape(phi.size, -1)  # one column per fit
     q, r = np.linalg.qr(np.stack([np.ones_like(phi), np.cos(phi), np.sin(phi),
                                   np.cos(2.0 * phi), np.sin(2.0 * phi)], axis=-1))
-    z = q.T @ y  # span coordinates; r0 is the out-of-span residual
-    r0 = ((q @ z - y) ** 2).sum(axis=0)
-    offsets = np.linspace(-np.pi / 2.0, np.pi / 2.0, _PHI0_GRID, endpoint=False)
-    # a few offsets at a time, so the residuals are never held for the whole grid
-    ssr = np.concatenate([_offset_fit(r, z[:, None], r0, block[:, None])[1]
-                          for block in np.array_split(offsets, _PHI0_GRID // 16)])
-    phi0, _ = argmax_over_phase(lambda o: -_offset_fit(r, z, r0, o)[1], offsets,
-                                values=-ssr, tol=1e-12)
-    coef, ssr = _offset_fit(r, z, r0, phi0)
-    return tuple(x.reshape(counts.shape[::2] + x.shape[1:]) for x in (coef.T, phi0, ssr))
+    z = q.T @ y
+    ssr = ((q @ z - y) ** 2).sum(axis=0)
+    b = np.linalg.solve(r, z)  # b1 cos + b2 sin = Re((b1 - i b2) e^{i phi})
+    harmonics = np.stack([b[0], b[1] - 1j * b[2], b[3] - 1j * b[4]])
+    return harmonics.reshape((3,) + counts.shape[::2]), ssr.reshape(counts.shape[::2])
 
 
 def fit_fringes(phi, counts) -> FringeSet:
@@ -262,18 +234,17 @@ def fit_fringes(phi, counts) -> FringeSet:
         counts: counts or fractions per pattern, shape (n_phi, n_patterns).
             Rows are normalized to fractions before fitting.
 
-    The fitted curves are renormalized jointly, so they sum to one at every
-    phase when evaluated as a distribution; ``raw`` gives them as fitted.
-
-    The offset enters both harmonics as a shared shift, so the fit is
-    linear at fixed phi0 and the residual over phi0 is minimized directly:
-    every pattern's residual is scanned over one grid of offsets and all
-    patterns' offsets are refined together.  The residual has period pi
-    in phi0 (c1 changes sign), which the grid spans.
+    Each pattern's fringe c0 + c1 cos(phi + phi1) + c2 cos(2 phi + phi2) is
+    fitted as the linear combination of 1, cos phi, sin phi, cos 2 phi and
+    sin 2 phi, so the two harmonics carry independent offsets.  The fitted
+    curves are renormalized jointly, so they sum to one at every phase when
+    evaluated as a distribution; ``raw`` gives them as fitted.
     """
-    coef, phi0, ssr = (x[0] for x in _fit_fringe_columns(phi, np.expand_dims(counts, 0)))
-    return FringeSet(fits=[FringeFit(*c.tolist(), phi0=float(p), residual=float(s))
-                           for c, p, s in zip(coef, phi0, ssr)])
+    harmonics, ssr = _fit_fringe_columns(phi, np.expand_dims(counts, 0))
+    return FringeSet(fits=[
+        FringeFit(c0=float(h0.real), c1=float(abs(h1)), c2=float(abs(h2)),
+                  phi1=float(np.angle(h1)), phi2=float(np.angle(h2)), residual=float(s))
+        for (h0, h1, h2), s in zip(harmonics[:, 0].T, ssr[0])])
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +378,8 @@ def bootstrap_fisher_band(phi, counts, replicates=1000, seed=0,
     the band), refits the fringes, and re-evaluates the information.
     Replicates come in blocks, drawn as one random stream (the same as one
     draw per replicate in turn); a block's fringes, with the central fit in
-    the first block, are fitted in one search and its curves, each replicate
-    renormalized on its own, evaluated at once.  A row drawn all-zero, as
+    the first block, are fitted by one linear solve and its curves, each
+    replicate renormalized on its own, evaluated at once.  A row drawn all-zero, as
     Poisson can at tiny rates, takes the central counts and is counted in
     ``patched_rows``.
     """
@@ -428,8 +399,7 @@ def bootstrap_fisher_band(phi, counts, replicates=1000, seed=0,
         sets = np.where(bad, counts, sample)
         if start == 0:
             sets = np.concatenate([counts[None], sets])
-        coef, phi0, _ = _fit_fringe_columns(phi, sets)
-        series = engine.PhaseSeries(_fringe_harmonics(coef, phi0), renormalize=True)
+        series = engine.PhaseSeries(_fit_fringe_columns(phi, sets)[0], renormalize=True)
         curves.append(fisher_curve(series, eval_grid)[0].T)
     curves = np.concatenate(curves)
     central, curves = curves[0], curves[1:]

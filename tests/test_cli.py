@@ -164,6 +164,19 @@ def test_fisher_band_and_ml_sections(tmp_path):
         assert isinstance(pt["edge_hits"], int) and 0 <= pt["edge_hits"] <= 4
 
 
+def test_fisher_band_misses_counts_the_phases_outside_the_band(tmp_path):
+    common = ["fisher", "--phi-steps", "12", "--counts-per-phase", "1000", "--ml-reps", "0",
+              "--format", "json"]
+    assert run(common + ["--bootstrap", "6", "--seed", "2",
+                         "--out", str(tmp_path / "b.json")]) == 0
+    doc = json.loads((tmp_path / "b.json").read_text())
+    misses = sum(not (low <= fisher <= high) for _, fisher, _, low, high in doc["rows"])
+    assert 0 < misses < len(doc["rows"])
+    assert doc["meta"]["band_misses"] == misses
+    assert run(common + ["--bootstrap", "0", "--out", str(tmp_path / "none.json")]) == 0
+    assert json.loads((tmp_path / "none.json").read_text())["meta"]["band_misses"] == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["fringes", "--phi-steps", "4"],
     ["fisher", "--phi-steps", "4", "--bootstrap", "0", "--ml-reps", "0"],

@@ -88,14 +88,14 @@ def test_lossy_family_shows_information_troughs():
 
 def test_fringe_derivative_closed_form():
     c = 0.42
-    fit = FringeFit(c0=0.0, c1=c, c2=0.0, phi0=0.0)
+    fit = FringeFit(c0=0.0, c1=c, c2=0.0, phi1=0.0, phi2=0.0)
     assert fit.derivative(math.pi / 2) == pytest.approx(-c, abs=1e-14)
 
 
 def test_analytic_and_finite_difference_derivatives_agree():
     fits = FringeSet(fits=(
-        FringeFit(c0=0.4, c1=0.1, c2=-0.05, phi0=0.2),
-        FringeFit(c0=0.6, c1=-0.1, c2=0.05, phi0=0.2),
+        FringeFit(c0=0.4, c1=0.1, c2=-0.05, phi1=0.2, phi2=0.4),
+        FringeFit(c0=0.6, c1=-0.1, c2=0.05, phi1=0.2, phi2=0.4),
     ))
     h = 1e-4
     for phi in np.linspace(0, 2 * np.pi, 9):
@@ -115,9 +115,9 @@ def test_renormalized_derivatives_sum_to_zero():
 
 
 TRUTH = FringeSet(fits=(
-    FringeFit(c0=0.30, c1=0.12, c2=-0.04, phi0=0.35),
-    FringeFit(c0=0.45, c1=-0.20, c2=0.06, phi0=0.35),
-    FringeFit(c0=0.25, c1=0.08, c2=-0.02, phi0=0.35),
+    FringeFit(c0=0.30, c1=0.12, c2=-0.04, phi1=0.35, phi2=0.70),
+    FringeFit(c0=0.45, c1=-0.20, c2=0.06, phi1=0.35, phi2=0.70),
+    FringeFit(c0=0.25, c1=0.08, c2=-0.02, phi1=0.35, phi2=0.70),
 ))
 
 
@@ -132,9 +132,10 @@ def test_noiseless_fit_recovers_the_model():
     fit = fit_fringes(phi, counts)
     grid = np.linspace(0, 2 * np.pi, 101)
     for got, want in zip(fit, TRUTH):
-        assert np.abs(got.value(grid) - want.value(grid)).max() < 1e-8
-    offsets = [f.phi0 for f in fit]
-    assert max(offsets) - min(offsets) < 1e-6  # shared offset recovered
+        assert np.abs(got.value(grid) - want.value(grid)).max() < 1e-12
+        # amplitudes are non-negative, so a negative truth amplitude turns its phase by pi
+        for got_phase, want_phase in ((got.phi1, 0.35), (got.phi2, 0.70)):
+            assert math.remainder(got_phase - want_phase, math.pi) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_fit_requires_five_distinct_phases():
@@ -156,28 +157,14 @@ def test_fitted_curves_stay_non_negative_and_normalized():
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
-def _dense_fringe_fit(phi, y, phi0):
-    """Least-squares (c0, c1, c2) and residual sum of squares of one column
-    of fractions at a fixed offset, from the full n_phi x 3 design."""
-    u = phi + phi0
-    X = np.column_stack([np.ones_like(u), np.cos(u), np.cos(2.0 * u)])
+def _dense_fringe_fit(phi, y):
+    """Least-squares coefficients of 1, cos, sin, cos 2, sin 2 and the residual
+    sum of squares of one column of fractions, from the full n_phi x 5 design."""
+    X = np.column_stack([np.ones_like(phi), np.cos(phi), np.sin(phi),
+                         np.cos(2.0 * phi), np.sin(2.0 * phi)])
     coef, *_ = np.linalg.lstsq(X, y, rcond=None)
     resid = X @ coef - y
     return coef, resid @ resid
-
-
-def test_fitted_offset_is_a_local_residual_minimum_with_least_squares_coefficients():
-    rng = np.random.default_rng(42)
-    phi, fracs = _truth_samples()
-    counts = rng.poisson(fracs * 10_000)
-    fit = fit_fringes(phi, counts)
-    y = counts / counts.sum(axis=1, keepdims=True)
-    for j, f in enumerate(fit):
-        coef, ssr = _dense_fringe_fit(phi, y[:, j], f.phi0)
-        np.testing.assert_allclose([f.c0, f.c1, f.c2], coef, rtol=0.0, atol=1e-10)
-        assert f.residual == pytest.approx(ssr, rel=1e-9)
-        for delta in (1e-4, -1e-4):
-            assert _dense_fringe_fit(phi, y[:, j], f.phi0 + delta)[1] > ssr
 
 
 @pytest.mark.parametrize("grid", ["equispaced", "non-uniform", "five distinct"])
@@ -192,8 +179,11 @@ def test_span_fit_matches_the_dense_fit_at_its_offset(grid):
     counts = rng.poisson(np.array([TRUTH.raw(p)[0] for p in phi]) * 5e3)
     y = counts / counts.sum(axis=1, keepdims=True)
     for j, f in enumerate(fit_fringes(phi, counts)):
-        coef, ssr = _dense_fringe_fit(phi, y[:, j], f.phi0)
-        np.testing.assert_allclose([f.c0, f.c1, f.c2], coef, rtol=0.0, atol=1e-10)
+        coef, ssr = _dense_fringe_fit(phi, y[:, j])
+        # c cos(h phi + phase) = c cos(phase) cos(h phi) - c sin(phase) sin(h phi)
+        got = [f.c0, f.c1 * math.cos(f.phi1), -f.c1 * math.sin(f.phi1),
+               f.c2 * math.cos(f.phi2), -f.c2 * math.sin(f.phi2)]
+        np.testing.assert_allclose(got, coef, rtol=0.0, atol=1e-12)
         assert f.residual == pytest.approx(ssr, rel=1e-9)
 
 
@@ -211,18 +201,21 @@ def test_poisson_noised_fit_tracks_truth_within_three_sigma():
 
 
 def test_shared_offset_on_shifted_theory_curves():
-    # a reference-path rotation shifts every pattern by the same offset
+    # a reference-path rotation translates every pattern, p_theta(phi) = p_0(phi - theta),
+    # so each fitted amplitude stays and each harmonic h turns by -h theta
     src = SourceParams(0.061)
     det = detector_for_source(src, 4, 0.23, 0.12)
     theta = math.radians(80.0)
-    fam = fourfold_family(src, det, theta=theta)
     phi = np.linspace(0.0, 2 * np.pi, 25, endpoint=False)
-    counts = np.array([fam.probabilities(p) for p in phi])
-    fit = fit_fringes(phi, counts)
-    strong = [f for f in fit if abs(f.c1) > 0.01]
+    fit0, fit1 = (fit_fringes(phi, fourfold_family(src, det, theta=t).probabilities(phi))
+                  for t in (0.0, theta))
+    strong = [(a, b) for a, b in zip(fit0, fit1) if a.c1 > 0.01]
     assert len(strong) >= 4
-    for f in strong:
-        assert f.phi0 == pytest.approx(-theta, abs=5e-3)
+    for a, b in zip(fit0, fit1):
+        np.testing.assert_allclose([b.c0, b.c1, b.c2], [a.c0, a.c1, a.c2], rtol=0.0, atol=1e-12)
+    for a, b in strong:
+        for h, turn in ((1, b.phi1 - a.phi1), (2, b.phi2 - a.phi2)):
+            assert math.remainder(turn + h * theta, 2 * np.pi) == pytest.approx(0.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +284,11 @@ def test_batched_ml_repetitions_match_one_search_per_repetition():
     rng = np.random.default_rng(21)
     grid = np.linspace(phi_true - halfwidth, phi_true + halfwidth,
                        round(1000 * 2 * halfwidth / (2 * math.pi)))
-    log_grid = np.log(np.maximum([family.probabilities(g) for g in grid], 1e-12))
     estimates = []
     for _ in range(reps):
         counts = rng.multinomial(n, family.probabilities(phi_true))
-        loglik = lambda p: counts @ np.log(np.maximum(family.probabilities(p), 1e-12))
-        estimates.append(argmax_over_phase(loglik, grid, values=log_grid @ counts,
-                                           tol=1e-10)[0])
+        loglik = lambda p: np.log(np.maximum(family.probabilities(p), 1e-12)) @ counts
+        estimates.append(argmax_over_phase(loglik, grid)[0])
     # rounding of a log-likelihood near 700 locates its flat maximum only to
     # about sqrt(eps * 700 / (n I)) ~ 1e-8, whichever way it is evaluated
     assert res.mean_estimate == pytest.approx(np.mean(estimates), rel=0.0, abs=1e-7)
@@ -386,22 +377,21 @@ def test_batched_band_matches_per_replicate_fits(monkeypatch, replicates, block_
     band = bootstrap_fisher_band(phi, counts, replicates=replicates, seed=4,
                                  eval_grid=eval_grid)
     central, low, high = _per_replicate_band(phi, counts, replicates, 4, eval_grid)
-    # within the golden-search tolerance of the offset refinement
-    np.testing.assert_allclose(band.central, central, rtol=1e-6)
-    np.testing.assert_allclose(band.low, low, rtol=1e-6)
-    np.testing.assert_allclose(band.high, high, rtol=1e-6)
+    np.testing.assert_allclose(band.central, central, rtol=1e-10)
+    np.testing.assert_allclose(band.low, low, rtol=1e-10)
+    np.testing.assert_allclose(band.high, high, rtol=1e-10)
     assert band.patched_rows == 0
 
 
 def test_band_fit_work_does_not_grow_with_replicates(monkeypatch):
     calls = []
-    offset_fit = estimation._offset_fit
+    fit_columns = estimation._fit_fringe_columns
 
     def counted(*args):
         calls.append(1)
-        return offset_fit(*args)
+        return fit_columns(*args)
 
-    monkeypatch.setattr(estimation, "_offset_fit", counted)
+    monkeypatch.setattr(estimation, "_fit_fringe_columns", counted)
     rng = np.random.default_rng(2)
     phi, fracs = _truth_samples(n_phi=17)
     counts = rng.poisson(fracs * 2e3)
@@ -583,13 +573,14 @@ def test_phase_search_scans_the_grid_a_few_phases_per_call():
 
 
 def test_batched_phase_search_equals_one_search_per_column():
+    # every lane of a batched Brent search keeps its own state and stopping test
     centers = np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, size=6)
-    grid = np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False)
-    values = trig_bump(centers)(grid[:, None])
-    phi, value = argmax_over_phase(trig_bump(centers), grid, values=values)
+    lo, hi = centers - 0.1, centers + 0.13
+    neg = lambda c: lambda p: -trig_bump(c)(p)
+    phi, value = estimation._brent_min(neg(centers), lo, hi, 1e-9)
     assert phi.shape == value.shape == (6,)
     for b, center in enumerate(centers):
-        want = argmax_over_phase(trig_bump(center), grid, values=values[:, b])
+        want = estimation._brent_min(neg(center), lo[b], hi[b], 1e-9)
         assert (phi[b], value[b]) == pytest.approx(want, rel=0.0, abs=1e-15)
 
 
@@ -597,7 +588,7 @@ def test_phase_search_on_a_window_refines_past_its_end():
     # the grid ends 0.03 short of the maximum; the bracket is not clipped
     fn = trig_bump(1.03)
     grid = np.linspace(0.5, 1.0, 11)
-    phi, value = argmax_over_phase(fn, grid, values=[fn(g) for g in grid], tol=1e-11)
+    phi, value = argmax_over_phase(fn, grid)
     assert phi == pytest.approx(1.03, abs=1e-7)
     assert value == pytest.approx(1.3, abs=1e-14)
 
@@ -615,7 +606,7 @@ def test_phase_search_needs_two_grid_points(grid, n):
 def test_phase_search_refines_a_grid_bracket_in_few_evaluations():
     # golden section takes 41 evaluations from every such bracket to tol=1e-9;
     # a maximum on a grid point at phase 0 is the slow case, where tol is absolute
-    grid = np.linspace(0.0, 2.0 * math.pi, 96, endpoint=False)
+    scan_calls = math.ceil(96 / estimation._SCAN_BLOCK)
     evaluations = []
     for center in [0.0, *np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, 100)]:
         calls = []
@@ -624,10 +615,10 @@ def test_phase_search_refines_a_grid_bracket_in_few_evaluations():
             calls.append(p)
             return trig_bump(center)(p)
 
-        phi, value = argmax_over_phase(fn, 96, values=trig_bump(center)(grid), tol=1e-9)
+        phi, value = argmax_over_phase(fn, 96)
         assert math.remainder(phi - center, 2.0 * math.pi) == pytest.approx(0.0, abs=1e-7)
         assert value == pytest.approx(1.3, abs=1e-14)
-        evaluations.append(len(calls))
+        evaluations.append(len(calls) - scan_calls)  # the refinement's calls
     assert np.median(evaluations) <= 8
     assert np.mean(np.array(evaluations) <= 12) >= 0.9
     assert max(evaluations) < 41
