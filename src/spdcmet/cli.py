@@ -37,14 +37,36 @@ def _write_output(path, text):
             fh.write(text)
 
 
+def _item(value):
+    """numpy integers and non-double floats; np.float64 is a float already"""
+    return value.item()
+
+
+def _json_rows(rows):
+    """Rows of scalar cells laid out as a top-level value of an indent-2
+    JSON document.  An indent forces the pure-Python encoder, so the C
+    encoder writes them with NUL item separators: a NUL inside a JSON
+    string is always escaped, so each raw NUL is an item boundary and
+    "]NUL[" one between rows."""
+    flat = json.dumps(rows, separators=("\0", ": "), default=_item)
+    if flat == "[]":
+        return flat
+    return ("[\n    [\n      "
+            + flat[2:-2].replace("]\0[", "\n    ],\n    [\n      ").replace("\0", ",\n      ")
+            + "\n    ]\n  ]")
+
+
 def _render(meta, columns, rows, fmt, extra_sections=None):
-    """Serialize a table plus metadata as CSV ('#' header) or JSON."""
+    """Serialize a table plus metadata as CSV ('#' header) or JSON, the
+    latter byte for byte ``json.dumps(doc, indent=2, sort_keys=True)``."""
     if fmt == "json":
-        doc = {"meta": meta, "columns": list(columns), "rows": rows}
+        doc = {"meta": meta, "columns": list(columns), "rows": []}
         if extra_sections:
             doc.update(extra_sections)
-        # numpy integers and non-double floats; np.float64 is a float already
-        return json.dumps(doc, indent=2, sort_keys=True, default=lambda v: v.item()) + "\n"
+        text = json.dumps(doc, indent=2, sort_keys=True, default=_item)
+        # layout newlines are the only raw ones, and only a top-level key
+        # sits two spaces in
+        return text.replace('\n  "rows": []', '\n  "rows": ' + _json_rows(rows), 1) + "\n"
     lines = [f"# {k} = {_fmt(v)}" for k, v in meta.items()]
     if extra_sections:
         for name, payload in extra_sections.items():
@@ -276,6 +298,8 @@ def cmd_herald(args) -> int:
 
 
 def cmd_count(args) -> int:
+    if args.rep_period <= 0 and args.n_windows is not None:
+        raise ValueError("--n-windows counts pulses and needs a pulse clock (--rep-period > 0)")
     records = timetags.TimetagFile(args.timetags, args.input_format)
     if args.map:
         with open(args.map) as fh:
@@ -378,11 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("count", help="coincidence-count a timetag stream")
     sp.add_argument("timetags", help="timetag file, CSV or binary")
     sp.add_argument("--map", default=None, help="channel map file (channel=mode lines)")
-    sp.add_argument("--window", type=float, default=timetags.DEFAULT_WINDOW_PS)
+    sp.add_argument("--window", type=float, default=timetags.DEFAULT_WINDOW_PS,
+                    help="window in ps (finite, >= 1); a click joins if its offset is below it")
     sp.add_argument("--rep-period", type=int, default=timetags.DEFAULT_REP_PERIOD_PS,
                     help="pulse period in ps; 0 anchors windows on first clicks")
     sp.add_argument("--n-windows", type=int, default=None,
-                    help="total pulse count, so empty windows are tallied")
+                    help="total pulse count, so empty windows are tallied (pulse clock only)")
     sp.add_argument("--input-format", choices=("auto", "csv", "binary"), default="auto")
     _add_io_args(sp)
     sp.set_defaults(func=cmd_count)

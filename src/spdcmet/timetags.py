@@ -17,7 +17,9 @@ Sixteen channels feed four optical modes, four channels per mode.  A
 coincidence window groups clicks into one 16-bit pattern; repeated clicks
 on one channel inside a window collapse to a single click (binary
 counters).  Windows anchor on the pulse clock when the repetition period
-is known, otherwise on the first click after the previous window.
+is known, otherwise on the first click after the previous window.  In
+both modes the window is a finite number of at least 1 ps, and a click
+at integer offset o past its window's opening joins it iff o < window.
 
 Reorder rule: each record is measured against the running maximum of the
 times read before it.  A record behind that maximum by at most 1000 ps
@@ -27,13 +29,15 @@ Because no later record can land more than 1000 ps behind the running
 maximum, a block reader releases every record up to that bound and holds
 back only the rest, so a file is validated, sorted and counted in fixed
 blocks with the same result as a whole-file parse, in memory that does
-not grow with the file.
+not grow with the file.  A block that is in order and starts at or after
+the running maximum skips the running-maximum scan and the sort.
 """
 
 from __future__ import annotations
 
 import codecs
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -65,7 +69,6 @@ _REORDER_PS = 1000  # reorder tolerance of every parser
 _GEN_BLOCK = 1 << 15  # mode rows per block of the generator's arithmetic
 _TIME_LIMIT_PS = 1 << 60  # generated times share a uint64 key with a 4-bit channel
 _N_MASKS = 1 << N_CHANNELS
-_BIT = (1 << np.arange(N_CHANNELS)).astype(np.uint16)  # channel -> mask bit
 _POPCOUNT8 = sum((np.arange(256, dtype=np.uint8) >> k) & 1 for k in range(8))
 _POPCOUNT = np.add.outer(_POPCOUNT8, _POPCOUNT8).ravel()  # set bits of each 16-bit mask
 
@@ -130,13 +133,15 @@ class _Reorderer:
         counted from the start of the input.
         """
         where = where or self._record_number
-        # running maximum of the times read before each record
-        prev = np.maximum.accumulate(
-            np.concatenate((np.array([self.max_time], dtype=np.uint64), times))[:-1])
-        behind = np.flatnonzero(times < prev)
-        far = behind[prev[behind] - times[behind] > np.uint64(_REORDER_PS)]
-        unknown = np.flatnonzero(channels >= N_CHANNELS)
-        if far.size or unknown.size:
+        behind = far = np.empty(0, dtype=np.intp)
+        if times.size and (times[0] < self.max_time or np.any(times[1:] < times[:-1])):
+            # running maximum of the times read before each record
+            prev = np.maximum.accumulate(
+                np.concatenate((np.array([self.max_time], dtype=np.uint64), times))[:-1])
+            behind = np.flatnonzero(times < prev)
+            far = behind[prev[behind] - times[behind] > np.uint64(_REORDER_PS)]
+        if far.size or (channels.size and channels.max() >= N_CHANNELS):
+            unknown = np.flatnonzero(channels >= N_CHANNELS)
             i = min(far[:1].tolist() + unknown[:1].tolist())
             if channels[i] >= N_CHANNELS:
                 raise ParseError(f"{where(i)}: unknown channel {channels[i]}")
@@ -146,9 +151,9 @@ class _Reorderer:
                 f"reorder tolerance"
             )
         if times.size:
-            self.max_time = max(int(prev[-1]), int(times[-1]))
+            self.max_time = max(self.max_time, int(times.max() if behind.size else times[-1]))
         self.seen += times.size
-        ch = np.concatenate((self.held_ch, channels.astype(np.uint8)))
+        ch = np.concatenate((self.held_ch, channels), dtype=np.uint8, casting="same_kind")
         t = np.concatenate((self.held_t, times))
         if behind.size:
             order = np.argsort(t, kind="stable")
@@ -405,19 +410,18 @@ class CoincidenceResult:
     reordered: int = 0  # records the parser sorted back into time order
 
 
-def _window_ends(times, opens, window_ps):
-    """Index into sorted ``times`` of the first click at or past the end of
-    the window opened at each of ``opens``.  A window whose end passes
-    2^64 ps holds every later click."""
-    w = int(window_ps)
-    past = opens > (1 << 64) - 1 - w  # numpy compares to a Python int of any size exactly
-    ends = np.searchsorted(times, opens + np.uint64(min(w, (1 << 64) - 1)), side="left")
+def _window_ends(times, opens, bound):
+    """Index into sorted ``times`` of the first click ``bound`` ps or more
+    past each of ``opens``.  A window whose end passes 2^64 ps holds every
+    later click."""
+    past = opens > (1 << 64) - 1 - bound  # numpy compares to a Python int of any size exactly
+    ends = np.searchsorted(times, opens + np.uint64(min(bound, (1 << 64) - 1)), side="left")
     return np.where(past, times.size, ends)
 
 
-def _first_click_starts(times, window_ps):
+def _first_click_starts(times, bound):
     """Start index of each first-click-anchored window of sorted times."""
-    ends = _window_ends(times, times, window_ps).tolist()
+    ends = _window_ends(times, times, bound).tolist()
     starts, i, n = [], 0, len(ends)
     while i < n:
         starts.append(i)
@@ -428,15 +432,19 @@ def _first_click_starts(times, window_ps):
 class _WindowCounter:
     """Coincidence windows of one time-ordered stream, fed block by block.
 
-    Window masks go into one bin per 16-bit pattern.  Every window has a
-    key: its pulse number with a pulse clock, its first click's time
-    without one.  The window open at a block's end is carried into the
-    next block as its key and mask; the next block's clicks with the same
-    pulse number, or earlier than the key + ``window_ps``, join it.
+    A click at integer offset o joins a window iff o < ``window_ps``, that
+    is o < ``bound`` = ceil(``window_ps``).  Every window has a key: its
+    pulse number with a pulse clock, its first click's time without one.
+    A segmented pointer-doubling pass ORs each click's bit into the first
+    click of its window, and window masks go into one bin per 16-bit
+    pattern.  The window open at a block's end is carried into the next
+    block as its key and mask; the next block's clicks with the same pulse
+    number, or earlier than the key + ``bound``, join it.
     """
 
     def __init__(self, window_ps, rep_period_ps):
         self.window_ps = window_ps
+        self.bound = math.ceil(window_ps)
         self.rep_period_ps = rep_period_ps
         self.bins = np.zeros(_N_MASKS, dtype=np.int64)
         self.late = 0
@@ -457,8 +465,8 @@ class _WindowCounter:
         key, ch = block.times, block.channels
         if self.rep_period_ps is not None:
             period = np.uint64(self.rep_period_ps)
-            key = block.times // period
-            keep = block.times - key * period < self.window_ps
+            key = block.times // period  # np.divmod takes several times longer
+            keep = block.times - key * period < np.uint64(self.bound)
             if not keep.all():
                 self.late += int(keep.size - np.count_nonzero(keep))
                 key, ch = key[keep], ch[keep]
@@ -467,25 +475,30 @@ class _WindowCounter:
         if np.any(key[1:] < key[:-1]) or (self.last_key is not None and key[0] < self.last_key):
             raise ValueError("records must be time-ordered; parse with a reorder buffer")
         self.last_key = int(key[-1])
-        if self.rep_period_ps is not None:
-            starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-            keys = key[starts]
-        else:  # clicks before the open window's end join it
+        owner = key  # each click's window key
+        if self.rep_period_ps is None:  # clicks before the open window's end join it
             joined = 0 if self.open_key is None else int(_window_ends(
-                key, np.array([self.open_key], dtype=np.uint64), self.window_ps)[0])
-            starts = joined + np.array(_first_click_starts(key[joined:], self.window_ps),
-                                       dtype=np.intp)
-            keys = key[starts]
-            if joined:
-                starts, keys = np.insert(starts, 0, 0), np.insert(keys, 0, self.open_key)
-        masks = np.bitwise_or.reduceat(_BIT[ch], starts)
-        if keys[0] == self.open_key:
+                key, np.array([self.open_key], dtype=np.uint64), self.bound)[0])
+            opens = joined + np.array(_first_click_starts(key[joined:], self.bound),
+                                      dtype=np.intp)
+            owner = np.concatenate((np.full(joined, self.open_key, dtype=np.uint64),
+                                    np.repeat(key[opens], np.diff(opens, append=key.size))))
+        masks = np.left_shift(1, ch, dtype=np.uint16)
+        same = owner[1:] == owner[:-1]
+        starts = np.flatnonzero(np.concatenate(([True], ~same)))
+        step = 1
+        while same.any():  # masks[i] |= masks[i + step] within one window
+            masks[:-step] |= masks[step:] * same
+            same = same[:-step] & same[step:]  # owner[i + 2 step] == owner[i]
+            step *= 2
+        masks = masks[starts]
+        if owner[0] == self.open_key:
             masks[0] |= self.open_mask
         else:
             self._close_open_window()
-        self.bins += np.bincount(masks[:-1], minlength=_N_MASKS)
+        np.add.at(self.bins, masks[:-1], 1)
         self.occupied += len(masks) - 1
-        self.open_key, self.open_mask = int(keys[-1]), int(masks[-1])
+        self.open_key, self.open_mask = int(owner[-1]), int(masks[-1])
 
     def histogram(self, n_windows) -> PatternHistogram:
         """Close the open window and return the histogram."""
@@ -509,21 +522,25 @@ def count_coincidences(records, window_ps: float = DEFAULT_WINDOW_PS,
                        n_windows: int | None = None) -> CoincidenceResult:
     """One-pass coincidence pattern counting.
 
-    With ``rep_period_ps`` windows open at each pulse time; clicks later
-    than ``window_ps`` into the period are discarded and counted in
+    A click joins a window iff its offset past the window's opening is
+    below ``window_ps``, a finite number of at least 1 ps.  With
+    ``rep_period_ps`` windows open at each pulse time; clicks later than
+    the window into the period are discarded and counted in
     ``late_clicks``.  ``n_windows`` supplies the number of pulses covered
     so empty windows enter the zero-pattern bin (else the span of observed
-    pulse ids is used).  Without a pulse clock, each window opens at the
-    first click after the previous one ends.  ``records`` is a
-    ``TimetagStream`` or an iterable of them in time order, such as a
+    pulse ids is used); it needs a pulse clock.  Without one, each window
+    opens at the first click after the previous one ends.  ``records`` is
+    a ``TimetagStream`` or an iterable of them in time order, such as a
     ``TimetagFile`` (counted block by block).
     """
     if cmap is None:
         cmap = ChannelMap.default()
+    if not (math.isfinite(window_ps) and window_ps >= 1):
+        raise ValueError(f"window must be a finite number of at least 1 ps, got {window_ps}")
     if rep_period_ps is not None and window_ps > rep_period_ps:
         raise ValueError("window must not exceed the repetition period")
-    if rep_period_ps is None and int(window_ps) < 1:
-        raise ValueError("window must be at least 1 ps without a pulse clock")
+    if rep_period_ps is None and n_windows is not None:
+        raise ValueError("n_windows counts pulses and needs a pulse clock (rep_period_ps)")
     counter = _WindowCounter(window_ps, rep_period_ps)
     for block in (records,) if isinstance(records, TimetagStream) else records:
         counter.feed(block)

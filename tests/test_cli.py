@@ -17,7 +17,7 @@ import pytest
 
 import spdcmet
 from spdcmet.calibration import model_rate_summary
-from spdcmet.cli import main
+from spdcmet.cli import _render, main
 from spdcmet.engine import (
     RotationSpec,
     choose_truncation,
@@ -433,9 +433,56 @@ def test_count_auto_takes_a_file_with_nul_bytes_for_binary(tmp_path):
     assert json.loads(outs[0])["meta"]["records"] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--rep-period", "0", "--window", "inf"],
+    *(["--window", w] for w in ("nan", "0", "-5", "0.5", "inf")),
+    ["--rep-period", "0", "--n-windows", "99"],
+])
+def test_count_window_and_pulse_count_outside_their_rule_are_usage_errors(
+        tmp_path, capsys, argv):
+    tag_file = tmp_path / "tags.csv"
+    tag_file.write_text("0,100\n1,200\n2,20000\n3,20100\n")
+    assert run(["count", str(tag_file), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert ("--rep-period" if "--n-windows" in argv else "at least 1 ps") in captured.err
+
+
+@pytest.mark.parametrize("rep", ["12500", "0"])
+def test_count_fractional_window_keeps_a_click_below_it(tmp_path, rep):
+    # 2500 ps into the window: inside a 2500.5 ps window in both modes
+    tag_file = tmp_path / "tags.csv"
+    tag_file.write_text("0,0\n1,2500\n")
+    out = tmp_path / "counts.json"
+    assert run(["count", str(tag_file), "--rep-period", rep, "--window", "2500.5",
+                "--format", "json", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert ["mask", "0x0003", 1] in doc["rows"] and doc["meta"]["late_clicks"] == 0
+
+
 def test_count_missing_file_exit(tmp_path, capsys):
     assert run(["count", str(tmp_path / "nope.bin")]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# JSON rendering
+
+
+@pytest.mark.parametrize("rows, extra, meta", [
+    ([["a\0b", "]\0[", 'q"uote', "[", "caf\u00e9 \u2192", "\0", ""]], None, {}),
+    ([[float("nan"), float("inf"), -float("inf"), True, False, None],
+      [np.int64(7), np.float32(0.1), np.float64(2.5), -0.0, 1e300, 2 ** 70]], None, {}),
+    ([["mask", "0x0001", 3]], None, {}),
+    ([], None, {}),
+    ([[0.1, 2.0], [0.2, 3.0]], {"ml_points": [{"phi": 0.5, "i_ml": np.float32(1.5)}]}, {}),
+    ([[1, "x"], [2, "y"]], None, {"rows": [[9]], "columns": "c", "n": np.int64(2)}),
+], ids=["strings", "numbers", "one_row", "empty", "extra_section", "meta_rows_key"])
+def test_json_render_equals_the_indented_encoder(rows, extra, meta):
+    doc = {"meta": meta, "columns": ["c1", "c2"], "rows": rows, **(extra or {})}
+    want = json.dumps(doc, indent=2, sort_keys=True, default=lambda v: v.item()) + "\n"
+    assert _render(meta, ["c1", "c2"], rows, "json", extra) == want
 
 
 # ---------------------------------------------------------------------------

@@ -77,8 +77,8 @@ def reference_count(records, window_ps, rep_period_ps):
         return counts, late
     i = 0
     while i < len(records):
-        end, mask = records[i][1] + int(window_ps), 0
-        while i < len(records) and records[i][1] < end:
+        start, mask = records[i][1], 0
+        while i < len(records) and records[i][1] - start < window_ps:
             mask |= 1 << records[i][0]
             i += 1
         counts[mask] = counts.get(mask, 0) + 1
@@ -151,11 +151,70 @@ def test_reordered_records_are_counted_and_stably_sorted():
     assert list(stream.channels) == [2, 0, 4, 1, 3]
 
 
+def test_sorted_block_behind_the_running_maximum_is_reordered(tmp_path):
+    # every block is in order by itself, but each block from the second on
+    # starts up to 1000 ps behind the latest time of the blocks before it
+    for block in BLOCKS:
+        records, top = [], 10_000
+        for b in range(6):
+            start = top - (1000 if b % 2 else 300)
+            records += [((b + i) % 16, start + 400 * i) for i in range(block)]
+            top = max(top, records[-1][1])
+        data = raw_binary(records)
+        whole = parse_timetags_binary(data)
+        assert whole.reordered > 0
+        assert whole == TimetagStream.from_records(sorted(records, key=lambda r: r[1]))
+        path = tmp_path / f"behind{block}.bin"
+        path.write_bytes(data)
+        with block_size(block):
+            same_result(counted(TimetagFile(path), REP), counted(whole, REP))
+        # one further behind, at the first record of the fourth block
+        k = 3 * block
+        top = max(t for _, t in records[:k])
+        late = records[:k] + [(3, top - 1001)] + records[k + 1:]
+        path.write_bytes(raw_binary(late))
+        with pytest.raises(ParseError, match=f"record {k + 1}: time goes backwards "
+                                             f"by 1001 ps") as whole_error:
+            parse_timetags_binary(raw_binary(late))
+        with block_size(block), pytest.raises(ParseError) as streamed:
+            counted(TimetagFile(path), REP)
+        assert str(streamed.value) == str(whole_error.value)
+
+
 def test_sub_picosecond_first_click_window_is_rejected():
     # the window walk cannot advance when int(window_ps) is 0
     stream = TimetagStream.from_records([(0, 100), (1, 200)])
     with pytest.raises(ValueError, match="at least 1 ps"):
         count_coincidences(stream, window_ps=0.5)
+
+
+@pytest.mark.parametrize("rep", [REP, None], ids=["clocked", "first_click"])
+def test_one_window_rule_in_both_modes(rep):
+    # a click at integer offset o joins its window iff o < window_ps; the
+    # second click sits 2500 ps into the first window, the fourth 2501 ps
+    # into the window of the third
+    records = [(0, 0), (1, 2500), (2, REP), (3, REP + 2501)]
+    stream = TimetagStream.from_records(records)
+    cases = {  # window -> (clocked counts and late clicks, first-click counts)
+        2500: ({0b1: 1, 0b100: 1}, 2, {0b1: 1, 0b10: 1, 0b100: 1, 0b1000: 1}),
+        2500.5: ({0b11: 1, 0b100: 1}, 1, {0b11: 1, 0b100: 1, 0b1000: 1}),
+        2501: ({0b11: 1, 0b100: 1}, 1, {0b11: 1, 0b100: 1, 0b1000: 1}),
+        2501.25: ({0b11: 1, 0b1100: 1}, 0, {0b11: 1, 0b1100: 1}),
+    }
+    for window, (clocked, late, first_click) in cases.items():
+        res = count_coincidences(stream, window_ps=window, rep_period_ps=rep)
+        want = (clocked, late) if rep else (first_click, 0)
+        assert (res.histogram.counts, res.late_clicks) == want
+        assert reference_count(records, window, rep) == want
+    for window in (float("nan"), float("inf"), -float("inf"), 0, 0.5, -5):
+        with pytest.raises(ValueError, match="finite number of at least 1 ps"):
+            count_coincidences(stream, window_ps=window, rep_period_ps=rep)
+
+
+def test_n_windows_needs_a_pulse_clock():
+    stream = TimetagStream.from_records([(0, 100), (1, 200)])
+    with pytest.raises(ValueError, match="pulse clock"):
+        count_coincidences(stream, n_windows=99)
 
 
 def test_records_out_of_time_order_are_rejected():
@@ -263,6 +322,21 @@ def test_windows_and_reorders_straddling_a_block_boundary(tmp_path, monkeypatch)
         # one first-click window over every record, spanning all the blocks
         wide = count_coincidences(TimetagFile(src), window_ps=REP)
         assert wide.histogram.counts == {0x3FF: 1}
+
+
+def test_forty_clicks_of_one_pulse_straddle_block_boundaries(tmp_path, monkeypatch):
+    # one click in each of pulses 0-29, forty in pulse 30 (records 31-70,
+    # across the block boundaries at 35, 42, ... and 64), one in pulse 31
+    records = [(p % 16, p * REP + 300) for p in range(30)]
+    records += [(i % 16, 30 * REP + 50 * i) for i in range(40)]
+    records.append((5, 31 * REP + 10))
+    path = tmp_path / "dense.bin"
+    path.write_bytes(raw_binary(records))
+    for block, rep in itertools.product(BLOCKS, (REP, None)):
+        monkeypatch.setattr(timetags, "_BLOCK_RECORDS", block)
+        res = counted(TimetagFile(path), rep)
+        assert res.histogram.counts == reference_count(records, WINDOW, rep)[0]
+        assert res.histogram.counts[0xFFFF] == 1
 
 
 @pytest.mark.parametrize("times, window", [
@@ -395,6 +469,31 @@ def test_streamed_counts_equal_whole_counts(records, block, rep, seed):
         path = Path(tmp) / "tags.bin"
         path.write_bytes(data)
         same_result(counted(TimetagFile(path, "binary"), rep), whole)
+
+
+def dense_records(n, m, seed):
+    """n time-sorted records whose time steps are drawn from 0-m ps, but
+    one in twenty from 0-20,000 ps: at m up to 200, windows hold from one
+    to more than 32 clicks, with repeated channels."""
+    rng = np.random.default_rng(seed)
+    steps = np.where(rng.random(n) < 0.05, rng.integers(0, 20_001, n), rng.integers(0, m + 1, n))
+    return list(zip(rng.integers(0, 16, n).tolist(), np.cumsum(steps).tolist()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 400), st.integers(1, 200), st.integers(0, 2**32))
+def test_dense_windows_count_like_the_reference(n, m, seed):
+    arrival = shuffled_within(dense_records(n, m, seed), 1000, seed)
+    data = raw_binary(arrival)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tags.bin"
+        path.write_bytes(data)
+        for block, rep in itertools.product(BLOCKS, (REP, None)):
+            want, late = reference_count(by_time(arrival), WINDOW, rep)
+            with block_size(block):
+                res = counted(TimetagFile(path, "binary"), rep)
+            assert res.histogram.counts == want and res.late_clicks == late
+            assert res.reordered == parse_timetags_binary(data).reordered
 
 
 @settings(max_examples=60, deadline=None)
