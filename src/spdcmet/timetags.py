@@ -133,6 +133,8 @@ class _Reorderer:
         counted from the start of the input.
         """
         where = where or self._record_number
+        t = np.concatenate((self.held_t, times))
+        times = t[self.held_t.size:]  # contiguous, whatever the layout of the input
         behind = far = np.empty(0, dtype=np.intp)
         if times.size and (times[0] < self.max_time or np.any(times[1:] < times[:-1])):
             # running maximum of the times read before each record
@@ -154,7 +156,6 @@ class _Reorderer:
             self.max_time = max(self.max_time, int(times.max() if behind.size else times[-1]))
         self.seen += times.size
         ch = np.concatenate((self.held_ch, channels), dtype=np.uint8, casting="same_kind")
-        t = np.concatenate((self.held_t, times))
         if behind.size:
             order = np.argsort(t, kind="stable")
             ch, t = ch[order], t[order]
@@ -260,6 +261,7 @@ class TimetagFile:
     def __iter__(self):
         order, lineno, last, rest = _Reorderer(), 1, False, b""
         size = _BLOCK_RECORDS * _RECORD_DTYPE.itemsize
+        buf = None if self.csv else np.empty(_BLOCK_RECORDS, dtype=_RECORD_DTYPE)
         with open(self.path, "rb") as fh:
             while not last:  # a short read ends the file
                 if self.csv:
@@ -274,10 +276,10 @@ class TimetagFile:
                     block = _push_lines(order, lines, lineno, last)
                     lineno += len(lines)
                 else:
-                    rec = np.fromfile(fh, dtype=_RECORD_DTYPE, count=_BLOCK_RECORDS)
+                    # one buffer for every block: push copies the records out
+                    rec = buf[:fh.readinto(buf) // _RECORD_DTYPE.itemsize]
                     last = rec.size < _BLOCK_RECORDS
-                    block = order.push(rec["channel"], np.ascontiguousarray(rec["time"]),
-                                       last=last)
+                    block = order.push(rec["channel"], rec["time"], last=last)
                 self._records = order.seen
                 yield block
 
@@ -289,7 +291,7 @@ def parse_timetags_text(text: str) -> TimetagStream:
 def parse_timetags_binary(data: bytes) -> TimetagStream:
     n = _check_whole_records(len(data))
     rec = np.frombuffer(data, dtype=_RECORD_DTYPE, count=n)
-    return _Reorderer().push(rec["channel"], np.ascontiguousarray(rec["time"]), last=True)
+    return _Reorderer().push(rec["channel"], rec["time"], last=True)
 
 
 def to_csv(stream: TimetagStream) -> str:
@@ -453,6 +455,17 @@ class _WindowCounter:
         self.last_key = None  # pulse number or time of the latest click fed
         self.open_key = None  # key and mask of the window left open
         self.open_mask = 0
+        self.arrays = {}  # (slot, dtype) -> work array reused from block to block
+
+    def _work(self, slot, n, dtype):
+        """An ``n``-item work array kept from block to block; the next call
+        with the same slot and dtype overwrites it.  Fresh block-sized
+        temporaries let the allocator shrink and regrow the heap between
+        blocks, with page faults whose number depends on the data."""
+        a = self.arrays.get((slot, dtype))
+        if a is None or a.size < n:  # room for the few records a block holds back
+            a = self.arrays[(slot, dtype)] = np.empty(n + (n >> 3), dtype=dtype)
+        return a[:n]
 
     def _close_open_window(self):
         if self.open_key is not None:
@@ -464,15 +477,20 @@ class _WindowCounter:
         self.reordered += block.reordered
         key, ch = block.times, block.channels
         if self.rep_period_ps is not None:
-            period = np.uint64(self.rep_period_ps)
-            key = block.times // period  # np.divmod takes several times longer
-            keep = block.times - key * period < np.uint64(self.bound)
+            n, period = key.size, np.uint64(self.rep_period_ps)
+            # np.divmod takes several times longer
+            key = np.floor_divide(block.times, period, out=self._work(0, n, np.uint64))
+            off = np.multiply(key, period, out=self._work(1, n, np.uint64))
+            keep = np.less(np.subtract(block.times, off, out=off), np.uint64(self.bound),
+                           out=self._work(0, n, np.bool_))
             if not keep.all():
                 self.late += int(keep.size - np.count_nonzero(keep))
                 key, ch = key[keep], ch[keep]
-        if key.size == 0:
+        n = key.size
+        if n == 0:
             return
-        if np.any(key[1:] < key[:-1]) or (self.last_key is not None and key[0] < self.last_key):
+        if (np.any(np.less(key[1:], key[:-1], out=self._work(1, n - 1, np.bool_)))
+                or (self.last_key is not None and key[0] < self.last_key)):
             raise ValueError("records must be time-ordered; parse with a reorder buffer")
         self.last_key = int(key[-1])
         owner = key  # each click's window key
@@ -483,22 +501,34 @@ class _WindowCounter:
                                       dtype=np.intp)
             owner = np.concatenate((np.full(joined, self.open_key, dtype=np.uint64),
                                     np.repeat(key[opens], np.diff(opens, append=key.size))))
-        masks = np.left_shift(1, ch, dtype=np.uint16)
-        same = owner[1:] == owner[:-1]
-        starts = np.flatnonzero(np.concatenate(([True], ~same)))
+        same = np.equal(owner[1:], owner[:-1], out=self._work(1, n - 1, np.bool_))
+        first = self._work(3, n, np.bool_)  # the first click of each window
+        first[0] = True
+        np.logical_not(same, out=first[1:])
+        masks = np.left_shift(1, ch, dtype=np.uint16, out=self._work(0, n, np.uint16))
+        spare, joins = self._work(2, n - 1, np.bool_), self._work(1, n, np.uint16)
         step = 1
         while same.any():  # masks[i] |= masks[i + step] within one window
-            masks[:-step] |= masks[step:] * same
-            same = same[:-step] & same[step:]  # owner[i + 2 step] == owner[i]
+            m = n - step
+            np.bitwise_or(masks[:m], np.multiply(masks[step:], same, out=joins[:m]),
+                          out=masks[:m])
+            # owner[i + 2 step] == owner[i]
+            pairs = max(m - step, 0)
+            same, spare = np.logical_and(same[:-step], same[step:], out=spare[:pairs]), same
             step *= 2
-        masks = masks[starts]
         if owner[0] == self.open_key:
             masks[0] |= self.open_mask
         else:
             self._close_open_window()
-        np.add.at(self.bins, masks[:-1], 1)
-        self.occupied += len(masks) - 1
-        self.open_key, self.open_mask = int(owner[-1]), int(masks[-1])
+        last = int(np.searchsorted(owner, owner[-1]))  # the window left open
+        self.open_key, self.open_mask = int(owner[-1]), int(masks[last])
+        first[last] = False
+        # zero except at the first click of a closed window, whose mask is
+        # never zero; the zeros are taken back out of bin 0
+        np.add.at(self.bins, np.multiply(masks, first, out=self._work(0, n, np.intp)), 1)
+        closed = int(np.count_nonzero(first))
+        self.bins[0] -= n - closed
+        self.occupied += closed
 
     def histogram(self, n_windows) -> PatternHistogram:
         """Close the open window and return the histogram."""

@@ -547,6 +547,29 @@ def test_count_peak_memory_does_not_grow_with_the_file(tmp_path, monkeypatch):
         assert large < 1.5 * small, (fmt, options, newline, small, large)
 
 
+def test_pulse_clocked_blocks_allocate_no_block_sized_temporaries():
+    # fresh block-sized arrays let the heap shrink and regrow between
+    # blocks, with a number of page faults that varies with the data
+    rng = np.random.default_rng(5)
+    n = 1 << 16
+    pulses = np.cumsum(rng.integers(0, 3, 3 * n)).astype(np.uint64)
+    times = np.sort(pulses * np.uint64(REP) + rng.integers(0, WINDOW, 3 * n, dtype=np.uint64))
+    channels = rng.integers(0, 16, 3 * n, dtype=np.uint8)
+    counter = timetags._WindowCounter(WINDOW, REP)
+    counter.feed(TimetagStream(channels[:n], times[:n]))
+    tracemalloc.start()
+    try:
+        for k in (1, 2):
+            block = TimetagStream(channels[k * n:(k + 1) * n], times[k * n:(k + 1) * n])
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            counter.feed(block)
+            assert tracemalloc.get_traced_memory()[1] - before < block.times.nbytes // 4
+    finally:
+        tracemalloc.stop()
+    assert counter.late == 0
+
+
 def test_generator_output_is_frozen():
     src = SourceParams(0.08)
     det = detector_for_source(src, 4, 0.3, 0.25)
