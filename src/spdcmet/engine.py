@@ -140,30 +140,47 @@ def click_probability_tensor(src, rot, det, n_max=None):
 class PhaseSeries:
     """Exact trigonometric series of phase-dependent values,
 
-        f(phi) = Re sum_{k=0}^{degree} c_k exp(i k phi),
+        f(phi) = Re sum_{k=0}^{degree} c_k exp(i k phi)
+               = sum_k a_k cos(k phi) + b_k sin(k phi),
 
-    with complex harmonics ``c`` of shape (degree+1, *output shape).  Values
-    and exact derivatives (harmonics i k c_k) cost one small contraction for
-    a phase or a whole array of phases, and the phase average is c_0.  With
-    ``renormalize`` the values are divided by their sum over the last output
-    axis at each phase, the way coincidence counts are normalized per
-    setting; leading output axes then hold independent distributions.
+    with harmonics ``c`` = a - i b of shape (degree+1, *output shape), kept
+    as one real array: the cosine rows a, then sine rows b only if some c_k
+    is complex (a series even in phi, like every click series compiled at
+    theta = 0, has none).  Values and exact derivatives cost one real
+    matrix product for a phase or a whole array of phases; the phase
+    average is a_0.  With ``renormalize`` the values are divided by their
+    sum over the last output axis at each phase, the way coincidence counts
+    are normalized per setting; leading output axes then hold independent
+    distributions.
     """
 
     def __init__(self, harmonics, renormalize=False):
-        self.harmonics = np.ascontiguousarray(harmonics, dtype=complex)
+        c = np.asarray(harmonics)
+        self._k = np.arange(c.shape[0])
+        if np.iscomplexobj(c) and c.imag.any():
+            c = np.concatenate([c.real, -c.imag])
+        self.coefficients = np.ascontiguousarray(c.real, dtype=float)
         self.renormalize = renormalize
-        self._k = np.arange(self.harmonics.shape[0])
+
+    @property
+    def harmonics(self):
+        """The complex harmonics c_k = a_k - i b_k."""
+        a, b = self.coefficients[: self._k.size], self.coefficients[self._k.size:]
+        return a - 1j * b if b.size else a.astype(complex)
 
     def raw(self, phi):
         """Unrenormalized values and exact phi-derivatives; an array of phases leads the axes."""
-        e = np.exp(1j * np.multiply.outer(phi, self._k))
-        f, df = np.tensordot(np.stack([e, 1j * self._k * e]), self.harmonics, axes=1).real
+        ang = np.multiply.outer(phi, self._k)
+        cos, sin = np.cos(ang), np.sin(ang)
+        basis = np.stack([cos, -self._k * sin])
+        if len(self.coefficients) > self._k.size:  # the sine rows
+            basis = np.concatenate([basis, np.stack([sin, self._k * cos])], axis=-1)
+        f, df = np.tensordot(basis, self.coefficients, axes=1)
         return f, df
 
     def mean(self):
         """Phase average of the unrenormalized values (harmonic 0)."""
-        return self.harmonics[0].real
+        return self.coefficients[0]
 
     def probabilities_and_derivatives(self, phi):
         f, df = self.raw(phi)
@@ -188,15 +205,16 @@ def _sector_harmonics(src, weights_a, weights_b, degree):
     for phi-independent per-path weights over the occupations of sectors
     n = 0..n_max, at theta = 0.  Each p_n, of degree n in phi, is evaluated
     at 2 n_max + 1 equispaced phases from one all-sector rotation build,
-    transformed to harmonics and contracted once with the weights.
+    transformed to harmonics and contracted once with the weights.  Every
+    p_n is even in phi (G_n(-phi)^2 = G_n(phi)^2), so its harmonics are the
+    real cosine coefficients.
     """
     n_max = len(weights_a) - 1
     samples = 2 * n_max + 1
     phases = 2.0 * np.pi * np.arange(samples) / samples
-    dft = np.exp(-2j * np.pi / samples * np.outer(np.arange(degree + 1), np.arange(samples)))
-    dft *= 2.0 / samples
+    dft = np.cos(np.outer(np.arange(degree + 1), phases)) * (2.0 / samples)
     dft[0] /= 2.0
-    c = np.zeros((degree + 1, len(weights_a[0]), len(weights_b[0])), dtype=complex)
+    c = np.zeros((degree + 1, len(weights_a[0]), len(weights_b[0])))
     for n, p in enumerate(_occupations(src, phases, n_max)):
         h = np.tensordot(dft[: min(n, degree) + 1], p, axes=1)
         for j, h_j in enumerate(h):  # one harmonic at a time keeps temporaries small
@@ -297,7 +315,7 @@ class PatternFamily(PhaseSeries):
         c = _click_harmonics(src, det, rows_a, rows_b, self.n_max)
         c = c[:, [rows_a.index(p[:2]) for p in self.patterns],
               [rows_b.index(p[2:]) for p in self.patterns]]
-        if not c[0].real.sum() > 0.0:
+        if not c[0].sum() > 0.0:
             raise ValueError("pattern class has zero probability at this gain and transmission")
         # each pair sector is invariant under a joint rotation: P(phi, theta) = P(phi - theta, 0)
         super().__init__(c * np.exp(-1j * theta * np.arange(len(c)))[:, None], renormalize=True)
@@ -352,7 +370,7 @@ def fourfold_conditional_means(src, det):
     weights_a = [np.stack([p, n * p, s]) for n, (p, s) in enumerate(zip(rate_a, surviving_a))]
     weights_b = [p[None] for p in rate_b]
     den, num_emitted, num_surviving = _sector_harmonics(
-        src, weights_a, weights_b, degree=0)[0, :, 0].real
+        src, weights_a, weights_b, degree=0)[0, :, 0]
     if den <= 0.0:
         raise ValueError("conditioning class has zero probability at this gain")
     return num_emitted / den, num_surviving / den

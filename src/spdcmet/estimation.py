@@ -174,19 +174,23 @@ def _grid_peak(values):
 
 
 def argmax_over_phase(fn, grid=96):
-    """Maximum of a 2 pi-periodic function: the best point of an equispaced
-    grid, refined by Brent's method over one grid step either side.
+    """Maximum of a 2 pi-periodic function, or of each of a stack of them:
+    the best point of an equispaced grid, refined by Brent's method over
+    one grid step either side.
 
-    ``fn`` takes a phase or an array of phases.  ``grid`` is a point count
-    over [0, 2 pi) or an increasing equispaced array of at least two
-    phases, scanned a few phases per call of ``fn`` so that large outputs
-    stay small in memory.  Symmetric images of one maximum tie up to
-    rounding, so the first grid point within 1e-12 (relative) of the best
-    is taken.  The bracket is never clipped to the grid, which is safe
-    because ``fn`` is periodic.  The maximum is located to about
-    1e-9 + sqrt(eps) |phi|; rounding of ``fn`` hides a flat maximum's
-    position below that.  Returns (phi, fn(phi)); phi may lie up to one
-    grid step outside the grid.
+    ``fn`` takes a phase or an array of phases and returns a value per
+    phase, or for a stack a row of B values per phase, one per function.
+    ``grid`` is a point count over [0, 2 pi) or an increasing equispaced
+    array of at least two phases, scanned a few phases per call of ``fn``
+    so that large outputs stay small in memory.  Symmetric images of one
+    maximum tie up to rounding, so the first grid point within 1e-12
+    (relative) of the best is taken.  The bracket is never clipped to the
+    grid, which is safe because ``fn`` is periodic.  The maximum is located
+    to about 1e-9 + sqrt(eps) |phi|; rounding of ``fn`` hides a flat
+    maximum's position below that.  Returns (phi, fn(phi)); phi may lie up
+    to one grid step outside the grid.  A stack shares the grid scan and
+    one batched Brent search, whose lane b reads column b at its own phase,
+    and returns arrays of its B maxima.
     """
     n = int(grid) if np.ndim(grid) == 0 else len(grid)
     if n < 2:
@@ -194,9 +198,11 @@ def argmax_over_phase(fn, grid=96):
     if np.ndim(grid) == 0:
         grid = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     blocks = np.split(grid, range(_SCAN_BLOCK, len(grid), _SCAN_BLOCK))
-    i = _grid_peak(np.concatenate([fn(block) for block in blocks]))
+    values = np.concatenate([fn(block) for block in blocks])
+    i = _grid_peak(values)
     step = grid[1] - grid[0]
-    phi, f_min = _brent_min(lambda p: -fn(p), grid[i] - step, grid[i] + step, 1e-9)
+    lanes = (lambda v: v) if values.ndim == 1 else np.diagonal
+    phi, f_min = _brent_min(lambda p: -lanes(fn(p)), grid[i] - step, grid[i] + step, 1e-9)
     return phi, -f_min
 
 
@@ -208,7 +214,8 @@ def _fit_fringe_columns(phi, counts):
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 3 or counts.shape[1] != phi.size:
         raise ValueError("counts must have shape (n_phi, n_patterns)")
-    distinct = np.unique(np.round(phi / (2.0 * np.pi) % 1.0, 9) % 1.0).size  # in turns
+    turns = np.sort(np.round(phi / (2.0 * np.pi) % 1.0, 9) % 1.0)
+    distinct = np.count_nonzero(turns[1:] != turns[:-1]) + (turns.size > 0)
     if distinct < 5:
         # five coefficients per pattern; fewer angles leave the fit rank-deficient
         raise ValueError(f"need at least five distinct phases modulo 2 pi to fit the "
@@ -369,6 +376,16 @@ class BootstrapBand:
     patched_rows: int  # (replicate, phase) rows drawn all-zero, replaced by the central counts
 
 
+def _percentiles(x, q):
+    """np.percentile's linear rule along axis 0, by one sort: np.percentile
+    imports numpy.ma on its first call."""
+    x = np.sort(x, axis=0)
+    pos = np.asarray(q) / 100.0 * (len(x) - 1)
+    lo = np.floor(pos).astype(int)
+    hi = np.minimum(lo + 1, len(x) - 1)
+    return x[lo] + (x[hi] - x[lo]) * (pos - lo)[:, None]
+
+
 def bootstrap_fisher_band(phi, counts, replicates=1000, seed=0,
                           eval_grid=None, noise="poisson") -> BootstrapBand:
     """Central 95% percentile band of I(phi) under count-level resampling.
@@ -403,7 +420,7 @@ def bootstrap_fisher_band(phi, counts, replicates=1000, seed=0,
         curves.append(fisher_curve(series, eval_grid)[0].T)
     curves = np.concatenate(curves)
     central, curves = curves[0], curves[1:]
-    low, high = np.percentile(curves, _BAND_PERCENTILES, axis=0)
+    low, high = _percentiles(curves, _BAND_PERCENTILES)
     return BootstrapBand(
         phi_grid=eval_grid, central=central, low=low, high=high,
         replicates=replicates, patched_rows=patched,

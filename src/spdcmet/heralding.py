@@ -6,6 +6,8 @@ Detectors are perfect counters (the large-d limit of multiplexing) with
 one uniform transmission over all four modes.  The figure of merit is the
 Fisher information of the accepted joint outcome distribution, per photon
 sent down the sensing path among accepted events, at the best phase.
+Every herald count at one transmission shares one compiled click series
+and one phase search.
 """
 
 from __future__ import annotations
@@ -86,49 +88,56 @@ def _mean_heralded_photons(src: SourceParams, eta: float, k: int, n_max: int) ->
     return float((np.arange(n_max + 1) * weights).sum() / total)
 
 
-def _herald_compile(src: SourceParams, eta: float, n_max: int):
-    """Heralded information at one transmission for any herald count: the
-    click series of both paths is compiled once and shared by every k."""
+def _herald_points(src: SourceParams, eta: float, k_values, n_max: int, phi=None) -> list:
+    """Heralded points at one transmission for every herald count in ``k_values``.
+
+    One compiled series and one phase search serve every count.  Each
+    evaluation sums dP^2/P and P of every pattern over the sensing path and
+    runs the sums over the reference patterns from the largest click total
+    down; count k reads them where totals below k begin, so its column
+    rounds the same however many counts share the search.
+    """
     det = DetectorModel.perfect_counting(eta_a=eta, eta_b=eta, c_max=n_max)
     series, _, pairs_b = engine.click_pair_series(src, det, n_max=n_max)
+    totals = pairs_b.sum(axis=1)
+    order = np.argsort(-totals, kind="stable")
+    ends = [np.count_nonzero(totals >= k) - 1 for k in k_values]
+    mean_n = [_mean_heralded_photons(src, eta, k, n_max) for k in k_values]
 
-    def point(spec: HeraldSpec, phi=None) -> HeraldPoint:
-        accepted = pairs_b.sum(axis=1) >= spec.k
-        mean_n = _mean_heralded_photons(src, eta, spec.k, n_max)
-        joint = series if accepted.all() else engine.PhaseSeries(series.harmonics[..., accepted])
+    def accepted(x):  # per-pattern values [..., i, j] -> sums over accepted patterns, per count
+        return np.cumsum(x.sum(-2)[..., order], axis=-1)[..., ends]
 
-        def joint_fisher(p):  # at a phase or an array of phases
-            Pm, dPm = joint.raw(p)
-            p_event = Pm.sum((-2, -1))
-            ok = Pm > _TERM_FLOOR
-            info = np.where(ok, dPm**2 / np.where(ok, Pm, 1.0), 0.0).sum((-2, -1))
-            return info / p_event, p_event
+    def information(p):  # one column per count; an array of phases leads the axes
+        P, dP = series.raw(p)
+        terms = np.divide(dP * dP, P, out=np.zeros_like(P), where=P > _TERM_FLOOR)
+        return accepted(terms) / accepted(P)
 
-        if phi is None:
-            phi, _ = argmax_over_phase(lambda p: joint_fisher(p)[0], np.linspace(0.0, np.pi, 49))
-            phi = abs(math.remainder(phi, 2.0 * math.pi))
-        info, p_event = joint_fisher(phi)
-        return HeraldPoint(value=float(info) / mean_n, phi=float(phi),
-                           event_probability=float(p_event), mean_heralded_photons=mean_n)
-
-    return point
+    if phi is None:
+        phi, info = argmax_over_phase(information, np.linspace(0.0, np.pi, 49))
+        phi = [abs(math.remainder(p, 2.0 * math.pi)) for p in phi]
+    else:
+        info, phi = information(phi), [phi] * len(k_values)
+    p_event = accepted(series.mean())  # the acceptance carries no phase dependence
+    return [HeraldPoint(value=float(v) / m, phi=float(p), event_probability=float(e),
+                        mean_heralded_photons=m)
+            for v, p, e, m in zip(info, phi, p_event, mean_n)]
 
 
 def herald_point(spec: HeraldSpec, phi=None) -> HeraldPoint:
     """Heralded Fisher information per photon, with diagnostics.
 
-    The click tensor is compiled once to its phase series over the patterns
-    a path can produce, and cut to the accepted reference-path patterns
-    before any evaluation.  With ``phi=None`` the information is maximized
-    over phase; the acceptance probability itself carries no phase
-    dependence (each emission sector puts a fixed photon number into the
-    reference path), so the optimum is a plain 1-D search.  The information
-    is even in phi, so [0, pi] is scanned on the 96-point grid's 49 points
-    there, and the optimum is reported in [0, pi].
+    The one-count case of the table's search.  The click tensor is compiled
+    once to its phase series over the patterns a path can produce; the
+    accepted reference-path patterns are summed at each evaluation.  With
+    ``phi=None`` the information is maximized over phase; the acceptance
+    probability itself carries no phase dependence (each emission sector
+    puts a fixed photon number into the reference path), so the optimum is
+    a plain 1-D search.  The information is even in phi, so [0, pi] is
+    scanned on the 96-point grid's 49 points there, and the optimum is
+    reported in [0, pi].
     """
     src = SourceParams(spec.tau)
-    n_max = _truncation(src, spec.k)
-    return _herald_compile(src, spec.eta, n_max)(spec, phi)
+    return _herald_points(src, spec.eta, (spec.k,), _truncation(src, spec.k), phi)[0]
 
 
 @dataclass(frozen=True)
@@ -153,7 +162,7 @@ def herald_table(tau, eta_list, k_list) -> HeraldTable:
     """Grid of heralded Fisher information per photon over (k, eta).
 
     The cutoff does not depend on k, so each transmission is compiled once
-    and shared by every herald count.
+    and searched once for every herald count.
     """
     k_values = tuple(int(k) for k in k_list)
     eta_values = tuple(float(e) for e in eta_list)
@@ -161,8 +170,6 @@ def herald_table(tau, eta_list, k_list) -> HeraldTable:
     n_max = _truncation(src, max(k_values, default=0))
     values = np.empty((len(k_values), len(eta_values)))
     for j, eta in enumerate(eta_values):
-        point = _herald_compile(src, eta, n_max)
-        for i, k in enumerate(k_values):
-            values[i, j] = point(HeraldSpec(k=k, eta=eta, tau=tau)).value
+        values[:, j] = [pt.value for pt in _herald_points(src, eta, k_values, n_max)]
     return HeraldTable(k_values=k_values, eta_values=eta_values, values=values, tau=tau,
                        truncation=n_max)

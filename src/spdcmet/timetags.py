@@ -561,7 +561,8 @@ def count_coincidences(records, window_ps: float = DEFAULT_WINDOW_PS,
     pulse ids is used); it needs a pulse clock.  Without one, each window
     opens at the first click after the previous one ends.  ``records`` is
     a ``TimetagStream`` or an iterable of them in time order, such as a
-    ``TimetagFile`` (counted block by block).
+    ``TimetagFile`` (counted block by block).  A whole stream is counted in
+    slices of a file block, so that each pass over it stays in cache.
     """
     if cmap is None:
         cmap = ChannelMap.default()
@@ -572,7 +573,12 @@ def count_coincidences(records, window_ps: float = DEFAULT_WINDOW_PS,
     if rep_period_ps is None and n_windows is not None:
         raise ValueError("n_windows counts pulses and needs a pulse clock (rep_period_ps)")
     counter = _WindowCounter(window_ps, rep_period_ps)
-    for block in (records,) if isinstance(records, TimetagStream) else records:
+    if isinstance(records, TimetagStream):
+        ch, t = records.channels, records.times
+        counter.reordered += records.reordered
+        records = (TimetagStream(channels=ch[i:i + _BLOCK_RECORDS], times=t[i:i + _BLOCK_RECORDS])
+                   for i in range(0, t.size, _BLOCK_RECORDS))
+    for block in records:
         counter.feed(block)
     hist = counter.histogram(n_windows)
     return CoincidenceResult(histogram=hist, pattern_counts=hist.reduce(cmap),

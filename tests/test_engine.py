@@ -9,8 +9,10 @@ import pytest
 from oracles import oracle_click_tensor, oracle_click_tensor_loss_first, wigner_d_squared
 from spdcmet.detectors import DetectorModel, binomial_thinning_matrix
 from spdcmet.engine import (
+    _direct_clicks,
     _sector_harmonics,
     PatternFamily,
+    PhaseSeries,
     choose_truncation,
     click_pair_series,
     click_probability_tensor,
@@ -24,6 +26,7 @@ from spdcmet.engine import (
     mean_photon_numbers,
     sector_probabilities,
 )
+from spdcmet.estimation import fit_fringes
 from spdcmet.fock import (
     GainRangeError,
     RotationSpec,
@@ -433,3 +436,60 @@ def test_compiles_never_take_a_scalar_path(monkeypatch):
     fourfold_family(src, det)
     click_pair_series(src, det)
     fourfold_conditional_means(src, det)
+
+
+def complex_definition(c, phi):
+    """Re sum_k c_k e^{i k phi} and its phi-derivative, from the definition."""
+    k = np.arange(len(c))
+    e = np.exp(1j * np.multiply.outer(phi, k))
+    return np.tensordot(e, c, axes=1).real, np.tensordot(1j * k * e, c, axes=1).real
+
+
+def fitted_fringes():
+    rng = np.random.default_rng(4)
+    phi = np.linspace(0.0, 2 * np.pi, 23, endpoint=False)
+    src = SourceParams(0.061)
+    counts = rng.poisson(fourfold_family(src, detector_for_source(src, 4, 0.23, 0.12))(phi) * 1e4)
+    fits = fit_fringes(phi, counts)
+    c = np.array([(f.c0, f.c1 * np.exp(1j * f.phi1), f.c2 * np.exp(1j * f.phi2)) for f in fits]).T
+    return fits, c
+
+
+def shifted_family():
+    src = SourceParams(0.061)
+    det = detector_for_source(src, 4, 0.23, 0.12)
+    cosine = fourfold_family(src, det)
+    assert cosine.coefficients.shape[0] == cosine.n_max + 1  # even at theta 0: no sine part
+    c = cosine.coefficients * np.exp(-0.7j * np.arange(cosine.n_max + 1))[:, None]
+    return fourfold_family(src, det, theta=0.7), c
+
+
+def random_series():
+    rng = np.random.default_rng(12)
+    c = rng.normal(size=(7, 3, 4)) + 1j * rng.normal(size=(7, 3, 4))
+    return PhaseSeries(c), c
+
+
+@pytest.mark.parametrize("build", [random_series, fitted_fringes, shifted_family])
+def test_real_series_equals_the_complex_definition(build):
+    series, c = build()
+    assert series.coefficients.dtype == float and series.coefficients.shape[0] == 2 * len(c)
+    k = np.arange(len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
+    for phi in (np.random.default_rng(3).uniform(-2 * np.pi, 4 * np.pi, size=9), 1.25):
+        f, df = series.raw(phi)
+        want, dwant = complex_definition(c, phi)
+        assert np.all(np.abs(f - want) <= 1e-14 * np.abs(c).sum(axis=0))
+        assert np.all(np.abs(df - dwant) <= 1e-14 * (k * np.abs(c)).sum(axis=0))
+
+
+@pytest.mark.parametrize("tau", [0.061, 0.5, 0.9])
+def test_click_probabilities_are_even_in_phase(tau):
+    # why a click series compiled at theta 0 is a pure cosine series
+    src = SourceParams(tau)
+    n_max = choose_truncation(src)
+    det = detector_for_source(src, None, 0.9, 0.8)
+    pairs = np.argwhere(np.add.outer(np.arange(n_max + 1), np.arange(n_max + 1)) <= n_max)
+    for phi in (0.3, 1.4, np.pi / 2, 2.9, 4.0):
+        P = _direct_clicks(src, RotationSpec(phi), det, pairs, pairs, n_max)
+        mirrored = _direct_clicks(src, RotationSpec(-phi), det, pairs, pairs, n_max)
+        assert np.abs(P - mirrored).max() <= 1e-15 * P.max()

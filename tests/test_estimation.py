@@ -584,6 +584,27 @@ def test_batched_phase_search_equals_one_search_per_column():
         assert (phi[b], value[b]) == pytest.approx(want, rel=0.0, abs=1e-15)
 
 
+def test_stacked_phase_search_equals_one_search_per_column():
+    # the stack shares one grid scan; lane b of the refinement reads column b
+    centers = np.array([0.4, 2.0, 2.05, 5.9])
+    calls = []
+
+    def stack(p):
+        calls.append(np.size(p))
+        return np.stack([trig_bump(c)(p) for c in centers], axis=-1)
+
+    phi, value = argmax_over_phase(stack)
+    assert phi.shape == value.shape == (4,)
+    assert sum(calls[:24]) == 96
+    shared, singles = len(calls), []
+    for b, center in enumerate(centers):
+        calls.clear()
+        alone = argmax_over_phase(lambda p: calls.append(np.size(p)) or trig_bump(center)(p))
+        assert (phi[b], value[b]) == alone
+        singles.append(len(calls))
+    assert shared == max(singles)  # one refinement, as long as its slowest lane
+
+
 def test_phase_search_on_a_window_refines_past_its_end():
     # the grid ends 0.03 short of the maximum; the bracket is not clipped
     fn = trig_bump(1.03)

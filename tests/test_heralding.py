@@ -123,6 +123,32 @@ def test_table_compiles_once_per_transmission(monkeypatch):
             assert tab.values[i, j] == pytest.approx(want, rel=1e-12, abs=0)
 
 
+def test_one_phase_search_serves_every_herald_count(monkeypatch):
+    evaluations = []
+    raw = engine.PhaseSeries.raw
+    monkeypatch.setattr(engine.PhaseSeries, "raw",
+                        lambda self, phi: evaluations.append(np.size(phi)) or raw(self, phi))
+
+    def evaluations_of(k_list):
+        evaluations.clear()
+        herald_table(0.1, eta_list=(0.9,), k_list=k_list)
+        return len(evaluations)
+
+    # one 49-point scan, then one batched refinement as long as its slowest
+    # lane, each lane rounded like its own single-count search
+    shared = evaluations_of(range(4))
+    assert evaluations[:13] == [4] * 12 + [1]
+    assert shared == max(evaluations_of([k]) for k in range(4))
+
+
+def test_shared_search_cells_equal_single_count_points():
+    # the two-peak cell: its search misses the higher peak, the same way for both
+    tab = herald_table(0.5, eta_list=(0.99,), k_list=range(4))
+    for k in range(4):
+        want = herald_point(HeraldSpec(k=k, eta=0.99, tau=0.5)).value
+        assert tab.values[k, 0] == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_event_probability_is_phase_independent():
     # every source sector puts a fixed photon number in the reference path
     spec = HeraldSpec(k=1, eta=0.8, tau=0.05)

@@ -303,6 +303,39 @@ def test_streamed_counts_equal_the_whole_stream_count(tmp_path, monkeypatch, rep
             assert len(tags) == len(arrival)
 
 
+@pytest.mark.parametrize("rep", [REP, None], ids=["clocked", "first_click"])
+def test_whole_stream_its_slices_and_its_file_count_alike(tmp_path, monkeypatch, rep):
+    # a whole in-memory stream is counted in slices of a file block; at 7
+    # records a slice, some slice boundaries fall inside a pulse's window
+    stream = dense_stream()
+    later = [(int(c), int(t) + REP) for c, t in zip(stream.channels, stream.times)]
+    arrival = [(0, 200)] + shuffled_within(later, 1000, seed=3)
+    data = raw_binary(arrival)
+    path = tmp_path / "tags.bin"
+    path.write_bytes(data)
+    whole = parse_timetags_binary(data)
+    assert whole.reordered > 0
+    one_block = counted([whole], rep)  # fed as a single block
+    assert one_block.histogram.counts == reference_count(by_time(arrival), WINDOW, rep)[0]
+    assert one_block.reordered == whole.reordered
+
+    monkeypatch.setattr(timetags, "_BLOCK_RECORDS", 7)
+    pulses = whole.times // np.uint64(REP)
+    assert np.any(pulses[7::7] == pulses[6:-1:7])  # a window straddles a slice boundary
+    fed = []
+    feed = timetags._WindowCounter.feed
+    monkeypatch.setattr(timetags._WindowCounter, "feed",
+                        lambda self, block: fed.append(len(block)) or feed(self, block))
+    same_result(counted(whole, rep), one_block)
+    assert max(fed) == 7 and sum(fed) == len(whole)
+    cuts = [0, 1, 50, 51, len(whole) // 2, len(whole)]
+    slices = [TimetagStream(channels=whole.channels[a:b], times=whole.times[a:b])
+              for a, b in zip(cuts, cuts[1:])]
+    slices[0] = timetags._stream(slices[0].channels, slices[0].times, whole.reordered)
+    same_result(counted(slices, rep), one_block)
+    same_result(counted(TimetagFile(path, "binary"), rep), one_block)
+
+
 def test_windows_and_reorders_straddling_a_block_boundary(tmp_path, monkeypatch):
     # at 7 records a block, block 1 ends inside pulse 0 and inside a
     # first-click window; the first record of block 2 sorts before the last
