@@ -66,7 +66,6 @@ from .fock import (
     GainRangeError,
     RotationSpec,
     SourceParams,
-    ideal_pattern_probability,
     pair_number_weights,
     truncation_tail,
 )
@@ -92,7 +91,7 @@ __all__ = [
     "__version__",
     # fock
     "GainRangeError", "SourceParams", "RotationSpec", "pair_number_weights",
-    "truncation_tail", "ideal_pattern_probability",
+    "truncation_tail",
     # detectors
     "stirling2", "lossless_weights", "lossless_weight_table",
     "binomial_thinning_matrix", "apply_loss",

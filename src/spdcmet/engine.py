@@ -19,6 +19,8 @@ with the pair-number weights q_n and rotation matrices G_n of
 :mod:`spdcmet.fock`.  Each P_r is a trigonometric polynomial in phi of
 degree n_max, compiled once at theta = 0 to its :class:`PhaseSeries`, which
 serves probabilities, exact phi-derivatives and the exact phase average.
+The dense tensor, single patterns and full distributions read the same
+compiled series, at phi - theta.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .fock import (
 __all__ = [
     "choose_truncation",
     "detector_for_source",
-    "sector_probabilities",
     "click_probability_tensor",
     "PhaseSeries",
     "click_pair_series",
@@ -96,45 +97,12 @@ def _occupations(src, phi, n_max):
         yield w * np.square(g[..., ::-1])
 
 
-def sector_probabilities(n, src, rot):
-    """Occupation probabilities p[k, l] in pair sector n.
-
-    Index k is the sensing-path h occupation (v holds n-k), l the same on
-    the reference path.
-    """
-    *_, p = _occupations(src, rot.phi - rot.theta, n)
-    return p
-
-
 def _check_capacity(det: DetectorModel, n_max: int):
     if det.c_max < n_max:
         raise ValueError(
             f"detector tables support at most {det.c_max} photons per mode, "
             f"need {n_max} for the requested truncation"
         )
-
-
-def _direct_clicks(src, rot, det, pairs_a, pairs_b, n_max):
-    """Probabilities P[i, j] of the patterns (*pairs_a[i], *pairs_b[j]) at one
-    rotation, summed sector by sector."""
-    _check_capacity(det, n_max)
-    ka = _click_weights(det.table_a, pairs_a, n_max)
-    kb = _click_weights(det.table_b, pairs_b, n_max)
-    return sum(ka[n] @ p @ kb[n].T
-               for n, p in enumerate(_occupations(src, rot.phi - rot.theta, n_max)))
-
-
-def click_probability_tensor(src, rot, det, n_max=None):
-    """Joint click-pattern probabilities P[r_ah, r_av, r_bh, r_bv].
-
-    Axes run to each table's maximum click number.
-    """
-    if n_max is None:
-        n_max = choose_truncation(src)
-    ra, rb = det.table_a.max_clicks + 1, det.table_b.max_clicks + 1
-    P = _direct_clicks(src, rot, det, np.argwhere(np.ones((ra, ra))),
-                       np.argwhere(np.ones((rb, rb))), n_max)
-    return P.reshape(ra, ra, rb, rb)
 
 
 class PhaseSeries:
@@ -249,6 +217,21 @@ def click_pair_series(src, det, n_max=None):
     return (PhaseSeries(_click_harmonics(src, det, *pairs, n_max)), *pairs)
 
 
+def click_probability_tensor(src, rot, det, n_max=None):
+    """Joint click-pattern probabilities P[r_ah, r_av, r_bh, r_bv].
+
+    Axes run to each table's maximum click number.  The compiled series of
+    :func:`click_pair_series`, read at phi - theta, fills every pattern the
+    cutoff allows; the others are zero.
+    """
+    series, pairs_a, pairs_b = click_pair_series(src, det, n_max)
+    ra, rb = det.table_a.max_clicks + 1, det.table_b.max_clicks + 1
+    P = np.zeros((ra, ra, rb, rb))
+    kept = pairs_a[:, :1], pairs_a[:, 1:], pairs_b[:, 0], pairs_b[:, 1]
+    P[kept] = series.raw(rot.phi - rot.theta)[0]
+    return P
+
+
 def detection_probability(pattern, rot, src, det) -> float:
     """Probability of one click pattern (r_ah, r_av, r_bh, r_bv)."""
     r_ah, r_av, r_bh, r_bv = pattern
@@ -256,8 +239,7 @@ def detection_probability(pattern, rot, src, det) -> float:
         raise ValueError("click counts must be non-negative")
     if max(r_ah, r_av) > det.table_a.max_clicks or max(r_bh, r_bv) > det.table_b.max_clicks:
         raise ValueError(f"pattern {pattern} exceeds the detector click range")
-    return float(_direct_clicks(src, rot, det, [pattern[:2]], [pattern[2:]],
-                                choose_truncation(src))[0, 0])
+    return float(click_probability_tensor(src, rot, det)[tuple(pattern)])
 
 
 @dataclass(frozen=True)

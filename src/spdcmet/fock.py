@@ -19,7 +19,9 @@ and its two-mode Fock amplitudes are built for all photon-number sectors
 at once, each sector from the previous one by applying one transformed
 creation operator (:func:`rotation_matrices`).  The map is a rotation
 exp(ang K) times a fixed reflection, so every angle derivative follows
-from the generator K (:func:`rotation_generator`).
+from the generator K (:func:`rotation_generator`).  This module holds the
+amplitudes only; every pattern probability is compiled from them in
+:mod:`spdcmet.engine`.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ __all__ = [
     "rotation_matrices",
     "rotation_generator",
     "sensing_transition_matrix",
-    "reference_transition_matrix",
-    "ideal_pattern_probability",
 ]
 
 
@@ -161,41 +161,8 @@ def sensing_transition_matrix(n: int, phi) -> np.ndarray:
     Column m corresponds to the sensing-path part |n-m, m> of the m-th
     source term in the 2n-photon sector; row k to the occupation
     (k, n-k) after the rotation.  It is G_n of :func:`rotation_matrices`
-    with its columns reversed.
+    with its columns reversed.  The model itself never builds one sector
+    alone; this stays as the single-sector target that the benchmark's
+    rotation-matrix probes time.
     """
-    return reference_transition_matrix(n, phi)[..., ::-1]
-
-
-def reference_transition_matrix(n: int, theta) -> np.ndarray:
-    """Matrix M[l, m] = <l, n-l| U(theta) |m, n-m> on the reference path.
-
-    The reference-path part of the m-th source term is |m, n-m>, with the
-    occupation mirrored relative to the sensing path.
-    """
-    return rotation_matrices(n, theta)[-1]
-
-
-def ideal_pattern_probability(occupation, rot: RotationSpec, src: SourceParams) -> float:
-    """Probability of a joint mode occupation with ideal (lossless) counters.
-
-    Args:
-        occupation: (c_ah, c_av, c_bh, c_bv) photon numbers per mode.
-        rot: waveplate settings.
-        src: source settings.
-
-    Returns:
-        Probability of observing exactly this occupation.  Occupations
-        with unequal path totals have probability zero because every
-        emitted pair places one photon in each path.
-    """
-    c_ah, c_av, c_bh, c_bv = occupation
-    if min(occupation) < 0:
-        raise ValueError("occupations must be non-negative")
-    n = c_ah + c_av
-    if n != c_bh + c_bv:
-        return 0.0
-    pref = math.tanh(src.tau) ** n / math.cosh(src.tau) ** 2
-    signs = (-1.0) ** np.arange(n + 1)
-    amp = pref * float((sensing_transition_matrix(n, rot.phi)[c_ah] * signs)
-                       @ reference_transition_matrix(n, rot.theta)[c_bh])
-    return amp * amp
+    return rotation_matrices(n, phi)[-1][..., ::-1]

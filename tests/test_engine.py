@@ -6,10 +6,15 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import oracle_click_tensor, oracle_click_tensor_loss_first, wigner_d_squared
+from oracles import (
+    occupation_probabilities,
+    oracle_click_tensor,
+    oracle_click_tensor_loss_first,
+    wigner_d_squared,
+)
 from spdcmet.detectors import DetectorModel, binomial_thinning_matrix
 from spdcmet.engine import (
-    _direct_clicks,
+    _occupations,
     _sector_harmonics,
     PatternFamily,
     PhaseSeries,
@@ -24,18 +29,15 @@ from spdcmet.engine import (
     full_pattern_distribution,
     ideal_fisher_information,
     mean_photon_numbers,
-    sector_probabilities,
 )
 from spdcmet.estimation import fit_fringes
 from spdcmet.fock import (
     GainRangeError,
     RotationSpec,
     SourceParams,
-    ideal_pattern_probability,
     pair_number_weights,
-    reference_transition_matrix,
     rotation_generator,
-    sensing_transition_matrix,
+    rotation_matrices,
 )
 from spdcmet.heralding import herald_table
 
@@ -89,19 +91,20 @@ def test_perfect_counting_reduces_to_ideal_patterns():
     src = SourceParams(0.1)
     det = detector_for_source(src, None, 1.0, 1.0)
     rot = RotationSpec(0.9, 0.3)
+    oracle = occupation_probabilities(src, rot.phi, rot.theta, 2)
     for occ in [(0, 0, 0, 0), (1, 0, 0, 1), (1, 1, 1, 1), (2, 0, 1, 1)]:
         assert detection_probability(occ, rot, src, det) == pytest.approx(
-            ideal_pattern_probability(occ, rot, src), abs=1e-13
+            oracle[occ], abs=1e-13
         )
 
 
-@pytest.mark.parametrize("tau", [0.05, 0.15])
-@pytest.mark.parametrize("d", [4, None])
+@pytest.mark.parametrize("tau", [0.05, 0.15, 0.5])
+@pytest.mark.parametrize("d", [4, None, 1, 8])
 def test_click_tensor_is_a_distribution(tau, d):
     src = SourceParams(tau)
-    det = detector_for_source(src, d, 0.7, 0.4)
     rng = np.random.default_rng(2)
     for _ in range(3):
+        det = detector_for_source(src, d, *rng.uniform(0.05, 1.0, size=2))
         rot = RotationSpec(float(rng.uniform(0, 2 * np.pi)), float(rng.uniform(0, 2 * np.pi)))
         P = click_probability_tensor(src, rot, det)
         assert P.min() >= -1e-15
@@ -181,6 +184,17 @@ def test_reference_rotation_translates_the_fringes():
         shifted = fourfold_family(src, det, theta=delta).probabilities(phi)
         base = fourfold_family(src, det).probabilities(phi - delta)
         np.testing.assert_allclose(shifted, base, atol=1e-12)
+
+
+def test_reference_rotation_delays_the_harmonics_the_way_the_oracle_rotates():
+    # the oracle rotates the reference path itself, so it fixes the sign of
+    # theta that a translation test alone cannot see
+    src, det = experiment_model()
+    fam = fourfold_family(src, det, theta=0.7)
+    for phi in (0.3, 1.1, 2.5, 4.0):
+        want = oracle_click_tensor(src, phi, 0.7, EXPERIMENT["eta_a"], EXPERIMENT["eta_b"], 4,
+                                   fam.n_max)[tuple(np.transpose(NINE))]
+        np.testing.assert_allclose(fam.raw(phi)[0], want, rtol=0, atol=1e-14 * want.max())
 
 
 def test_family_derivatives_sum_to_zero():
@@ -288,7 +302,7 @@ def test_sector_probabilities_match_the_wigner_d_closed_form(n, tau, phi, theta)
     weight = math.tanh(tau) ** (2 * n) / math.cosh(tau) ** 4
     want = weight * np.array([[wigner_d_squared(n, 2 * k - n, n - 2 * l, phi - theta)
                                for l in range(n + 1)] for k in range(n + 1)])
-    got = sector_probabilities(n, src, RotationSpec(phi, theta))
+    *_, got = _occupations(src, phi - theta, n)
     assert np.abs(got - want).max() <= 2e-12 * want.max()
 
 
@@ -336,10 +350,10 @@ def direct_pattern_sum(src, det, patterns, phi, theta, n_max):
     Wa, Wb = det.table_a.weights, det.table_b.weights
     f = np.zeros(len(patterns))
     df = np.zeros(len(patterns))
+    G, R = rotation_matrices(n_max, phi), rotation_matrices(n_max, theta)
     for n in range(n_max + 1):
         pref = math.tanh(src.tau) ** n / math.cosh(src.tau) ** 2 * (-1.0) ** np.arange(n + 1)
-        R = reference_transition_matrix(n, theta)
-        A = (sensing_transition_matrix(n, phi) * pref) @ R.T
+        A = (G[n][:, ::-1] * pref) @ R[n].T
         dA = rotation_generator(n) @ A
         for i, (r_ah, r_av, r_bh, r_bv) in enumerate(patterns):
             va = Wa[r_ah, : n + 1] * Wa[r_av, : n + 1][::-1]
@@ -398,11 +412,13 @@ def test_zeroth_harmonic_is_the_phase_average(tau, d):
 
 @pytest.mark.parametrize("d", [4, None])
 def test_click_series_matches_the_tensor_it_compiles(d):
+    # against the propagation oracle, since the tensor is read from the series
     src = SourceParams(0.061)
+    n_max = choose_truncation(src)
     det = detector_for_source(src, d, 0.23, 0.12)
     series, pairs_a, pairs_b = click_pair_series(src, det)
     for phi in (0.3, 2.2, 5.0):
-        P = click_probability_tensor(src, RotationSpec(phi), det)
+        P = oracle_click_tensor(src, phi, 0.0, 0.23, 0.12, d, n_max)
         kept = (pairs_a[:, :1], pairs_a[:, 1:], pairs_b[:, 0], pairs_b[:, 1])
         np.testing.assert_allclose(series.raw(phi)[0], P[kept], atol=1e-15)
         P[kept] = 0.0
@@ -413,8 +429,6 @@ def test_click_series_matches_the_tensor_it_compiles(d):
 # serve a compile, which builds every sector over every sample phase at once
 SCALAR_PATHS = (
     ("fock", "sensing_transition_matrix"),
-    ("fock", "reference_transition_matrix"),
-    ("engine", "sector_probabilities"),
     ("engine", "click_probability_tensor"),
 )
 
@@ -484,12 +498,10 @@ def test_real_series_equals_the_complex_definition(build):
 
 @pytest.mark.parametrize("tau", [0.061, 0.5, 0.9])
 def test_click_probabilities_are_even_in_phase(tau):
-    # why a click series compiled at theta 0 is a pure cosine series
+    # why a click series compiled at theta 0 is a pure cosine series: every
+    # sector's occupations, and so every click weight summed over them, are even
     src = SourceParams(tau)
     n_max = choose_truncation(src)
-    det = detector_for_source(src, None, 0.9, 0.8)
-    pairs = np.argwhere(np.add.outer(np.arange(n_max + 1), np.arange(n_max + 1)) <= n_max)
     for phi in (0.3, 1.4, np.pi / 2, 2.9, 4.0):
-        P = _direct_clicks(src, RotationSpec(phi), det, pairs, pairs, n_max)
-        mirrored = _direct_clicks(src, RotationSpec(-phi), det, pairs, pairs, n_max)
-        assert np.abs(P - mirrored).max() <= 1e-15 * P.max()
+        for p, mirrored in zip(_occupations(src, phi, n_max), _occupations(src, -phi, n_max)):
+            assert np.abs(p - mirrored).max() <= 1e-15 * p.max()
