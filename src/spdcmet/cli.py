@@ -167,35 +167,29 @@ def cmd_fisher(args) -> int:
 
     # best information over a finer scan for the advantage summary
     phi_star, i_star = estimation.argmax_over_phase(
-        lambda p: estimation.fisher_information(family, p), 512)
+        lambda p: estimation.fisher_information(family, p), 512, family.scan_block)
     advantage = i_star / snl - 1.0
 
     band_low = band_high = None
     patched_rows = band_misses = 0
-    if args.bootstrap > 0:
+    if args.bootstrap != 0:
         counts = family.probabilities(grid) * args.counts_per_phase
-        band = estimation.bootstrap_fisher_band(
-            grid, counts, replicates=args.bootstrap, seed=args.seed
-        )
+        band = estimation.bootstrap_fisher_band(grid, counts, replicates=args.bootstrap,
+                                                seed=args.seed)
         band_low, band_high, patched_rows = band.low, band.high, band.patched_rows
         band_misses = int(np.sum((central < band_low) | (central > band_high)))
 
     ml_points = []
-    if args.ml_reps > 0:
-        span = args.phi_stop - args.phi_start
-        for j, frac in enumerate((0.2, 0.45, 0.7)):
-            phi_j = args.phi_start + frac * span
-            # p(phi) = p(2 theta - phi): keep the mirror estimate out of the window
-            mirror_gap = abs(math.remainder(2.0 * (phi_j - args.theta), 2.0 * math.pi))
-            res = estimation.monte_carlo_ml_fisher(
-                family, phi_j, repetitions=args.ml_reps,
-                sample_size=args.ml_samples, seed=args.seed + 1000 + j,
-                search_halfwidth=min(math.pi / 4.0, mirror_gap / 2.0),
-            )
-            ml_points.append({
-                "phi": float(phi_j), "i_ml": res.i_ml, "stderr": res.stderr,
-                "edge_hits": res.edge_hits,
-            })
+    if args.ml_reps != 0:
+        phis = [args.phi_start + f * (args.phi_stop - args.phi_start) for f in (0.2, 0.45, 0.7)]
+        # p(phi) = p(2 theta - phi): keep the mirror estimate out of the window
+        gaps = [abs(math.remainder(2.0 * (phi - args.theta), 2.0 * math.pi)) for phi in phis]
+        results = estimation.monte_carlo_ml_fisher(
+            family, phis, repetitions=args.ml_reps, sample_size=args.ml_samples,
+            seed=[args.seed + 1000 + j for j in range(len(phis))],
+            search_halfwidth=[min(math.pi / 4.0, gap / 2.0) for gap in gaps])
+        ml_points = [{"phi": float(phi), "i_ml": res.i_ml, "stderr": res.stderr,
+                      "edge_hits": res.edge_hits} for phi, res in zip(phis, results)]
 
     columns = ["phi", "fisher", "clipped"]
     rows = [[phi, v, int(c)] for phi, v, c in zip(grid, central, clipped)]

@@ -70,6 +70,8 @@ def lossless_weight_table(d: int, c_max: int) -> np.ndarray:
 
     Returns W with shape (d+1, c_max+1); W[r, c] = lossless_weights(d, r, c).
     """
+    if d < 1:
+        raise ValueError(f"need at least one detector per mode, got {d}")
     if c_max < 0:
         raise ValueError("c_max must be non-negative")
     W = np.zeros((d + 1, c_max + 1))

@@ -119,7 +119,7 @@ class PhaseSeries:
     average is a_0.  With ``renormalize`` the values are divided by their
     sum over the last output axis at each phase, the way coincidence counts
     are normalized per setting; leading output axes then hold independent
-    distributions.
+    distributions.  A phase scan reads ``scan_block`` phases, ~2^14 values, per evaluation.
     """
 
     def __init__(self, harmonics, renormalize=False):
@@ -129,6 +129,7 @@ class PhaseSeries:
             c = np.concatenate([c.real, -c.imag])
         self.coefficients = np.ascontiguousarray(c.real, dtype=float)
         self.renormalize = renormalize
+        self.scan_block = -(-2**14 // self.coefficients[0].size)
 
     @property
     def harmonics(self):

@@ -3,10 +3,10 @@
 Every family of phase-parametrized distributions is a compiled phase
 series (:class:`spdcmet.engine.PhaseSeries`) with exact derivatives;
 fitted fringes are the same series truncated to harmonics 0-2.  Each
-estimator evaluates whole arrays of phases at once: every best phase is
-found by :func:`argmax_over_phase`, which refines a grid bracket by
-Brent's method; the bootstrap band fits and evaluates blocks of
-replicates, drawn as one random stream, at once.
+estimator evaluates whole arrays of phases at once: a series' phase scan
+reads ``scan_block`` phases per evaluation, Brent's method refines each
+best phase (:func:`argmax_over_phase`), one bisection every ML estimate,
+and the bootstrap band fits and evaluates blocks of replicates at once.
 
 A fringe c0 + c1 cos(phi + phi1) + c2 cos(2 phi + phi2) lies in the span
 of {1, cos phi, sin phi, cos 2 phi, sin 2 phi}, so its least-squares fit
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 PROB_FLOOR = 1e-12
-_SCAN_BLOCK = 4  # phases per evaluation of a phase scan; bounds its temporaries
+_SCAN_BLOCK = 4  # phases per call of an opaque phase scan; bounds its temporaries
 _GRID_DENSITY = 1000  # likelihood-scan points per 2 pi
 _TIE_TOL = 1e-6  # log-likelihood gap below which distinct maxima tie
 _BAND_COLUMNS = 1024  # fitted pattern columns per bootstrap block; bounds the fit temporaries
@@ -173,7 +173,7 @@ def _grid_peak(values):
     return np.argmax(values >= top - 1e-12 * np.abs(top), axis=0)
 
 
-def argmax_over_phase(fn, grid=96):
+def argmax_over_phase(fn, grid=96, block=_SCAN_BLOCK):
     """Maximum of a 2 pi-periodic function, or of each of a stack of them:
     the best point of an equispaced grid, refined by Brent's method over
     one grid step either side.
@@ -181,8 +181,8 @@ def argmax_over_phase(fn, grid=96):
     ``fn`` takes a phase or an array of phases and returns a value per
     phase, or for a stack a row of B values per phase, one per function.
     ``grid`` is a point count over [0, 2 pi) or an increasing equispaced
-    array of at least two phases, scanned a few phases per call of ``fn``
-    so that large outputs stay small in memory.  Symmetric images of one
+    array of at least two phases, scanned ``block`` phases per call of ``fn``
+    (by default a few, so that large outputs stay small).  Symmetric images of one
     maximum tie up to rounding, so the first grid point within 1e-12
     (relative) of the best is taken.  The bracket is never clipped to the
     grid, which is safe because ``fn`` is periodic.  The maximum is located
@@ -197,10 +197,8 @@ def argmax_over_phase(fn, grid=96):
         raise ValueError(f"phase search needs at least two grid points, got {n}")
     if np.ndim(grid) == 0:
         grid = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    blocks = np.split(grid, range(_SCAN_BLOCK, len(grid), _SCAN_BLOCK))
-    values = np.concatenate([fn(block) for block in blocks])
-    i = _grid_peak(values)
-    step = grid[1] - grid[0]
+    values = np.concatenate([fn(grid[i:i + block]) for i in range(0, len(grid), block)])
+    i, step = _grid_peak(values), grid[1] - grid[0]
     lanes = (lambda v: v) if values.ndim == 1 else np.diagonal
     phi, f_min = _brent_min(lambda p: -lanes(fn(p)), grid[i] - step, grid[i] + step, 1e-9)
     return phi, -f_min
@@ -320,7 +318,7 @@ class MLFisherResult:
 
 
 def monte_carlo_ml_fisher(family, phi_true, repetitions=10_000, sample_size=1000,
-                          seed=0, search_halfwidth=np.pi / 4.0) -> MLFisherResult:
+                          seed=0, search_halfwidth=np.pi / 4.0):
     """Empirical information of the ML estimator, I_ML = 1 / (N Var(phi_hat)).
 
     Every repetition draws one multinomial sample of ``sample_size``
@@ -329,37 +327,48 @@ def monte_carlo_ml_fisher(family, phi_true, repetitions=10_000, sample_size=1000
     step beyond it (local estimation; keeps mirror-symmetric aliases of
     the fringe period out of the window).  ``edge_hits`` counts the
     repetitions whose scan maximum is the first or last grid point, whose
-    estimates the window may have cut short.  All repetitions share one
-    likelihood table and one refinement, bisection of each scan maximum's
-    bracket (a grid step either side) on the sign of the exact score, so
-    the family is evaluated the same number of times for any repetition
-    count.  The quoted standard error is the large-M normal-theory error
-    of a variance estimate, Var * sqrt(2 / (M - 1)), propagated to the
-    information.
+    estimates the window may have cut short.  The quoted standard error is
+    the large-M normal-theory error of a variance estimate,
+    Var * sqrt(2 / (M - 1)), propagated to the information.
+
+    An array of true phases, against which ``seed`` and
+    ``search_halfwidth`` broadcast, gives a tuple of results, each equal to
+    its own scalar call.  Every repetition of every point shares one
+    likelihood evaluation and one refinement: bisection of its scan
+    maximum's bracket (a grid step either side) on the sign of the exact
+    score, each lane stopping after its own point's step count.  So the
+    family is evaluated as often as for the widest window alone.
     """
-    if not search_halfwidth > 0.0:
+    if repetitions < 2 or sample_size < 1:
+        raise ValueError("ML analysis needs repetitions >= 2 and sample_size >= 1")
+    phis, halfwidths, seeds = (a.ravel() for a in np.broadcast_arrays(
+        np.asarray(phi_true, dtype=float), search_halfwidth, np.array(seed, dtype=object)))
+    if not np.all(halfwidths > 0.0):
         raise ValueError("search_halfwidth must be positive")
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(sample_size, family.probabilities(phi_true), size=repetitions)
-    grid = _likelihood_grid(phi_true - search_halfwidth, phi_true + search_halfwidth)
-    peak, step = _grid_peak(_log_probs(family, grid) @ counts.T), grid[1] - grid[0]
-    lo, hi = grid[peak] - step, grid[peak] + step
-    for _ in range(math.ceil(math.log2(2.0 * step / 1e-10))):
+    counts = np.concatenate([np.random.default_rng(s).multinomial(sample_size, p, size=repetitions)
+                             for s, p in zip(seeds, family.probabilities(phis))])
+    grids = [_likelihood_grid(phi - w, phi + w) for phi, w in zip(phis, halfwidths)]
+    tables = np.split(_log_probs(family, np.concatenate(grids)), np.cumsum(list(map(len, grids))))
+    peaks = [_grid_peak(t @ c.T) for t, c in zip(tables, np.split(counts, phis.size))]
+    steps = np.repeat([g[1] - g[0] for g in grids], repetitions)
+    centre = np.concatenate([g[k] for g, k in zip(grids, peaks)])
+    lo, hi, bisections = centre - steps, centre + steps, np.ceil(np.log2(2.0 * steps / 1e-10))
+    for i in range(int(bisections.max())):
         mid = (lo + hi) / 2.0
         p, dp = family.probabilities_and_derivatives(mid)
         # d/dphi of each repetition's log-likelihood, counts @ log max(p, floor)
         score = (counts * np.where(p > PROB_FLOOR, dp, 0.0) / np.maximum(p, PROB_FLOOR)).sum(1)
-        lo, hi = np.where(score > 0.0, mid, lo), np.where(score > 0.0, hi, mid)
-    estimates = (lo + hi) / 2.0
-    edge_hits = np.isin(peak, (0, grid.size - 1)).sum()
-    variance = float(np.var(estimates, ddof=1))
-    i_ml = 1.0 / (sample_size * variance)
-    stderr = i_ml * math.sqrt(2.0 / (repetitions - 1))
-    return MLFisherResult(
-        i_ml=i_ml, stderr=stderr, variance=variance,
-        mean_estimate=float(estimates.mean()), phi_true=float(phi_true),
-        repetitions=repetitions, sample_size=sample_size, edge_hits=int(edge_hits),
-    )
+        up, live = score > 0.0, i < bisections
+        lo, hi = np.where(live & up, mid, lo), np.where(live & ~up, mid, hi)
+    results = []
+    for phi, grid, peak, est in zip(phis, grids, peaks, np.split((lo + hi) / 2.0, phis.size)):
+        variance = float(np.var(est, ddof=1))
+        i_ml = 1.0 / (sample_size * variance)
+        results.append(MLFisherResult(
+            i_ml=i_ml, stderr=i_ml * math.sqrt(2.0 / (repetitions - 1)), variance=variance,
+            mean_estimate=float(est.mean()), phi_true=float(phi), repetitions=repetitions,
+            sample_size=sample_size, edge_hits=int(np.isin(peak, (0, grid.size - 1)).sum())))
+    return results[0] if np.ndim(phi_true) == 0 else tuple(results)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +411,8 @@ def bootstrap_fisher_band(phi, counts, replicates=1000, seed=0,
     """
     if noise not in ("poisson", "none"):
         raise ValueError("noise must be 'poisson' or 'none'")
+    if replicates < 1:
+        raise ValueError(f"bootstrap needs at least one replicate, got {replicates}")
     counts = np.asarray(counts, dtype=float)
     eval_grid = np.asarray(phi if eval_grid is None else eval_grid, dtype=float)
     rng = np.random.default_rng(seed)
@@ -485,7 +496,8 @@ def performance_curve(src, etas, d=4, coarse=96) -> list:
             raise ValueError(f"transmission must be positive, got {eta}")
         det = engine.detector_for_source(src, d, eta, eta)
         fam, _, _ = engine.click_pair_series(src, det)
-        phi_opt, fisher = argmax_over_phase(lambda p: fisher_information(fam, p), coarse)
+        phi_opt, fisher = argmax_over_phase(lambda p: fisher_information(fam, p), coarse,
+                                            fam.scan_block)
         delta = 1.0 / math.sqrt(fisher)
         scale = math.sqrt(eta * nbar)
         points.append(PerformancePoint(

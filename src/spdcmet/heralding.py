@@ -91,11 +91,11 @@ def _mean_heralded_photons(src: SourceParams, eta: float, k: int, n_max: int) ->
 def _herald_points(src: SourceParams, eta: float, k_values, n_max: int, phi=None) -> list:
     """Heralded points at one transmission for every herald count in ``k_values``.
 
-    One compiled series and one phase search serve every count.  Each
-    evaluation sums dP^2/P and P of every pattern over the sensing path and
-    runs the sums over the reference patterns from the largest click total
-    down; count k reads them where totals below k begin, so its column
-    rounds the same however many counts share the search.
+    One compiled series and one phase search serve every count; the scan reads no
+    fewer phases per call than the refinement, one per count.  Each evaluation sums
+    dP^2/P and P of every pattern over the sensing path and runs the sums over the
+    reference patterns from the largest click total down; count k reads them where
+    totals below k begin, so its column rounds the same however many counts share it.
     """
     det = DetectorModel.perfect_counting(eta_a=eta, eta_b=eta, c_max=n_max)
     series, _, pairs_b = engine.click_pair_series(src, det, n_max=n_max)
@@ -113,7 +113,8 @@ def _herald_points(src: SourceParams, eta: float, k_values, n_max: int, phi=None
         return accepted(terms) / accepted(P)
 
     if phi is None:
-        phi, info = argmax_over_phase(information, np.linspace(0.0, np.pi, 49))
+        phi, info = argmax_over_phase(information, np.linspace(0.0, np.pi, 49),
+                                      max(series.scan_block, len(ends)))
         phi = [abs(math.remainder(p, 2.0 * math.pi)) for p in phi]
     else:
         info, phi = information(phi), [phi] * len(k_values)

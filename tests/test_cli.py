@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import spdcmet
+from spdcmet import estimation
 from spdcmet.calibration import model_rate_summary
 from spdcmet.cli import _render, main
 from spdcmet.engine import (
@@ -205,6 +206,21 @@ def test_fisher_ml_points_keep_their_mirror_out_of_the_window(tmp_path):
     assert len(doc["ml_points"]) == 3
     for pt in doc["ml_points"]:
         assert 0.4 <= pt["i_ml"] / fisher_information(family, pt["phi"]) <= 2.5
+
+
+def test_fisher_advantage_search_scans_its_grid_in_one_call(monkeypatch, tmp_path):
+    # 512 phases of 9 patterns fit in one scan block of the fourfold family
+    scans = []
+    search = estimation.argmax_over_phase
+
+    def spy(fn, *args, **kwargs):
+        scans.append([])
+        return search(lambda p: scans[-1].append(np.size(p)) or fn(p), *args, **kwargs)
+
+    monkeypatch.setattr(estimation, "argmax_over_phase", spy)
+    argv = ["fisher", "--phi-steps", "8", "--bootstrap", "0", "--ml-reps", "0"]
+    assert run(argv + ["--out", str(tmp_path / "f.csv")]) == 0
+    assert len(scans) == 1 and scans[0][0] == 512
 
 
 def test_fisher_band_rejects_a_grid_aliased_modulo_two_pi(capsys):
@@ -572,6 +588,25 @@ def test_configuration_that_measures_nothing_is_a_usage_error(argv, capsys):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert ("gain and transmission" in captured.err
             or "transmission must be positive" in captured.err)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["fisher", "--ml-reps", "1"], "repetitions >= 2"),
+    (["fisher", "--ml-reps", "2", "--ml-samples", "0"], "sample_size >= 1"),
+    (["fisher", "--ml-reps", "-1"], "repetitions >= 2"),
+    (["fisher", "--bootstrap", "-1"], "at least one replicate"),
+    (["fisher", "--d", "-1"], "at least one detector"),
+    (["fisher", "--d", "-2"], "at least one detector"),
+    (["fringes", "--d", "-1"], "at least one detector"),
+    (["curve", "--d", "-1"], "at least one detector"),
+])
+def test_settings_that_measure_nothing_are_usage_errors(argv, message, capsys):
+    # these used to raise a traceback, or to skip the stage and exit 0
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert message in captured.err
 
 
 def test_empty_phi_grid_is_usage_error(capsys):

@@ -81,6 +81,13 @@ def test_weight_table_matches_scalar_entries():
             assert W[r, c] == lossless_weights(4, r, c)
 
 
+@pytest.mark.parametrize("d", [0, -1, -2])
+def test_weight_table_needs_a_detector(d):
+    # d = -1 used to build an empty table, and d = -2 to fail in numpy
+    with pytest.raises(ValueError, match="at least one detector"):
+        lossless_weight_table(d, 4)
+
+
 def test_zero_below_diagonal_and_click_probability_bound():
     W = lossless_weight_table(5, 8)
     for c in range(9):

@@ -496,6 +496,14 @@ def test_real_series_equals_the_complex_definition(build):
         assert np.all(np.abs(df - dwant) <= 1e-14 * (k * np.abs(c)).sum(axis=0))
 
 
+@pytest.mark.parametrize("shape,block", [((), 16384), ((9,), 1821), ((66, 66), 4),
+                                         ((300, 300), 1)])
+def test_scan_block_keeps_an_evaluation_near_two_to_the_fourteen_values(shape, block):
+    # the shapes of a scalar series, the fourfold family, and the tau 0.1
+    # and tau 0.5 herald series: ceil(2^14 / values per phase)
+    assert PhaseSeries(np.zeros((3, *shape))).scan_block == block
+
+
 @pytest.mark.parametrize("tau", [0.061, 0.5, 0.9])
 def test_click_probabilities_are_even_in_phase(tau):
     # why a click series compiled at theta 0 is a pure cosine series: every

@@ -295,6 +295,49 @@ def test_batched_ml_repetitions_match_one_search_per_repetition():
     assert res.variance == pytest.approx(np.var(estimates, ddof=1), rel=1e-5)
 
 
+def test_ml_points_equal_their_own_calls_bit_for_bit():
+    # one shared bisection; the 1e-3 window's lanes stop after 23 steps, the others after 27
+    family = experiment_family()
+    phis, seeds, halfwidths = [0.9, 1.9, 2.8], [5, 6, 7], [math.pi / 4.0, 0.3, 1e-3]
+    batched = monte_carlo_ml_fisher(family, phis, repetitions=30, sample_size=400,
+                                    seed=seeds, search_halfwidth=halfwidths)
+    assert isinstance(batched, tuple) and len(batched) == 3
+    for res, phi, seed, halfwidth in zip(batched, phis, seeds, halfwidths):
+        alone = monte_carlo_ml_fisher(family, phi, repetitions=30, sample_size=400,
+                                      seed=seed, search_halfwidth=halfwidth)
+        assert isinstance(alone, estimation.MLFisherResult)
+        assert res == alone
+
+
+def test_ml_bisection_steps_follow_the_window():
+    def bisection_steps(halfwidth):
+        family = CountingSeries(cos2_family.harmonics)
+        monte_carlo_ml_fisher(family, 1.0, repetitions=5, sample_size=200, seed=4,
+                              search_halfwidth=halfwidth)
+        return family.evaluations - 2  # the draw and the likelihood scan
+
+    assert bisection_steps(math.pi / 4.0) == 27
+    assert bisection_steps(1e-3) == 23
+
+
+def test_ml_points_share_every_family_evaluation():
+    # the draws, the likelihood scans and the bisection are batched over points
+    evaluations = []
+    for phis in (1.0, [0.6, 1.0, 2.2]):
+        family = CountingSeries(cos2_family.harmonics)
+        monte_carlo_ml_fisher(family, phis, repetitions=20, sample_size=200, seed=[4])
+        evaluations.append(family.evaluations)
+    assert evaluations[0] == evaluations[1] == 29
+
+
+@pytest.mark.parametrize("repetitions,sample_size", [(1, 100), (0, 100), (-3, 100), (2, 0)])
+def test_ml_refuses_settings_that_measure_nothing(repetitions, sample_size):
+    # one repetition has no spread to measure, and zero events carry no information
+    with pytest.raises(ValueError, match="repetitions >= 2 and sample_size >= 1"):
+        monte_carlo_ml_fisher(cos2_family, 1.0, repetitions=repetitions,
+                              sample_size=sample_size)
+
+
 def test_ml_window_far_narrower_than_the_spread_puts_every_scan_peak_on_an_edge():
     # at N = 100 the estimates spread by about 0.1; the maximum-likelihood
     # phase, 2 acos(sqrt(n_1 / N)), misses 1.0 by far more than the window
@@ -416,6 +459,13 @@ def test_band_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 8e6
+
+
+@pytest.mark.parametrize("replicates", [0, -1])
+def test_band_needs_a_replicate(replicates):
+    phi, counts = _truth_samples(n_phi=17, scale=5e3)
+    with pytest.raises(ValueError, match="at least one replicate"):
+        bootstrap_fisher_band(phi, counts, replicates=replicates)
 
 
 def test_band_counts_the_rows_it_patches():

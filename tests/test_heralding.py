@@ -141,6 +141,28 @@ def test_one_phase_search_serves_every_herald_count(monkeypatch):
     assert shared == max(evaluations_of([k]) for k in range(4))
 
 
+@pytest.mark.parametrize("tau,patterns,k_list,block", [(0.1, 66, range(4), 4),
+                                                       (0.5, 300, range(4), 4),
+                                                       (0.5, 300, [3], 1)])
+def test_herald_scan_block_follows_its_pattern_count(monkeypatch, tau, patterns, k_list, block):
+    # a path's click pairs number 66 at tau 0.1 (a scan block of 4) and 300 at
+    # tau 0.5 (a block of 1); the scan reads the 49-point grid a block at a
+    # time, but no fewer phases than the refinement reads, one per count
+    evaluations = []
+    raw = engine.PhaseSeries.raw
+
+    def counted(self, phi):
+        assert self.coefficients.shape[1:] == (patterns, patterns)
+        evaluations.append(np.size(phi))
+        return raw(self, phi)
+
+    monkeypatch.setattr(engine.PhaseSeries, "raw", counted)
+    herald_table(tau, eta_list=(0.9,), k_list=k_list)
+    scan = [min(block, 49 - i) for i in range(0, 49, block)]
+    assert evaluations[:len(scan)] == scan
+    assert evaluations[len(scan)] == len(k_list)
+
+
 def test_shared_search_cells_equal_single_count_points():
     # the two-peak cell: its search misses the higher peak, the same way for both
     tab = herald_table(0.5, eta_list=(0.99,), k_list=range(4))
