@@ -10,6 +10,7 @@ configuration, 3 data or model error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -21,6 +22,7 @@ from .fock import GainRangeError, SourceParams, truncation_tail
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
+_CHUNK_ROWS = 4096  # table rows rendered per piece of output text
 
 
 def _fmt(x) -> str:
@@ -29,12 +31,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_output(path, text):
+def _write_output(path, pieces):
+    """Write ``_render``'s text pieces as they come, to ``path`` or stdout."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _item(value):
@@ -42,23 +45,31 @@ def _item(value):
     return value.item()
 
 
+def _chunks(rows):
+    rows = iter(rows)
+    return iter(lambda: list(itertools.islice(rows, _CHUNK_ROWS)), [])
+
+
 def _json_rows(rows):
-    """Rows of scalar cells laid out as a top-level value of an indent-2
-    JSON document.  An indent forces the pure-Python encoder, so the C
-    encoder writes them with NUL item separators: a NUL inside a JSON
-    string is always escaped, so each raw NUL is an item boundary and
-    "]NUL[" one between rows."""
-    flat = json.dumps(rows, separators=("\0", ": "), default=_item)
-    if flat == "[]":
-        return flat
-    return ("[\n    [\n      "
-            + flat[2:-2].replace("]\0[", "\n    ],\n    [\n      ").replace("\0", ",\n      ")
-            + "\n    ]\n  ]")
+    """Text pieces, one per ``_CHUNK_ROWS`` rows and one to close, of rows
+    of scalar cells laid out as a top-level value of an indent-2 JSON
+    document.  An indent forces the pure-Python encoder, so the C encoder
+    writes each chunk with NUL item separators: a NUL inside a JSON string
+    is always escaped, so each raw NUL is an item boundary and "]NUL[" one
+    between rows."""
+    opened = False
+    for chunk in _chunks(rows):
+        flat = json.dumps(chunk, separators=("\0", ": "), default=_item)
+        yield (("\n    ],\n    [\n      " if opened else "[\n    [\n      ")
+               + flat[2:-2].replace("]\0[", "\n    ],\n    [\n      ").replace("\0", ",\n      "))
+        opened = True
+    yield "\n    ]\n  ]" if opened else "[]"
 
 
 def _render(meta, columns, rows, fmt, extra_sections=None):
-    """Serialize a table plus metadata as CSV ('#' header) or JSON, the
-    latter byte for byte ``json.dumps(doc, indent=2, sort_keys=True)``."""
+    """Text pieces of a table plus metadata as CSV ('#' header) or JSON, the
+    latter byte for byte ``json.dumps(doc, indent=2, sort_keys=True)``; any
+    iterable of rows is read and rendered ``_CHUNK_ROWS`` rows at a time."""
     if fmt == "json":
         doc = {"meta": meta, "columns": list(columns), "rows": []}
         if extra_sections:
@@ -66,15 +77,19 @@ def _render(meta, columns, rows, fmt, extra_sections=None):
         text = json.dumps(doc, indent=2, sort_keys=True, default=_item)
         # layout newlines are the only raw ones, and only a top-level key
         # sits two spaces in
-        return text.replace('\n  "rows": []', '\n  "rows": ' + _json_rows(rows), 1) + "\n"
-    lines = [f"# {k} = {_fmt(v)}" for k, v in meta.items()]
-    if extra_sections:
-        for name, payload in extra_sections.items():
-            lines.append(f"# {name}: {json.dumps(payload, sort_keys=True)}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+        head, tail = text.split('\n  "rows": []', 1)
+        yield head + '\n  "rows": '
+        yield from _json_rows(rows)
+        yield tail + "\n"
+    else:
+        lines = [f"# {k} = {_fmt(v)}" for k, v in meta.items()]
+        if extra_sections:
+            for name, payload in extra_sections.items():
+                lines.append(f"# {name}: {json.dumps(payload, sort_keys=True)}")
+        lines.append(",".join(columns))
+        yield "\n".join(lines) + "\n"
+        for chunk in _chunks(rows):
+            yield "".join([",".join(map(_fmt, row)) + "\n" for row in chunk])
 
 
 def _add_model_args(sp, tau=0.061, eta_a=0.23, eta_b=0.12):
@@ -170,15 +185,6 @@ def cmd_fisher(args) -> int:
         lambda p: estimation.fisher_information(family, p), 512, family.scan_block)
     advantage = i_star / snl - 1.0
 
-    band_low = band_high = None
-    patched_rows = band_misses = 0
-    if args.bootstrap != 0:
-        counts = family.probabilities(grid) * args.counts_per_phase
-        band = estimation.bootstrap_fisher_band(grid, counts, replicates=args.bootstrap,
-                                                seed=args.seed)
-        band_low, band_high, patched_rows = band.low, band.high, band.patched_rows
-        band_misses = int(np.sum((central < band_low) | (central > band_high)))
-
     ml_points = []
     if args.ml_reps != 0:
         phis = [args.phi_start + f * (args.phi_stop - args.phi_start) for f in (0.2, 0.45, 0.7)]
@@ -190,6 +196,15 @@ def cmd_fisher(args) -> int:
             search_halfwidth=[min(math.pi / 4.0, gap / 2.0) for gap in gaps])
         ml_points = [{"phi": float(phi), "i_ml": res.i_ml, "stderr": res.stderr,
                       "edge_hits": res.edge_hits} for phi, res in zip(phis, results)]
+
+    band_low = band_high = None
+    patched_rows = band_misses = 0
+    if args.bootstrap != 0:
+        counts = family.probabilities(grid) * args.counts_per_phase
+        band = estimation.bootstrap_fisher_band(grid, counts, replicates=args.bootstrap,
+                                                seed=args.seed)
+        band_low, band_high, patched_rows = band.low, band.high, band.patched_rows
+        band_misses = int(np.sum((central < band_low) | (central > band_high)))
 
     columns = ["phi", "fisher", "clipped"]
     rows = [[phi, v, int(c)] for phi, v, c in zip(grid, central, clipped)]
@@ -318,11 +333,20 @@ def cmd_count(args) -> int:
         "reordered": result.reordered,
     }
     columns = ["kind", "key", "count"]
-    rows = [["mask", f"{mask:#06x}", n] for mask, n in sorted(hist.counts.items())]
-    rows += [["pattern", ":".join(map(str, key)), n]
-             for key, n in sorted(result.pattern_counts.items())]
-    _write_output(args.out, _render(meta, columns, rows, args.format))
+    _write_output(args.out, _render(meta, columns, _count_rows(result), args.format))
     return 0
+
+
+def _count_rows(result):
+    """Mask rows in mask order, a chunk at a time, then pattern rows."""
+    masks, n = result.histogram._arrays()
+    order = np.argsort(masks)
+    masks, n = masks[order], n[order]
+    for i in range(0, masks.size, _CHUNK_ROWS):
+        for mask, c in zip(masks[i:i + _CHUNK_ROWS].tolist(), n[i:i + _CHUNK_ROWS].tolist()):
+            yield ["mask", f"{mask:#06x}", c]
+    for key, c in sorted(result.pattern_counts.items()):
+        yield ["pattern", ":".join(map(str, key)), c]
 
 
 def cmd_curve(args) -> int:

@@ -532,6 +532,7 @@ class _WindowCounter:
 
     def histogram(self, n_windows) -> PatternHistogram:
         """Close the open window and return the histogram."""
+        self.arrays = {}  # the counter takes no more blocks
         last_key = self.open_key
         self._close_open_window()
         if self.rep_period_ps is None:

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 import spdcmet
 from spdcmet import estimation
 from spdcmet.calibration import model_rate_summary
-from spdcmet.cli import _render, main
+from spdcmet.cli import _CHUNK_ROWS, _render, _write_output, main
 from spdcmet.engine import (
     RotationSpec,
     choose_truncation,
@@ -477,6 +478,34 @@ def test_count_fractional_window_keeps_a_click_below_it(tmp_path, rep):
     assert ["mask", "0x0003", 1] in doc["rows"] and doc["meta"]["late_clicks"] == 0
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_count_writes_many_mask_rows_alike_to_stdout_and_to_a_file(tmp_path, capsys, fmt):
+    # pulse i clicks the channels of mask i + 1: more distinct masks than one chunk of rows
+    pulses = _CHUNK_ROWS + 904
+    masks = np.arange(1, pulses + 1)
+    pulse, ch = np.nonzero((masks[:, None] >> np.arange(16)) & 1)
+    tag_file = tmp_path / "many.bin"
+    tag_file.write_bytes(to_binary(TimetagStream(channels=ch.astype(np.uint8),
+                                                 times=(pulse * 12_500).astype(np.uint64))))
+    argv = ["count", str(tag_file), "--format", fmt]
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / f"count.{fmt}"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert out.read_text() == printed
+    mask_rows = [line for line in printed.splitlines() if "mask" in line]
+    assert len(mask_rows) == pulses
+
+
+def test_fisher_refuses_bad_ml_settings_before_the_bootstrap_band(monkeypatch, capsys):
+    def band(*args, **kwargs):
+        raise AssertionError("bootstrap band reached")
+
+    monkeypatch.setattr(estimation, "bootstrap_fisher_band", band)
+    assert run(["fisher", "--ml-reps", "1"]) == 2
+    assert "repetitions >= 2" in capsys.readouterr().err
+
+
 def test_count_missing_file_exit(tmp_path, capsys):
     assert run(["count", str(tmp_path / "nope.bin")]) == 3
     assert "error:" in capsys.readouterr().err
@@ -486,19 +515,64 @@ def test_count_missing_file_exit(tmp_path, capsys):
 # JSON rendering
 
 
-@pytest.mark.parametrize("rows, extra, meta", [
-    ([["a\0b", "]\0[", 'q"uote', "[", "caf\u00e9 \u2192", "\0", ""]], None, {}),
+def _table(n):
+    return [[i, f"k{i}", 0.25 * i] for i in range(n)]
+
+
+_CHUNK_COUNTS = (0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS)
+_ML_POINTS = {"ml_points": [{"phi": 0.5, "i_ml": np.float32(1.5)}]}
+
+
+@pytest.mark.parametrize("rows, extra, meta, lazy", [
+    ([["a\0b", "]\0[", 'q"uote', "[", "caf\u00e9 \u2192", "\0", ""]], None, {}, False),
     ([[float("nan"), float("inf"), -float("inf"), True, False, None],
-      [np.int64(7), np.float32(0.1), np.float64(2.5), -0.0, 1e300, 2 ** 70]], None, {}),
-    ([["mask", "0x0001", 3]], None, {}),
-    ([], None, {}),
-    ([[0.1, 2.0], [0.2, 3.0]], {"ml_points": [{"phi": 0.5, "i_ml": np.float32(1.5)}]}, {}),
-    ([[1, "x"], [2, "y"]], None, {"rows": [[9]], "columns": "c", "n": np.int64(2)}),
-], ids=["strings", "numbers", "one_row", "empty", "extra_section", "meta_rows_key"])
-def test_json_render_equals_the_indented_encoder(rows, extra, meta):
+      [np.int64(7), np.float32(0.1), np.float64(2.5), -0.0, 1e300, 2 ** 70]], None, {}, False),
+    ([["mask", "0x0001", 3]], None, {}, False),
+    ([], None, {}, False),
+    ([[0.1, 2.0], [0.2, 3.0]], _ML_POINTS, {}, False),
+    ([[1, "x"], [2, "y"]], None, {"rows": [[9]], "columns": "c", "n": np.int64(2)}, False),
+    *[(_table(n), None, {"n": n}, False) for n in _CHUNK_COUNTS],
+    (_table(_CHUNK_ROWS + 1), _ML_POINTS, {"n": 1}, False),
+    (_table(2 * _CHUNK_ROWS + 3), None, {}, True),
+], ids=["strings", "numbers", "one_row", "empty", "extra_section", "meta_rows_key",
+        *[f"rows_{n}" for n in _CHUNK_COUNTS], "chunks_and_extra_section", "generator"])
+def test_json_render_equals_the_indented_encoder(rows, extra, meta, lazy):
     doc = {"meta": meta, "columns": ["c1", "c2"], "rows": rows, **(extra or {})}
     want = json.dumps(doc, indent=2, sort_keys=True, default=lambda v: v.item()) + "\n"
-    assert _render(meta, ["c1", "c2"], rows, "json", extra) == want
+    given = (row for row in rows) if lazy else rows
+    assert "".join(_render(meta, ["c1", "c2"], given, "json", extra)) == want
+
+
+@pytest.mark.parametrize("n, extra, lazy", [
+    *[(n, None, False) for n in _CHUNK_COUNTS],
+    (_CHUNK_ROWS + 1, {"ml_points": [{"phi": 0.5, "i_ml": 1.5}]}, False),
+    (2 * _CHUNK_ROWS + 3, None, True),
+], ids=[*[f"rows_{n}" for n in _CHUNK_COUNTS], "chunks_and_extra_section", "generator"])
+def test_csv_render_lays_out_meta_sections_header_then_rows(n, extra, lazy):
+    meta = {"command": "t", "x": 0.1, "n": n}
+    rows = _table(n)
+    want = f"# command = t\n# x = 0.1\n# n = {n}\n"
+    if extra:
+        want += '# ml_points: [{"i_ml": 1.5, "phi": 0.5}]\n'
+    want += "c1,c2,c3\n" + "".join(f"{i},k{i},{0.25 * i:.12g}\n" for i in range(n))
+    given = (row for row in rows) if lazy else rows
+    assert "".join(_render(meta, ["c1", "c2", "c3"], given, "csv", extra)) == want
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_render_memory_does_not_grow_with_the_row_count(tmp_path, fmt):
+    def peak(n):
+        rows = (["mask", f"{i:#06x}", i] for i in range(n))
+        tracemalloc.start()
+        try:
+            _write_output(tmp_path / f"t{n}.{fmt}", _render({"n": n}, ["kind", "key", "count"],
+                                                             rows, fmt))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(8192), peak(65536)
+    assert large <= 1.5 * small
 
 
 # ---------------------------------------------------------------------------
