@@ -204,17 +204,21 @@ def _click_harmonics(src, det, pairs_a, pairs_b, n_max):
                              _click_weights(det.table_b, pairs_b, n_max), n_max)
 
 
-def click_pair_series(src, det, n_max=None):
+def click_pair_series(src, det, n_max=None, canonical=False):
     """Click probabilities over phi, at theta = 0, of every pattern the cutoff allows.
 
     Returns (series, pairs_a, pairs_b); output [i, j] is the pattern
     (*pairs_a[i], *pairs_b[j]).  A path's pairs (r_h, r_v) are those with
-    r_h + r_v <= n_max; every other pattern has probability zero.
+    r_h + r_v <= n_max; every other pattern has probability zero.  Swapping H and
+    V on one path shifts every series by pi, on both paths it changes none; so
+    ``canonical`` keeps the pairs r_h <= r_v, one of each swap orbit.
     """
     if n_max is None:
         n_max = choose_truncation(src)
     pairs = [np.argwhere(np.add.outer(r, r) <= n_max) for r in
              (np.arange(min(t.max_clicks, n_max) + 1) for t in (det.table_a, det.table_b))]
+    if canonical:
+        pairs = [p[p[:, 0] <= p[:, 1]] for p in pairs]
     return (PhaseSeries(_click_harmonics(src, det, *pairs, n_max)), *pairs)
 
 

@@ -121,49 +121,61 @@ _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)  # Brent's relative position tolerance
 
 
-def _brent_min(f, a, b, tol):
-    """(x, f(x)) at the minimum of a unimodal function on [a, b] by Brent's
-    method (1973, ch. 5): parabolic steps, golden section where they fail.
-    Arrays of brackets are refined together, ``f`` mapping an array of
-    points to their values; each entry stops on its own test |x - m| <=
-    2 tol1 - (b - a)/2, tol1 = tol + sqrt(eps) |x|, so every entry equals
-    its own scalar search."""
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+def _brent_lane(a, b, tol):
+    """One lane of :func:`_brent_min`, the textbook scalar steps on floats, stopping
+    when |x - m| <= 2 tol1 - (b - a)/2, tol1 = tol + sqrt(eps) |x|: yields each point
+    to evaluate, is sent its value, and returns (x, f(x))."""
     x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = f(x)
-    d = e = np.zeros_like(x)  # the last step and the one before it
+    fx = fw = fv = yield x
+    d = e = 0.0  # the last step and the one before it
     for _ in range(200):
-        m = (a + b) / 2.0
-        tol1 = tol + _SQRT_EPS * np.abs(x)
-        live = np.abs(x - m) > 2.0 * tol1 - (b - a) / 2.0
-        if not np.any(live):
+        m, tol1 = (a + b) / 2.0, tol + _SQRT_EPS * abs(x)
+        if not abs(x - m) > 2.0 * tol1 - (b - a) / 2.0:
             break
         # vertex x + p/q of the parabola through (x, fx), (w, fw), (v, fv)
         r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
         p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
-        p, q = np.where(q > 0.0, -p, p), np.abs(q)
-        parabolic = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
-                     & (p > q * (a - x)) & (p < q * (b - x)))
-        golden = np.where(x >= m, a - x, b - x)
-        step = np.where(parabolic, p / np.where(parabolic, q, 1.0), _GOLDEN * golden)
-        near_end = parabolic & ((x + step - a < 2.0 * tol1) | (b - x - step < 2.0 * tol1))
-        e = np.where(parabolic, d, golden)
-        d = np.where(near_end, np.copysign(tol1, m - x), step)
-        u = np.where(live, x + np.where(np.abs(d) >= tol1, d, np.copysign(tol1, d)), x)
-        fu = f(u)
-        better = live & (fu <= fx)
-        worse = live ^ better
-        # the worse of x and u becomes the bracket end on its side
-        a = np.where(live & (better == (u >= x)), np.where(better, x, u), a)
-        b = np.where(live & (better != (u >= x)), np.where(better, x, u), b)
-        to_w = worse & ((fu <= fw) | (w == x))
-        to_v = worse & ~to_w & ((fu <= fv) | (v == x) | (v == w))
-        v, fv = (np.where(better | to_w, w, np.where(to_v, u, v)),
-                 np.where(better | to_w, fw, np.where(to_v, fu, fv)))
-        w, fw = (np.where(better, x, np.where(to_w, u, w)),
-                 np.where(better, fx, np.where(to_w, fu, fw)))
-        x, fx = np.where(better, u, x), np.where(better, fu, fx)
-    return x[()], np.asarray(fx)[()]
+        p, q = -p if q > 0.0 else p, abs(q)
+        if abs(e) > tol1 and abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            e, d = d, p / q
+            if x + d - a < 2.0 * tol1 or b - x - d < 2.0 * tol1:
+                d = math.copysign(tol1, m - x)
+        else:
+            e = a - x if x >= m else b - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = yield u
+        if fu <= fx:  # the worse of x and u becomes the bracket end on its side
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (a, u) if u >= x else (u, b)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
+
+
+def _brent_min(f, a, b, tol):
+    """(x, f(x)) at the minimum of a unimodal function on [a, b] by Brent's
+    method (1973, ch. 5): parabolic steps, golden section where they fail.
+    Arrays of brackets are refined together, each lane by its own scalar steps
+    and stopping test (:func:`_brent_lane`), so each equals its own search;
+    each step calls ``f``, which maps an array of points to their values, once
+    for every lane, a finished one at its minimum."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    lanes = [_brent_lane(lo, hi, tol) for lo, hi in zip(a.ravel().tolist(), b.ravel().tolist())]
+    points, found = [next(lane) for lane in lanes], [None] * len(lanes)
+    while None in found:
+        values = np.ravel(f(np.reshape(points, a.shape))).tolist()
+        for i in [i for i, done in enumerate(found) if done is None]:
+            try:
+                points[i] = lanes[i].send(values[i])
+            except StopIteration as stop:  # a finished lane is evaluated at its minimum
+                points[i], found[i] = stop.value[0], stop.value
+    x, fx = np.moveaxis(np.reshape(found, (*a.shape, 2)), -1, 0)
+    return x[()], fx[()]
 
 
 def _grid_peak(values):

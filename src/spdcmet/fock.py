@@ -53,7 +53,7 @@ class SourceParams:
     """Pair source settings.
 
     tau: collective gain of the source. Dimensionless, 0 <= tau < 1.
-    trunc_epsilon: probability mass allowed beyond the pair-number cutoff.
+    trunc_epsilon: probability mass allowed beyond the pair-number cutoff, >= 1e-15.
     """
 
     tau: float
@@ -65,8 +65,8 @@ class SourceParams:
         if self.tau >= 1.0:
             # high-gain regime: truncated expansion no longer certified
             raise GainRangeError(f"tau >= 1 is not supported, got {self.tau}")
-        if not (0.0 < self.trunc_epsilon < 1.0):
-            raise ValueError("trunc_epsilon must lie in (0, 1)")
+        if not (1e-15 <= self.trunc_epsilon < 1.0):  # a smaller tail is below rounding
+            raise ValueError(f"trunc_epsilon must lie in [1e-15, 1), got {self.trunc_epsilon}")
 
     @property
     def x(self) -> float:

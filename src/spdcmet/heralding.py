@@ -6,8 +6,8 @@ Detectors are perfect counters (the large-d limit of multiplexing) with
 one uniform transmission over all four modes.  The figure of merit is the
 Fisher information of the accepted joint outcome distribution, per photon
 sent down the sensing path among accepted events, at the best phase.
-Every herald count at one transmission shares one compiled click series
-and one phase search.
+Every herald count at one transmission shares one compiled click series,
+one pattern per polarization-swap orbit, and one quarter-period search.
 """
 
 from __future__ import annotations
@@ -91,34 +91,38 @@ def _mean_heralded_photons(src: SourceParams, eta: float, k: int, n_max: int) ->
 def _herald_points(src: SourceParams, eta: float, k_values, n_max: int, phi=None) -> list:
     """Heralded points at one transmission for every herald count in ``k_values``.
 
-    One compiled series and one phase search serve every count; the scan reads no
-    fewer phases per call than the refinement, one per count.  Each evaluation sums
-    dP^2/P and P of every pattern over the sensing path and runs the sums over the
-    reference patterns from the largest click total down; count k reads them where
-    totals below k begin, so its column rounds the same however many counts share it.
+    One series over the canonical click pairs and one search serve every count.  A sum
+    over all patterns is the sum over canonical ones of w_a w_b / 2 [t(phi) + t(phi + pi)],
+    w 2 for a pair r_h < r_v and 1 for r_h = r_v: the information is even with period pi,
+    so the scan covers [0, pi/2] at the 96-grid step, no fewer phases per call than the
+    refinement reads, one per count.  Sums over the reference patterns run from the largest
+    click total down; count k reads them where totals below k begin, so its column rounds
+    the same however many counts share it.  The phase-free acceptance is read from harmonic 0.
     """
     det = DetectorModel.perfect_counting(eta_a=eta, eta_b=eta, c_max=n_max)
-    series, _, pairs_b = engine.click_pair_series(src, det, n_max=n_max)
+    series, pairs_a, pairs_b = engine.click_pair_series(src, det, n_max=n_max, canonical=True)
+    w_a, w_b = (np.where(p[:, 0] < p[:, 1], 2.0, 1.0) for p in (pairs_a, pairs_b))
     totals = pairs_b.sum(axis=1)
     order = np.argsort(-totals, kind="stable")
     ends = [np.count_nonzero(totals >= k) - 1 for k in k_values]
     mean_n = [_mean_heralded_photons(src, eta, k, n_max) for k in k_values]
 
-    def accepted(x):  # per-pattern values [..., i, j] -> sums over accepted patterns, per count
-        return np.cumsum(x.sum(-2)[..., order], axis=-1)[..., ends]
+    def accepted(x):  # per-orbit values [..., i, j] -> sums over accepted patterns, per count
+        return np.cumsum((w_a @ x * w_b)[..., order], axis=-1)[..., ends]
+
+    p_event = accepted(series.mean())
 
     def information(p):  # one column per count; an array of phases leads the axes
-        P, dP = series.raw(p)
+        P, dP = series.raw(np.stack([p, p + np.pi]))
         terms = np.divide(dP * dP, P, out=np.zeros_like(P), where=P > _TERM_FLOOR)
-        return accepted(terms) / accepted(P)
+        return accepted(terms[0] + terms[1]) / (2.0 * p_event)
 
     if phi is None:
-        phi, info = argmax_over_phase(information, np.linspace(0.0, np.pi, 49),
-                                      max(series.scan_block, len(ends)))
-        phi = [abs(math.remainder(p, 2.0 * math.pi)) for p in phi]
+        phi, info = argmax_over_phase(information, np.linspace(0.0, np.pi / 2.0, 25),
+                                      max(-(-series.scan_block // 2), len(ends)))
+        phi = [abs(math.remainder(p, np.pi)) for p in phi]
     else:
         info, phi = information(phi), [phi] * len(k_values)
-    p_event = accepted(series.mean())  # the acceptance carries no phase dependence
     return [HeraldPoint(value=float(v) / m, phi=float(p), event_probability=float(e),
                         mean_heralded_photons=m)
             for v, p, e, m in zip(info, phi, p_event, mean_n)]
@@ -128,14 +132,14 @@ def herald_point(spec: HeraldSpec, phi=None) -> HeraldPoint:
     """Heralded Fisher information per photon, with diagnostics.
 
     The one-count case of the table's search.  The click tensor is compiled
-    once to its phase series over the patterns a path can produce; the
-    accepted reference-path patterns are summed at each evaluation.  With
-    ``phi=None`` the information is maximized over phase; the acceptance
+    once to its phase series over the canonical patterns, r_h <= r_v on each
+    path, which stand for every pattern by the polarization-swap symmetry.
+    With ``phi=None`` the information is maximized over phase; the acceptance
     probability itself carries no phase dependence (each emission sector
-    puts a fixed photon number into the reference path), so the optimum is
-    a plain 1-D search.  The information is even in phi, so [0, pi] is
-    scanned on the 96-point grid's 49 points there, and the optimum is
-    reported in [0, pi].
+    puts a fixed photon number into the reference path), so the optimum is a
+    plain 1-D search.  The information is even in phi with period pi, so the
+    96-point grid's 25 points on [0, pi/2] are scanned, and the optimum is
+    reported in [0, pi/2].
     """
     src = SourceParams(spec.tau)
     return _herald_points(src, spec.eta, (spec.k,), _truncation(src, spec.k), phi)[0]

@@ -258,3 +258,52 @@ def oracle_click_tensor_loss_first(src, phi, theta, eta_a, eta_b, d, n_max) -> n
             P[ket] += amp * amp
         out += np.einsum("ak,vl,hm,wn,klmn->avhw", W, W, W, W, P)
     return out
+
+
+# ---------------------------------------------------------------------------
+# phase search
+
+
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+
+
+def batched_brent_min(f, a, b, tol):
+    """Brent's minimizer (1973, ch. 5) with every lane's state held in numpy
+    arrays and each branch taken by masks: one ``f`` call per step, a finished
+    lane evaluated at its minimum.  The same float64 operations as the scalar
+    steps, so every lane's iterates are the same bits."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    d = e = np.zeros_like(x)
+    for _ in range(200):
+        m = (a + b) / 2.0
+        tol1 = tol + _SQRT_EPS * np.abs(x)
+        live = np.abs(x - m) > 2.0 * tol1 - (b - a) / 2.0
+        if not np.any(live):
+            break
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+        p, q = np.where(q > 0.0, -p, p), np.abs(q)
+        parabolic = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
+                     & (p > q * (a - x)) & (p < q * (b - x)))
+        golden = np.where(x >= m, a - x, b - x)
+        step = np.where(parabolic, p / np.where(parabolic, q, 1.0), _GOLDEN * golden)
+        near_end = parabolic & ((x + step - a < 2.0 * tol1) | (b - x - step < 2.0 * tol1))
+        e = np.where(parabolic, d, golden)
+        d = np.where(near_end, np.copysign(tol1, m - x), step)
+        u = np.where(live, x + np.where(np.abs(d) >= tol1, d, np.copysign(tol1, d)), x)
+        fu = f(u)
+        better = live & (fu <= fx)
+        worse = live ^ better
+        a = np.where(live & (better == (u >= x)), np.where(better, x, u), a)
+        b = np.where(live & (better != (u >= x)), np.where(better, x, u), b)
+        to_w = worse & ((fu <= fw) | (w == x))
+        to_v = worse & ~to_w & ((fu <= fv) | (v == x) | (v == w))
+        v, fv = (np.where(better | to_w, w, np.where(to_v, u, v)),
+                 np.where(better | to_w, fw, np.where(to_v, fu, fv)))
+        w, fw = (np.where(better, x, np.where(to_w, u, w)),
+                 np.where(better, fx, np.where(to_w, fu, fw)))
+        x, fx = np.where(better, u, x), np.where(better, fu, fx)
+    return x[()], np.asarray(fx)[()]

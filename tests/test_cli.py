@@ -683,6 +683,20 @@ def test_settings_that_measure_nothing_are_usage_errors(argv, message, capsys):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("command", ["fringes", "fisher", "curve"])
+def test_truncation_bound_below_rounding_is_a_usage_error(command, capsys, monkeypatch):
+    # refused before any cutoff is chosen or any series compiled
+    def compile_nothing(src):
+        raise AssertionError("a cutoff was chosen")
+
+    monkeypatch.setattr("spdcmet.engine.choose_truncation", compile_nothing)
+    assert run([command, "--tau", "0.99", "--eps", "1e-30"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "trunc_epsilon must lie in [1e-15, 1), got 1e-30" in captured.err
+
+
 def test_empty_phi_grid_is_usage_error(capsys):
     assert run(["fringes", "--phi-steps", "0"]) == 2
     assert "phi-steps" in capsys.readouterr().err

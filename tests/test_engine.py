@@ -425,6 +425,29 @@ def test_click_series_matches_the_tensor_it_compiles(d):
         assert not P.any()  # the patterns left out hold only zeros
 
 
+@pytest.mark.parametrize("d", [4, None])
+def test_polarization_swap_shifts_the_click_series_by_pi(d):
+    # swapping H and V on one path maps phi to phi + pi, so harmonic k is
+    # multiplied by (-1)^k; swapping them on both paths changes nothing
+    src = SourceParams(0.3)
+    det = detector_for_source(src, d, 0.8, 0.6)
+    series, pairs_a, pairs_b = click_pair_series(src, det)
+    c = series.coefficients
+    assert c.shape == (choose_truncation(src) + 1, len(pairs_a), len(pairs_b))  # cosines only
+    sign = (-1.0) ** np.arange(len(c))[:, None, None]
+    swap_a, swap_b = ([p.tolist().index([v, h]) for h, v in p] for p in (pairs_a, pairs_b))
+    assert np.abs(c[:, swap_a] - sign * c).max() <= 1e-15
+    assert np.abs(c[:, :, swap_b] - sign * c).max() <= 1e-15
+    assert np.abs(c[:, swap_a][:, :, swap_b] - c).max() <= 1e-15
+    # the canonical pairs, r_h <= r_v, one of each orbit, compile to the same rows
+    canonical, kept_a, kept_b = click_pair_series(src, det, canonical=True)
+    rows_a, rows_b = ([p.tolist().index(q) for q in kept.tolist()]
+                      for p, kept in ((pairs_a, kept_a), (pairs_b, kept_b)))
+    assert all(h <= v for h, v in [*kept_a, *kept_b])
+    assert len(kept_a) == (len(pairs_a) + np.count_nonzero(pairs_a[:, 0] == pairs_a[:, 1])) // 2
+    assert np.abs(canonical.coefficients - c[:, rows_a][:, :, rows_b]).max() <= 1e-15
+
+
 # one matrix element, one sector or one phase at a time: none of these may
 # serve a compile, which builds every sector over every sample phase at once
 SCALAR_PATHS = (

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import batched_brent_min
 from spdcmet import estimation
 from spdcmet.engine import (
     PhaseSeries,
@@ -631,7 +632,60 @@ def test_batched_phase_search_equals_one_search_per_column():
     assert phi.shape == value.shape == (6,)
     for b, center in enumerate(centers):
         want = estimation._brent_min(neg(center), lo[b], hi[b], 1e-9)
-        assert (phi[b], value[b]) == pytest.approx(want, rel=0.0, abs=1e-15)
+        assert (phi[b], value[b]) == want
+
+
+PEAK = -float.fromhex("0x1.4cccccccccccdp+0")  # -1.3 rounded, the bump's top
+
+
+@pytest.mark.parametrize("amplitudes,want_phi,want_value,calls", [
+    ([1.0] * 6, ["0x1.138857c693dd2p-1", "0x1.7ce89b4caf766p+0", "0x1.42362a255b8b9p+2",
+                 "0x1.d433d65ec5bb3p+1", "0x1.2ecf9c9b5be3dp-1", "0x1.5c5762f778353p+1"],
+     [PEAK] * 6, 8),
+    ([1.0, 0.0, 1.0], ["0x1.138857c693dd2p-1", "0x1.9e30489654429p+0", "0x1.42362a255b8b9p+2"],
+     [PEAK, -0.0, PEAK], 32),
+])
+def test_brent_iterates_are_pinned(amplitudes, want_phi, want_value, calls):
+    # recorded from the batched numpy Brent this search replaced; a flat lane
+    # takes the longest, golden-section steps only
+    amp = np.array(amplitudes)
+    centers = np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, size=6)[:amp.size]
+    seen = []
+
+    def f(p):
+        seen.append(np.shape(p))
+        return -amp * trig_bump(centers)(p)
+
+    phi, value = estimation._brent_min(f, centers - 0.1, centers + 0.13, 1e-9)
+    assert phi.tolist() == [float.fromhex(h) for h in want_phi]
+    assert value.tolist() == want_value
+    assert np.signbit(value).tolist() == [True] * amp.size
+    assert seen == [amp.shape] * calls
+
+
+@pytest.mark.parametrize("quantum", [0.0, 1e-3, 1e-6])
+def test_brent_lanes_step_like_the_batched_reference(quantum):
+    # random 3-harmonic fringes and brackets; rounding the values to a quantum
+    # makes ties, which take the <= branches.  Every call reads the same points
+    rng = np.random.default_rng(17)
+    k = np.arange(4)
+    for _ in range(10):
+        centers = rng.uniform(0.0, 2.0 * math.pi, 8)
+        cos, sin = rng.normal(size=(2, 8, 4))
+
+        def f(p, calls):
+            calls.append(np.array(p))
+            ang = np.multiply.outer(p - centers, k)
+            v = (np.cos(ang) * cos + np.sin(ang) * sin).sum(-1)
+            return np.round(v / quantum) * quantum if quantum else v
+
+        lo, hi = centers - rng.uniform(0.05, 1.0, 8), centers + rng.uniform(0.05, 1.0, 8)
+        got_calls, want_calls = [], []
+        got = estimation._brent_min(lambda p: f(p, got_calls), lo, hi, 1e-9)
+        want = batched_brent_min(lambda p: f(p, want_calls), lo, hi, 1e-9)
+        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+        assert len(got_calls) == len(want_calls)
+        assert all(np.array_equal(g, w) for g, w in zip(got_calls, want_calls))
 
 
 def test_stacked_phase_search_equals_one_search_per_column():

@@ -271,3 +271,12 @@ def test_gain_range_rejected():
         SourceParams(-0.1)
     with pytest.raises(ValueError):
         SourceParams(0.1, trunc_epsilon=0.0)
+
+
+@pytest.mark.parametrize("eps", [1e-30, 9e-16, 1.0])
+def test_truncation_bound_below_rounding_rejected(eps):
+    # at tau 0.99 a bound of 1e-30 would cut at n_max 131 instead of 55 and
+    # change no printed value
+    with pytest.raises(ValueError, match=f"got {eps}"):
+        SourceParams(0.99, trunc_epsilon=eps)
+    assert SourceParams(0.99, trunc_epsilon=1e-15).trunc_epsilon == 1e-15
