@@ -172,6 +172,9 @@ def cmd_fringes(args) -> int:
 
 
 def cmd_fisher(args) -> int:
+    if args.bootstrap != 0 and not 0.0 < args.counts_per_phase < math.inf:
+        raise ValueError(f"--counts-per-phase must be finite and positive, "
+                         f"got {args.counts_per_phase}")
     src = _source(args)
     det = _detector(args, src)
     family = engine.fourfold_family(src, det, theta=args.theta)
@@ -289,6 +292,8 @@ def cmd_calibrate(args) -> int:
 
 def cmd_herald(args) -> int:
     etas = [float(s) for s in args.etas.split(",") if s.strip()]
+    if not etas:
+        raise ValueError(f"--etas names no transmission: {args.etas!r}")
     if args.k_max < 0:
         raise heralding.HeraldError(f"k-max must be a nonnegative herald count, got {args.k_max}")
     table = heralding.herald_table(args.tau, etas, range(args.k_max + 1))
@@ -377,73 +382,87 @@ def cmd_curve(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("fringes", "fisher", "calibrate", "herald", "count", "curve")
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone when it names one,
+    which reads it alike: its metavar spells every choice in the usage line (the
+    full parser keeps the default, as its errors name the action by metavar)."""
     parser = argparse.ArgumentParser(
         prog="spdcmet",
         description="Photon-counting interferometry simulator and estimator",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    command = command if command in _COMMANDS else None
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_COMMANDS) + "}" if command else None)
 
-    sp = sub.add_parser("fringes", help="pattern probabilities over a phase grid")
-    _add_model_args(sp)
-    _add_grid_args(sp)
-    _add_io_args(sp)
-    sp.set_defaults(func=cmd_fringes)
+    if command in (None, "fringes"):
+        sp = sub.add_parser("fringes", help="pattern probabilities over a phase grid")
+        _add_model_args(sp)
+        _add_grid_args(sp)
+        _add_io_args(sp)
+        sp.set_defaults(func=cmd_fringes)
 
-    sp = sub.add_parser("fisher", help="Fisher information analysis")
-    _add_model_args(sp)
-    _add_grid_args(sp)
-    _add_io_args(sp)
-    sp.add_argument("--bootstrap", type=int, default=100,
-                    help="bootstrap replicates for the band (0 disables)")
-    sp.add_argument("--counts-per-phase", type=float, default=10_000.0,
-                    help="synthetic event count per phase for the band")
-    sp.add_argument("--ml-reps", type=int, default=200,
-                    help="maximum-likelihood repetitions per benchmark point (0 disables)")
-    sp.add_argument("--ml-samples", type=int, default=1000,
-                    help="events per maximum-likelihood estimate")
-    sp.set_defaults(func=cmd_fisher)
+    if command in (None, "fisher"):
+        sp = sub.add_parser("fisher", help="Fisher information analysis")
+        _add_model_args(sp)
+        _add_grid_args(sp)
+        _add_io_args(sp)
+        sp.add_argument("--bootstrap", type=int, default=100,
+                        help="bootstrap replicates for the band (0 disables)")
+        sp.add_argument("--counts-per-phase", type=float, default=10_000.0,
+                        help="synthetic event count per phase for the band")
+        sp.add_argument("--ml-reps", type=int, default=200,
+                        help="maximum-likelihood repetitions per benchmark point (0 disables)")
+        sp.add_argument("--ml-samples", type=int, default=1000,
+                        help="events per maximum-likelihood estimate")
+        sp.set_defaults(func=cmd_fisher)
 
-    sp = sub.add_parser("calibrate", help="recover tau and transmissions from rates")
-    sp.add_argument("rates", help="CSV of per-pulse rates")
-    _add_io_args(sp)
-    sp.set_defaults(func=cmd_calibrate)
+    if command in (None, "calibrate"):
+        sp = sub.add_parser("calibrate", help="recover tau and transmissions from rates")
+        sp.add_argument("rates", help="CSV of per-pulse rates")
+        _add_io_args(sp)
+        sp.set_defaults(func=cmd_calibrate)
 
-    sp = sub.add_parser("herald", help="heralded information-per-photon table")
-    sp.add_argument("--tau", type=float, default=0.05)
-    sp.add_argument("--etas", default="0.7,0.8,0.9,0.95,1.0",
-                    help="comma-separated transmissions")
-    sp.add_argument("--k-max", type=int, default=3)
-    _add_io_args(sp)
-    sp.set_defaults(func=cmd_herald)
+    if command in (None, "herald"):
+        sp = sub.add_parser("herald", help="heralded information-per-photon table")
+        sp.add_argument("--tau", type=float, default=0.05)
+        sp.add_argument("--etas", default="0.7,0.8,0.9,0.95,1.0",
+                        help="comma-separated transmissions")
+        sp.add_argument("--k-max", type=int, default=3)
+        _add_io_args(sp)
+        sp.set_defaults(func=cmd_herald)
 
-    sp = sub.add_parser("count", help="coincidence-count a timetag stream")
-    sp.add_argument("timetags", help="timetag file, CSV or binary")
-    sp.add_argument("--map", default=None, help="channel map file (channel=mode lines)")
-    sp.add_argument("--window", type=float, default=timetags.DEFAULT_WINDOW_PS,
-                    help="window in ps (finite, >= 1); a click joins if its offset is below it")
-    sp.add_argument("--rep-period", type=int, default=timetags.DEFAULT_REP_PERIOD_PS,
-                    help="pulse period in ps; 0 anchors windows on first clicks")
-    sp.add_argument("--n-windows", type=int, default=None,
-                    help="total pulse count, so empty windows are tallied (pulse clock only)")
-    sp.add_argument("--input-format", choices=("auto", "csv", "binary"), default="auto")
-    _add_io_args(sp)
-    sp.set_defaults(func=cmd_count)
+    if command in (None, "count"):
+        sp = sub.add_parser("count", help="coincidence-count a timetag stream")
+        sp.add_argument("timetags", help="timetag file, CSV or binary")
+        sp.add_argument("--map", default=None, help="channel map file (channel=mode lines)")
+        sp.add_argument("--window", type=float, default=timetags.DEFAULT_WINDOW_PS,
+                        help="window in ps (finite, >= 1); a click joins if its offset is below it")
+        sp.add_argument("--rep-period", type=int, default=timetags.DEFAULT_REP_PERIOD_PS,
+                        help="pulse period in ps; 0 anchors windows on first clicks")
+        sp.add_argument("--n-windows", type=int, default=None,
+                        help="total pulse count, so empty windows are tallied (pulse clock only)")
+        sp.add_argument("--input-format", choices=("auto", "csv", "binary"), default="auto")
+        _add_io_args(sp)
+        sp.set_defaults(func=cmd_count)
 
-    sp = sub.add_parser("curve", help="normalized uncertainty against transmission")
-    _add_model_args(sp)
-    sp.add_argument("--eta-start", type=float, default=0.05)
-    sp.add_argument("--eta-stop", type=float, default=1.0)
-    sp.add_argument("--eta-steps", type=int, default=20)
-    _add_io_args(sp)
-    sp.set_defaults(func=cmd_curve)
+    if command in (None, "curve"):
+        sp = sub.add_parser("curve", help="normalized uncertainty against transmission")
+        _add_model_args(sp)
+        sp.add_argument("--eta-start", type=float, default=0.05)
+        sp.add_argument("--eta-stop", type=float, default=1.0)
+        sp.add_argument("--eta-steps", type=int, default=20)
+        _add_io_args(sp)
+        sp.set_defaults(func=cmd_curve)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (GainRangeError, ValueError) as exc:

@@ -138,13 +138,16 @@ class PhaseSeries:
         return a - 1j * b if b.size else a.astype(complex)
 
     def raw(self, phi):
-        """Unrenormalized values and exact phi-derivatives; an array of phases leads the axes."""
+        """Unrenormalized values and exact phi-derivatives, from one 2-D product of the
+        cos/sin basis and the coefficients; an array of phases leads the axes."""
         ang = np.multiply.outer(phi, self._k)
         cos, sin = np.cos(ang), np.sin(ang)
         basis = np.stack([cos, -self._k * sin])
         if len(self.coefficients) > self._k.size:  # the sine rows
             basis = np.concatenate([basis, np.stack([sin, self._k * cos])], axis=-1)
-        f, df = np.tensordot(basis, self.coefficients, axes=1)
+        c = self.coefficients
+        f, df = (basis.reshape(-1, len(c)) @ c.reshape(len(c), -1)).reshape(
+            basis.shape[:-1] + c.shape[1:])
         return f, df
 
     def mean(self):
@@ -204,21 +207,17 @@ def _click_harmonics(src, det, pairs_a, pairs_b, n_max):
                              _click_weights(det.table_b, pairs_b, n_max), n_max)
 
 
-def click_pair_series(src, det, n_max=None, canonical=False):
+def click_pair_series(src, det, n_max=None):
     """Click probabilities over phi, at theta = 0, of every pattern the cutoff allows.
 
     Returns (series, pairs_a, pairs_b); output [i, j] is the pattern
     (*pairs_a[i], *pairs_b[j]).  A path's pairs (r_h, r_v) are those with
-    r_h + r_v <= n_max; every other pattern has probability zero.  Swapping H and
-    V on one path shifts every series by pi, on both paths it changes none; so
-    ``canonical`` keeps the pairs r_h <= r_v, one of each swap orbit.
+    r_h + r_v <= n_max; every other pattern has probability zero.
     """
     if n_max is None:
         n_max = choose_truncation(src)
     pairs = [np.argwhere(np.add.outer(r, r) <= n_max) for r in
              (np.arange(min(t.max_clicks, n_max) + 1) for t in (det.table_a, det.table_b))]
-    if canonical:
-        pairs = [p[p[:, 0] <= p[:, 1]] for p in pairs]
     return (PhaseSeries(_click_harmonics(src, det, *pairs, n_max)), *pairs)
 
 

@@ -7,7 +7,8 @@ one uniform transmission over all four modes.  The figure of merit is the
 Fisher information of the accepted joint outcome distribution, per photon
 sent down the sensing path among accepted events, at the best phase.
 Every herald count at one transmission shares one compiled click series,
-one pattern per polarization-swap orbit, and one quarter-period search.
+one pattern per polarization-swap orbit over the click pairs whose
+phase-free marginal clears the term floor, and one quarter-period search.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .detectors import DetectorModel, binomial_thinning_matrix
+from .detectors import DetectorModel
 from .estimation import argmax_over_phase
 from .fock import SourceParams, pair_number_weights
 
@@ -78,14 +79,12 @@ def _truncation(src: SourceParams, k: int) -> int:
     return n_max
 
 
-def _mean_heralded_photons(src: SourceParams, eta: float, k: int, n_max: int) -> float:
-    """Mean pair number among accepted events (photons addressing the phase)."""
-    # q_n times the chance that at least k of the n reference photons arrive
-    weights = pair_number_weights(src, n_max) * binomial_thinning_matrix(n_max, eta)[:, k:].sum(1)
-    total = weights.sum()
-    if total <= 0.0:
-        raise HeraldError(f"herald condition k={k} has zero acceptance probability")
-    return float((np.arange(n_max + 1) * weights).sum() / total)
+def _canonical_pairs(table, n_max):
+    """A path's click pairs (r_h, r_v) with r_h <= r_v and r_h + r_v <= n_max, one of each
+    polarization-swap orbit, the largest click total first."""
+    r = np.arange(min(table.max_clicks, n_max) + 1)
+    pairs = np.argwhere(np.triu(np.add.outer(r, r) <= n_max))
+    return pairs[np.argsort(-pairs.sum(axis=1), kind="stable")]
 
 
 def _herald_points(src: SourceParams, eta: float, k_values, n_max: int, phi=None) -> list:
@@ -95,27 +94,35 @@ def _herald_points(src: SourceParams, eta: float, k_values, n_max: int, phi=None
     over all patterns is the sum over canonical ones of w_a w_b / 2 [t(phi) + t(phi + pi)],
     w 2 for a pair r_h < r_v and 1 for r_h = r_v: the information is even with period pi,
     so the scan covers [0, pi/2] at the 96-grid step, no fewer phases per call than the
-    refinement reads, one per count.  Sums over the reference patterns run from the largest
+    refinement reads, one per count.  A path is maximally mixed in each pair sector, so a
+    pair's click marginal m does not depend on phase and bounds every pattern holding it:
+    only pairs with m > _TERM_FLOOR / 2 (2 for rounding) can add a term above the floor,
+    and only they are compiled.  The acceptance and the mean photon number are read from
+    the marginals of every pair.  Sums over the reference patterns run from the largest
     click total down; count k reads them where totals below k begin, so its column rounds
-    the same however many counts share it.  The phase-free acceptance is read from harmonic 0.
+    the same however many counts share it.
     """
     det = DetectorModel.perfect_counting(eta_a=eta, eta_b=eta, c_max=n_max)
-    series, pairs_a, pairs_b = engine.click_pair_series(src, det, n_max=n_max, canonical=True)
-    w_a, w_b = (np.where(p[:, 0] < p[:, 1], 2.0, 1.0) for p in (pairs_a, pairs_b))
-    totals = pairs_b.sum(axis=1)
-    order = np.argsort(-totals, kind="stable")
-    ends = [np.count_nonzero(totals >= k) - 1 for k in k_values]
-    mean_n = [_mean_heralded_photons(src, eta, k, n_max) for k in k_values]
-
-    def accepted(x):  # per-orbit values [..., i, j] -> sums over accepted patterns, per count
-        return np.cumsum((w_a @ x * w_b)[..., order], axis=-1)[..., ends]
-
-    p_event = accepted(series.mean())
+    pairs = _canonical_pairs(det.table_b, n_max)  # both paths alike
+    q = pair_number_weights(src, n_max)
+    chances = [K.sum(axis=1) / (n + 1)  # of each pair, per sector
+               for n, K in enumerate(engine._click_weights(det.table_b, pairs, n_max))]
+    marginals = np.stack([q, np.arange(n_max + 1) * q]) @ chances  # and photon-weighted
+    w = np.where(pairs[:, 0] < pairs[:, 1], 2.0, 1.0)
+    reach = pairs.sum(axis=1) >= np.array(k_values)[:, None]  # [count, pair]
+    p_event, photons = np.cumsum(w * marginals, axis=1)[:, reach.sum(axis=1) - 1]
+    for k, p in zip(k_values, p_event):
+        if not p > 0.0:
+            raise HeraldError(f"herald condition k={k} has zero acceptance probability")
+    live = marginals[0] > _TERM_FLOOR / 2
+    pairs, w, ends = pairs[live], w[live], reach[:, live].sum(axis=1) - 1
+    series = engine.PhaseSeries(engine._click_harmonics(src, det, pairs, pairs, n_max))
 
     def information(p):  # one column per count; an array of phases leads the axes
         P, dP = series.raw(np.stack([p, p + np.pi]))
         terms = np.divide(dP * dP, P, out=np.zeros_like(P), where=P > _TERM_FLOOR)
-        return accepted(terms[0] + terms[1]) / (2.0 * p_event)
+        info = np.cumsum(w @ (terms[0] + terms[1]) * w, axis=-1)[..., ends]
+        return np.where(ends >= 0, info, 0.0) / (2.0 * p_event)  # no live pair: no term
 
     if phi is None:
         phi, info = argmax_over_phase(information, np.linspace(0.0, np.pi / 2.0, 25),
@@ -125,7 +132,7 @@ def _herald_points(src: SourceParams, eta: float, k_values, n_max: int, phi=None
         info, phi = information(phi), [phi] * len(k_values)
     return [HeraldPoint(value=float(v) / m, phi=float(p), event_probability=float(e),
                         mean_heralded_photons=m)
-            for v, p, e, m in zip(info, phi, p_event, mean_n)]
+            for v, p, e, m in zip(info, phi, p_event, (photons / p_event).tolist())]
 
 
 def herald_point(spec: HeraldSpec, phi=None) -> HeraldPoint:
@@ -133,7 +140,8 @@ def herald_point(spec: HeraldSpec, phi=None) -> HeraldPoint:
 
     The one-count case of the table's search.  The click tensor is compiled
     once to its phase series over the canonical patterns, r_h <= r_v on each
-    path, which stand for every pattern by the polarization-swap symmetry.
+    path, which stand for every pattern by the polarization-swap symmetry;
+    pairs whose click marginal lies below half the term floor are left out.
     With ``phi=None`` the information is maximized over phase; the acceptance
     probability itself carries no phase dependence (each emission sector
     puts a fixed photon number into the reference path), so the optimum is a

@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 import spdcmet
-from spdcmet import estimation
+from spdcmet import cli, estimation
 from spdcmet.calibration import model_rate_summary
-from spdcmet.cli import _CHUNK_ROWS, _render, _write_output, main
+from spdcmet.cli import _CHUNK_ROWS, _render, _write_output, build_parser, main
 from spdcmet.engine import (
     RotationSpec,
     choose_truncation,
@@ -334,12 +334,14 @@ def test_herald_metadata_reports_the_tail_of_its_cutoff(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["herald", "--k-max", "-1"],
-                                  ["herald", "--tau", "0.05", "--k-max", "40"]])
-def test_herald_count_outside_the_support_is_a_usage_error(argv, capsys):
-    assert run(argv) == 2
+                                  ["herald", "--tau", "0.05", "--k-max", "40"],
+                                  ["herald", "--etas", ""], ["herald", "--etas", ","]])
+def test_herald_count_outside_the_support_is_a_usage_error(argv, capsys, tmp_path):
+    out = tmp_path / "table.csv"
+    assert run(argv) == 2 and run([*argv, "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +506,18 @@ def test_fisher_refuses_bad_ml_settings_before_the_bootstrap_band(monkeypatch, c
     monkeypatch.setattr(estimation, "bootstrap_fisher_band", band)
     assert run(["fisher", "--ml-reps", "1"]) == 2
     assert "repetitions >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-5", "0", "inf", "nan"])
+def test_fisher_refuses_a_bad_band_count_before_any_estimate(monkeypatch, capsys, value):
+    def reached(*args, **kwargs):
+        raise AssertionError("estimation reached")
+
+    monkeypatch.setattr(estimation, "monte_carlo_ml_fisher", reached)
+    monkeypatch.setattr(estimation, "bootstrap_fisher_band", reached)
+    assert run(["fisher", "--counts-per-phase", value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --counts-per-phase") and err.count("\n") == 1
 
 
 def test_count_missing_file_exit(tmp_path, capsys):
@@ -719,3 +733,43 @@ def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit) as info:
         run(["frobnicate"])
     assert info.value.code == 2
+
+
+SUBCOMMANDS = ("fringes", "fisher", "calibrate", "herald", "count", "curve")
+
+
+@pytest.mark.parametrize("argv", [
+    *([name, "--help"] for name in SUBCOMMANDS),
+    *([name, "--bogus"] for name in SUBCOMMANDS),
+    ["fringes", "--phi-steps", "x"], ["fisher", "--tau"], ["calibrate"], ["count"],
+    ["count", "f", "--input-format", "z"], ["herald", "--format", "xml"], ["herald", "herald"],
+    ["curve", "--eta-steps", "2"], ["fisher", "--ml-reps", "3", "--seed", "4"],
+    ["calibrate", "r.csv", "--out", "o"], ["count", "t.bin", "--map", "m", "--n-windows", "9"],
+])
+def test_a_lone_subcommand_parser_reads_like_the_full_one(argv, capsys):
+    def parse(parser):
+        try:
+            outcome = vars(parser.parse_args(argv)), None
+        except SystemExit as exc:
+            outcome = None, exc.code
+        return outcome, capsys.readouterr()
+
+    lone = build_parser(argv[0])
+    assert [list(a.choices) for a in lone._actions if a.choices and a.dest == "command"] \
+        == [[argv[0]]]
+    assert parse(lone) == parse(build_parser())
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["--help"], ["frobnicate"], ["heral"],
+                                  ["-h", "herald"]])
+def test_a_top_level_invocation_builds_every_subcommand(argv, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command)
+                        or build_parser(command))
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert built == [argv[0] if argv else None]
+    assert [list(a.choices) for a in build_parser(*built)._actions
+            if a.choices and a.dest == "command"] == [list(SUBCOMMANDS)]
+    captured = capsys.readouterr()
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in captured.out + captured.err

@@ -14,6 +14,7 @@ from oracles import (
 )
 from spdcmet.detectors import DetectorModel, binomial_thinning_matrix
 from spdcmet.engine import (
+    _click_harmonics,
     _occupations,
     _sector_harmonics,
     PatternFamily,
@@ -39,7 +40,7 @@ from spdcmet.fock import (
     rotation_generator,
     rotation_matrices,
 )
-from spdcmet.heralding import herald_table
+from spdcmet.heralding import _canonical_pairs, herald_table
 
 EXPERIMENT = dict(tau=0.061, eta_a=0.23, eta_b=0.12)
 
@@ -439,13 +440,15 @@ def test_polarization_swap_shifts_the_click_series_by_pi(d):
     assert np.abs(c[:, swap_a] - sign * c).max() <= 1e-15
     assert np.abs(c[:, :, swap_b] - sign * c).max() <= 1e-15
     assert np.abs(c[:, swap_a][:, :, swap_b] - c).max() <= 1e-15
-    # the canonical pairs, r_h <= r_v, one of each orbit, compile to the same rows
-    canonical, kept_a, kept_b = click_pair_series(src, det, canonical=True)
+    # the herald's canonical pairs, r_h <= r_v, one of each orbit, compile to the same rows
+    n_max = choose_truncation(src)
+    kept_a, kept_b = (_canonical_pairs(t, n_max) for t in (det.table_a, det.table_b))
+    canonical = _click_harmonics(src, det, kept_a, kept_b, n_max)
     rows_a, rows_b = ([p.tolist().index(q) for q in kept.tolist()]
                       for p, kept in ((pairs_a, kept_a), (pairs_b, kept_b)))
     assert all(h <= v for h, v in [*kept_a, *kept_b])
     assert len(kept_a) == (len(pairs_a) + np.count_nonzero(pairs_a[:, 0] == pairs_a[:, 1])) // 2
-    assert np.abs(canonical.coefficients - c[:, rows_a][:, :, rows_b]).max() <= 1e-15
+    assert np.abs(canonical - c[:, rows_a][:, :, rows_b]).max() <= 1e-15
 
 
 # one matrix element, one sector or one phase at a time: none of these may
@@ -517,6 +520,32 @@ def test_real_series_equals_the_complex_definition(build):
         want, dwant = complex_definition(c, phi)
         assert np.all(np.abs(f - want) <= 1e-14 * np.abs(c).sum(axis=0))
         assert np.all(np.abs(df - dwant) <= 1e-14 * (k * np.abs(c)).sum(axis=0))
+
+
+def cosine_herald_series():
+    src = SourceParams(0.1)
+    det = DetectorModel.perfect_counting(eta_a=0.9, eta_b=0.9, c_max=choose_truncation(src))
+    series = click_pair_series(src, det)[0]
+    return series, series.harmonics
+
+
+@pytest.mark.parametrize("build", [random_series, fitted_fringes, shifted_family,
+                                   cosine_herald_series])
+def test_raw_is_the_tensordot_of_its_basis_bit_for_bit(build):
+    # one 2-D product of the flattened basis and coefficients is the product
+    # np.tensordot makes; the sine rows of random_series and of the theta 0.7
+    # family, and the herald's cosine-only (pairs x pairs) outputs included
+    series, c = build()
+    k = np.arange(len(c))
+    for phi in (np.random.default_rng(5).uniform(-2 * np.pi, 4 * np.pi, size=(3, 7)), 0.4):
+        ang = np.multiply.outer(phi, k)
+        basis = np.stack([np.cos(ang), -k * np.sin(ang)])
+        if len(series.coefficients) > len(c):
+            basis = np.concatenate([basis, np.stack([np.sin(ang), k * np.cos(ang)])], axis=-1)
+        want = np.tensordot(basis, series.coefficients, axes=1)
+        f, df = series.raw(phi)
+        assert f.shape == want[0].shape and df.shape == want[1].shape
+        assert np.array_equal(f, want[0]) and np.array_equal(df, want[1])
 
 
 @pytest.mark.parametrize("shape,block", [((), 16384), ((9,), 1821), ((66, 66), 4),

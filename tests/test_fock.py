@@ -280,3 +280,16 @@ def test_truncation_bound_below_rounding_rejected(eps):
     with pytest.raises(ValueError, match=f"got {eps}"):
         SourceParams(0.99, trunc_epsilon=eps)
     assert SourceParams(0.99, trunc_epsilon=1e-15).trunc_epsilon == 1e-15
+
+
+@pytest.mark.parametrize("tau", [0.9, 0.95, 0.99])
+@pytest.mark.parametrize("eps", [1e-12, 1e-15])
+def test_rotation_rounding_stays_below_the_source_weights(tau, eps):
+    # the recursion's unitarity error grows with n, but q_n falls faster: over
+    # 13 angles the weighted budget sum_n q_n max|G_n G_n^T - I| stays at
+    # rounding level up to the cutoff of the highest supported gains
+    src = SourceParams(tau, trunc_epsilon=eps)
+    n_max = choose_truncation(src)
+    G = rotation_matrices(n_max, np.linspace(-np.pi, np.pi, 13))
+    errors = [np.abs(g @ np.swapaxes(g, -1, -2) - np.eye(n + 1)).max() for n, g in enumerate(G)]
+    assert pair_number_weights(src, n_max) @ errors <= 1e-15

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from spdcmet import engine
-from spdcmet.detectors import DetectorModel
+from spdcmet.detectors import DetectorModel, binomial_thinning_matrix
 from spdcmet.engine import choose_truncation, click_probability_tensor, detector_for_source
-from spdcmet.fock import RotationSpec, SourceParams
+from spdcmet.fock import RotationSpec, SourceParams, pair_number_weights
 from spdcmet.heralding import (
+    _TERM_FLOOR,
     HeraldError,
     HeraldSpec,
+    _canonical_pairs,
     _herald_points,
-    _mean_heralded_photons,
     _truncation,
     herald_point,
     herald_table,
@@ -89,6 +90,13 @@ def test_search_reaches_the_top_of_a_nearly_flat_maximum(k):
     assert pt.value >= np.concatenate(scan).max() * (1.0 - 1e-12)
 
 
+def mean_heralded_photons(src, eta, k, n_max):
+    """Mean pair number among accepted events: q_n times the chance that at least
+    k of the n reference photons survive binomial thinning."""
+    weights = pair_number_weights(src, n_max) * binomial_thinning_matrix(n_max, eta)[:, k:].sum(1)
+    return float((np.arange(n_max + 1) * weights).sum() / weights.sum())
+
+
 def full_pattern_information(tau, eta, phi, n_max):
     """Per count k <= 3, the accepted information at each of ``phi`` summed over
     every click pattern of the full series, per heralded photon: rows of phases,
@@ -103,7 +111,7 @@ def full_pattern_information(tau, eta, phi, n_max):
         kept = p > 1e-14
         terms = np.where(kept, dp**2 / np.where(kept, p, 1.0), 0.0)
         info.append(terms.sum(-2) @ accepted / (p.sum(-2) @ accepted))
-    mean_n = [_mean_heralded_photons(src, eta, k, n_max) for k in range(4)]
+    mean_n = [mean_heralded_photons(src, eta, k, n_max) for k in range(4)]
     return np.concatenate(info) / mean_n
 
 
@@ -122,6 +130,89 @@ def test_orbit_information_equals_the_full_pattern_sum(tau, eta):
     for phi, lo, hi in zip(phis, low, high):
         got = np.array([pt.value for pt in _herald_points(src, eta, range(4), n_max, phi)])
         assert np.all(got >= lo * (1.0 - 1e-13)) and np.all(got <= hi * (1.0 + 1e-13))
+
+
+def click_marginals(src, table, pairs, n_max):
+    """Each pair's click chance: sector n leaves a path in (k, n - k) with chance 1/(n+1)."""
+    q = pair_number_weights(src, n_max) / np.arange(1, n_max + 2)
+    return sum(q_n * K.sum(axis=1) for q_n, K in zip(q, engine._click_weights(table, pairs, n_max)))
+
+
+def herald_setup(tau, eta):
+    """The herald's source, cutoff, detector, canonical pairs, their orbit sizes, and
+    each pair's click marginal."""
+    src = SourceParams(tau)
+    n_max = _truncation(src, 3)
+    det = DetectorModel.perfect_counting(eta_a=eta, eta_b=eta, c_max=n_max)
+    pairs = _canonical_pairs(det.table_b, n_max)
+    w = np.where(pairs[:, 0] < pairs[:, 1], 2.0, 1.0)
+    return src, n_max, det, pairs, w, click_marginals(src, det.table_b, pairs, n_max)
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.1, 0.3, 0.5])
+@pytest.mark.parametrize("eta", [0.7, 1.0])
+def test_every_pattern_of_a_dropped_pair_reads_at_most_the_term_floor(tau, eta):
+    # the herald compiles only pairs with a click marginal above half the floor:
+    # on a dense grid, and at the shift by pi each evaluation also reads, every
+    # pattern of the full canonical compile holding a dropped pair stays at or
+    # below the floor, so its term is one the herald always discarded
+    src, n_max, det, pairs, _, m = herald_setup(tau, eta)
+    dropped = m <= _TERM_FLOOR / 2
+    assert dropped.any() and not dropped.all()
+    series = engine.PhaseSeries(engine._click_harmonics(src, det, pairs, pairs, n_max))
+    phi = np.linspace(0.0, np.pi, 2001)
+    for block in np.array_split(np.concatenate([phi, phi + np.pi]), 100):
+        P = series.raw(block)[0]
+        assert P[:, dropped].max() <= _TERM_FLOOR and P[:, :, dropped].max() <= _TERM_FLOOR
+
+
+@pytest.mark.parametrize("tau,eta", [(0.1, 0.9), (0.5, 0.7), (0.5, 1.0)])
+def test_path_click_marginals_do_not_depend_on_phase(tau, eta):
+    # each pair sector leaves a path maximally mixed, so summing the full series
+    # over one path's patterns gives the other path's marginals at every phase;
+    # the 300-term sums at tau 0.5 round to within 5 ulps of 1 of them
+    src, n_max, det, _, _, _ = herald_setup(tau, eta)
+    series, pairs_a, pairs_b = engine.click_pair_series(src, det, n_max=n_max)
+    P = series.raw(np.linspace(0.0, 2.0 * np.pi, 13))[0]
+    for axis, table, pairs in ((-1, det.table_a, pairs_a), (-2, det.table_b, pairs_b)):
+        marginals = P.sum(axis)
+        assert np.ptp(marginals, axis=0).max() <= 1e-15
+        assert np.abs(marginals - click_marginals(src, table, pairs, n_max)).max() <= 4e-15
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.3, 0.5])
+@pytest.mark.parametrize("eta", [0.7, 1.0])
+def test_acceptance_and_photons_from_the_marginals(tau, eta):
+    # the acceptance equals the orbit-weighted harmonic-0 sum over the full
+    # canonical compile, summed from the largest click total down, and the mean
+    # photon number equals the binomial-thinning count of surviving photons
+    src, n_max, det, pairs, w, _ = herald_setup(tau, eta)
+    c0 = engine._click_harmonics(src, det, pairs, pairs, n_max)[0]
+    totals = pairs.sum(axis=1)
+    ends = [np.count_nonzero(totals >= k) - 1 for k in range(4)]
+    want = np.cumsum((w @ c0 * w)[np.argsort(-totals, kind="stable")])[ends]
+    points = _herald_points(src, eta, range(4), n_max, phi=0.3)
+    assert np.abs([pt.event_probability for pt in points] - want).max() <= 1e-15
+    for k, pt in enumerate(points):
+        assert pt.mean_heralded_photons == pytest.approx(
+            mean_heralded_photons(src, eta, k, n_max), rel=1e-14, abs=0)
+
+
+def test_a_count_no_live_pair_reaches_reads_no_information():
+    # at tau 0.05 the cutoff admits counts whose every pattern lies below the
+    # floor: they keep their acceptance, and read 0 as every term was dropped
+    src, n_max, det, pairs, _, m = herald_setup(0.05, 0.9)
+    unreached = np.arange(n_max + 1) > pairs[m > _TERM_FLOOR / 2].sum(axis=1).max()
+    assert unreached.any()
+    points = _herald_points(src, 0.9, range(n_max + 1), n_max)
+    assert all(pt.event_probability > 0.0 for pt in points)
+    values = np.array([pt.value for pt in points])
+    assert not values[unreached].any() and values[~unreached].min() > 0.0
+
+
+def test_zero_acceptance_is_refused():
+    with pytest.raises(HeraldError, match="zero acceptance"):
+        herald_table(0.05, (0.0,), [0, 1])
 
 
 # the search misses a higher maximum within its bracket at these cells: two
@@ -212,18 +303,18 @@ def test_one_phase_search_serves_every_herald_count(monkeypatch):
     # lane, each lane rounded like its own single-count search; every
     # evaluation reads its phases and their shifts by pi
     shared = evaluations_of(range(4))
-    assert evaluations[:4] == [14] * 3 + [8]
-    assert evaluations[4] == 8
+    assert evaluations[:2] == [50, 8]
     assert shared == max(evaluations_of([k]) for k in range(4))
 
 
-@pytest.mark.parametrize("tau,patterns,k_list,block", [(0.1, 36, range(4), 7),
-                                                       (0.5, 156, range(4), 4),
-                                                       (0.5, 156, [3], 1)])
+@pytest.mark.parametrize("tau,patterns,k_list,block", [(0.1, 16, range(4), 25),
+                                                       (0.5, 110, range(4), 4),
+                                                       (0.5, 110, [3], 1)])
 def test_herald_scan_block_follows_its_pattern_count(monkeypatch, tau, patterns, k_list, block):
-    # a path's canonical click pairs (r_h <= r_v) number 36 at tau 0.1 and 156
-    # at tau 0.5; an evaluation reads each phase and its shift by pi, so a scan
-    # block is half the series' scan_block: 7 at tau 0.1, 1 at tau 0.5.  The
+    # at eta 0.9 a path's live canonical click pairs (r_h <= r_v, click marginal
+    # above half the term floor) number 16 of 36 at tau 0.1 and 110 of 156 at
+    # tau 0.5; an evaluation reads each phase and its shift by pi, so a scan
+    # block is half the series' scan_block: 32 at tau 0.1, 1 at tau 0.5.  The
     # scan reads the 25-point grid a block at a time, but no fewer phases than
     # the refinement reads, one per count
     evaluations = []
