@@ -32,7 +32,7 @@ def _fmt(x) -> str:
 
 
 def _write_output(path, pieces):
-    """Write ``_render``'s text pieces as they come, to ``path`` or stdout."""
+    """Write text pieces as they come, to ``path`` or stdout."""
     if path is None or path == "-":
         sys.stdout.writelines(pieces)
     else:
@@ -66,10 +66,9 @@ def _json_rows(rows):
     yield "\n    ]\n  ]" if opened else "[]"
 
 
-def _render(meta, columns, rows, fmt, extra_sections=None):
-    """Text pieces of a table plus metadata as CSV ('#' header) or JSON, the
-    latter byte for byte ``json.dumps(doc, indent=2, sort_keys=True)``; any
-    iterable of rows is read and rendered ``_CHUNK_ROWS`` rows at a time."""
+def _frame(meta, columns, fmt, extra_sections=None):
+    """The text before and after the rows of a table plus metadata, as CSV
+    ('#' header) or JSON."""
     if fmt == "json":
         doc = {"meta": meta, "columns": list(columns), "rows": []}
         if extra_sections:
@@ -78,18 +77,27 @@ def _render(meta, columns, rows, fmt, extra_sections=None):
         # layout newlines are the only raw ones, and only a top-level key
         # sits two spaces in
         head, tail = text.split('\n  "rows": []', 1)
-        yield head + '\n  "rows": '
+        return head + '\n  "rows": ', tail + "\n"
+    lines = [f"# {k} = {_fmt(v)}" for k, v in meta.items()]
+    if extra_sections:
+        for name, payload in extra_sections.items():
+            lines.append(f"# {name}: {json.dumps(payload, sort_keys=True)}")
+    lines.append(",".join(columns))
+    return "\n".join(lines) + "\n", ""
+
+
+def _render(meta, columns, rows, fmt, extra_sections=None):
+    """Text pieces of a table plus metadata as CSV ('#' header) or JSON, the
+    latter byte for byte ``json.dumps(doc, indent=2, sort_keys=True)``; any
+    iterable of rows is read and rendered ``_CHUNK_ROWS`` rows at a time."""
+    head, tail = _frame(meta, columns, fmt, extra_sections)
+    yield head
+    if fmt == "json":
         yield from _json_rows(rows)
-        yield tail + "\n"
     else:
-        lines = [f"# {k} = {_fmt(v)}" for k, v in meta.items()]
-        if extra_sections:
-            for name, payload in extra_sections.items():
-                lines.append(f"# {name}: {json.dumps(payload, sort_keys=True)}")
-        lines.append(",".join(columns))
-        yield "\n".join(lines) + "\n"
         for chunk in _chunks(rows):
             yield "".join([",".join(map(_fmt, row)) + "\n" for row in chunk])
+    yield tail
 
 
 def _add_model_args(sp, tau=0.061, eta_a=0.23, eta_b=0.12):
@@ -337,21 +345,38 @@ def cmd_count(args) -> int:
         "late_clicks": result.late_clicks,
         "reordered": result.reordered,
     }
-    columns = ["kind", "key", "count"]
-    _write_output(args.out, _render(meta, columns, _count_rows(result), args.format))
+    _write_output(args.out, _count_table(meta, hist, result.pattern_counts, args.format))
     return 0
 
 
-def _count_rows(result):
-    """Mask rows in mask order, a chunk at a time, then pattern rows."""
-    masks, n = result.histogram._arrays()
-    order = np.argsort(masks)
-    masks, n = masks[order], n[order]
-    for i in range(0, masks.size, _CHUNK_ROWS):
-        for mask, c in zip(masks[i:i + _CHUNK_ROWS].tolist(), n[i:i + _CHUNK_ROWS].tolist()):
-            yield ["mask", f"{mask:#06x}", c]
-    for key, c in sorted(result.pattern_counts.items()):
-        yield ["pattern", ":".join(map(str, key)), c]
+def _count_table(meta, hist, pattern_counts, fmt):
+    """Text pieces of ``count``'s output, ``_render``'s bytes for its rows:
+    a mask row per pattern of ``hist``, in mask order, then a pattern row
+    per per-mode click-count tuple, in tuple order.  Each ``_CHUNK_ROWS``
+    rows of a kind are one '%' call on a repeated row template, read from
+    integer arrays; its cells are quoted where JSON quotes them."""
+    patterns = sorted(pattern_counts.items())
+    tables = [(('"mask"', '"%#06x"', "%d"), hist._arrays()),
+              (('"pattern"', '"%d:%d:%d:%d"', "%d"),
+               np.array([(*key, n) for key, n in patterns], dtype=np.int64).reshape(-1, 5).T)]
+    if fmt == "json":
+        opening, sep, close = "[\n    ", ",\n    ", "\n  ]"
+    else:
+        opening = sep = close = ""
+    head, tail = _frame(meta, ["kind", "key", "count"], fmt)
+    yield head
+    lead = None  # text before the next chunk; None until a row is written
+    for cells, columns in tables:
+        if fmt == "json":
+            row = "[\n      " + ",\n      ".join(cells) + "\n    ]"
+        else:
+            row = ",".join(c.strip('"') for c in cells) + "\n"
+        for i in range(0, len(columns[0]), _CHUNK_ROWS):
+            values = np.stack([c[i:i + _CHUNK_ROWS] for c in columns], axis=1)
+            yield ((opening if lead is None else lead)
+                   + sep.join([row] * len(values)) % tuple(values.ravel().tolist()))
+            lead = sep
+    yield ("[]" if fmt == "json" and lead is None else close) + tail
 
 
 def cmd_curve(args) -> int:

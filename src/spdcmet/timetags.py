@@ -30,7 +30,9 @@ maximum, a block reader releases every record up to that bound and holds
 back only the rest, so a file is validated, sorted and counted in fixed
 blocks with the same result as a whole-file parse, in memory that does
 not grow with the file.  A block that is in order and starts at or after
-the running maximum skips the running-maximum scan and the sort.
+the running maximum skips the running-maximum scan and the sort, and the
+counter does not scan a released block's order again; it still checks
+the order across blocks, and scans every block a caller supplies.
 """
 
 from __future__ import annotations
@@ -87,6 +89,8 @@ class TimetagStream:
     channels: np.ndarray  # uint8
     times: np.ndarray  # uint64, non-decreasing
     reordered: int = field(default=0, init=False, compare=False, repr=False)
+    # released by a reorderer, so in time order by construction
+    _released: bool = field(default=False, init=False, compare=False, repr=False)
 
     @classmethod
     def from_records(cls, records) -> "TimetagStream":
@@ -133,8 +137,11 @@ class _Reorderer:
         counted from the start of the input.
         """
         where = where or self._record_number
-        t = np.concatenate((self.held_t, times))
-        times = t[self.held_t.size:]  # contiguous, whatever the layout of the input
+        held = self.held_t.size
+        # contiguous copies, whatever the layout of the input; CSV's uint16
+        # channels are checked before the cast to uint8
+        t, ch = np.concatenate((self.held_t, times)), np.concatenate((self.held_ch, channels))
+        times, channels = t[held:], ch[held:]
         behind = far = np.empty(0, dtype=np.intp)
         if times.size and (times[0] < self.max_time or np.any(times[1:] < times[:-1])):
             # running maximum of the times read before each record
@@ -142,7 +149,7 @@ class _Reorderer:
                 np.concatenate((np.array([self.max_time], dtype=np.uint64), times))[:-1])
             behind = np.flatnonzero(times < prev)
             far = behind[prev[behind] - times[behind] > np.uint64(_REORDER_PS)]
-        if far.size or (channels.size and channels.max() >= N_CHANNELS):
+        if far.size or (ch.size and ch.max() >= N_CHANNELS):
             unknown = np.flatnonzero(channels >= N_CHANNELS)
             i = min(far[:1].tolist() + unknown[:1].tolist())
             if channels[i] >= N_CHANNELS:
@@ -155,7 +162,7 @@ class _Reorderer:
         if times.size:
             self.max_time = max(self.max_time, int(times.max() if behind.size else times[-1]))
         self.seen += times.size
-        ch = np.concatenate((self.held_ch, channels), dtype=np.uint8, casting="same_kind")
+        ch = ch.astype(np.uint8, copy=False)
         if behind.size:
             order = np.argsort(t, kind="stable")
             ch, t = ch[order], t[order]
@@ -171,6 +178,7 @@ class _Reorderer:
 def _stream(channels, times, reordered) -> TimetagStream:
     out = TimetagStream(channels=channels, times=times)
     object.__setattr__(out, "reordered", int(reordered))
+    object.__setattr__(out, "_released", True)
     return out
 
 
@@ -371,25 +379,57 @@ class ChannelMap:
 # coincidence counting
 
 
-@dataclass(frozen=True)
 class PatternHistogram:
-    """Counts of 16-bit click patterns over processed windows."""
+    """Counts of 16-bit click patterns over processed windows.
 
-    counts: dict  # pattern mask -> count
-    windows: int
-    window_ps: float
+    Built from a ``counts`` dict (pattern mask -> count) in any order, or
+    by the window counter from two arrays: the masks with a count, in
+    ascending order, and their counts.  ``counts`` is then built from the
+    arrays when it is first read.
+    """
+
+    def __init__(self, counts: dict, windows: int, window_ps: float):
+        self._counts, self._sorted = counts, None
+        self.windows, self.window_ps = windows, window_ps
+
+    @classmethod
+    def _of_sorted(cls, masks, n, windows, window_ps) -> "PatternHistogram":
+        out = cls(None, windows, window_ps)
+        out._sorted = masks, n
+        return out
+
+    @property
+    def counts(self) -> dict:
+        if self._counts is None:
+            self._counts = dict(zip(*(a.tolist() for a in self._sorted)))
+        return self._counts
 
     def _arrays(self):
-        k = len(self.counts)
-        return (np.fromiter(self.counts, dtype=np.int64, count=k),
-                np.fromiter(self.counts.values(), dtype=np.int64, count=k))
+        """The masks with a count, ascending, and their counts: integer arrays."""
+        if self._sorted is not None:
+            return self._sorted
+        k = len(self._counts)
+        masks = np.fromiter(self._counts, dtype=np.int64, count=k)
+        order = np.argsort(masks)
+        return masks[order], np.fromiter(self._counts.values(), dtype=np.int64, count=k)[order]
+
+    def __eq__(self, other):
+        if not isinstance(other, PatternHistogram):
+            return NotImplemented
+        return ((self.counts, self.windows, self.window_ps)
+                == (other.counts, other.windows, other.window_ps))
+
+    def __repr__(self):
+        return (f"PatternHistogram(counts={self.counts!r}, windows={self.windows!r}, "
+                f"window_ps={self.window_ps!r})")
 
     def total_clicks(self) -> int:
         masks, n = self._arrays()
         return int(_POPCOUNT[masks] @ n)
 
     def reduce(self, cmap: ChannelMap) -> dict:
-        """Collapse channel patterns to per-mode click-count 4-tuples."""
+        """Collapse channel patterns to per-mode click-count 4-tuples, in
+        ascending tuple order."""
         masks, n = self._arrays()
         mode_masks = cmap.mode_masks()
         code = np.zeros(masks.size, dtype=np.int64)
@@ -399,8 +439,9 @@ class PatternHistogram:
         np.add.at(total, code, n)
         present = np.zeros(total.size, dtype=bool)
         present[code] = True
-        return {tuple(int(d) for d in np.unravel_index(c, (5,) * len(MODES))): int(total[c])
-                for c in np.flatnonzero(present)}
+        codes = np.flatnonzero(present)
+        digits = np.unravel_index(codes, (5,) * len(MODES))
+        return dict(zip(zip(*(d.tolist() for d in digits)), total[codes].tolist()))
 
 
 @dataclass(frozen=True)
@@ -439,7 +480,8 @@ class _WindowCounter:
     pulse number with a pulse clock, its first click's time without one.
     A segmented pointer-doubling pass ORs each click's bit into the first
     click of its window, and window masks go into one bin per 16-bit
-    pattern.  The window open at a block's end is carried into the next
+    pattern; the histogram keeps the nonzero bins as arrays, in mask
+    order.  The window open at a block's end is carried into the next
     block as its key and mask; the next block's clicks with the same pulse
     number, or earlier than the key + ``bound``, join it.
     """
@@ -489,7 +531,9 @@ class _WindowCounter:
         n = key.size
         if n == 0:
             return
-        if (np.any(np.less(key[1:], key[:-1], out=self._work(1, n - 1, np.bool_)))
+        # a block a reorderer released is in order; the order across blocks is checked
+        if ((not block._released
+             and np.any(np.less(key[1:], key[:-1], out=self._work(1, n - 1, np.bool_))))
                 or (self.last_key is not None and key[0] < self.last_key)):
             raise ValueError("records must be time-ordered; parse with a reorder buffer")
         self.last_key = int(key[-1])
@@ -543,8 +587,8 @@ class _WindowCounter:
             raise ValueError("n_windows smaller than the number of occupied pulses")
         self.bins[0] += n_windows - self.occupied
         nz = np.flatnonzero(self.bins)
-        return PatternHistogram(counts=dict(zip(nz.tolist(), self.bins[nz].tolist())),
-                                windows=int(n_windows), window_ps=float(self.window_ps))
+        return PatternHistogram._of_sorted(nz, self.bins[nz], windows=int(n_windows),
+                                           window_ps=float(self.window_ps))
 
 
 def count_coincidences(records, window_ps: float = DEFAULT_WINDOW_PS,

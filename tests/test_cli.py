@@ -32,7 +32,9 @@ from spdcmet.engine import (
 from spdcmet.estimation import fisher_information
 from spdcmet.fock import SourceParams, truncation_tail
 from spdcmet.timetags import (
+    MODES,
     ChannelMap,
+    PatternHistogram,
     TimetagStream,
     count_coincidences,
     generate_synthetic_timetags,
@@ -571,6 +573,56 @@ def test_csv_render_lays_out_meta_sections_header_then_rows(n, extra, lazy):
     want += "c1,c2,c3\n" + "".join(f"{i},k{i},{0.25 * i:.12g}\n" for i in range(n))
     given = (row for row in rows) if lazy else rows
     assert "".join(_render(meta, ["c1", "c2", "c3"], given, "csv", extra)) == want
+
+
+def _histogram(n, seed=0):
+    """A histogram of ``n`` distinct masks, 0 and 0xFFFF among them, built
+    by hand from a dict in shuffled order."""
+    rng = np.random.default_rng(seed)
+    masks = rng.permutation(np.r_[0, 0xFFFF, rng.choice(np.arange(1, 0xFFFF), n, replace=False)][:n])
+    counts = rng.integers(1, 1 << 62, n)
+    return PatternHistogram(counts=dict(zip(masks.tolist(), counts.tolist())),
+                            windows=int(counts.sum()), window_ps=2500.0)
+
+
+_COUNT_TABLE_MASKS = (0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3)
+_PATTERN_COUNTS = {(4, 0, 1, 2): 5, (0, 0, 0, 0): 2 ** 62, (0, 3, 0, 1): 1, (1, 0, 0, 0): 0}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("patterns", [{}, _PATTERN_COUNTS], ids=["masks", "masks_patterns"])
+@pytest.mark.parametrize("n", _COUNT_TABLE_MASKS)
+def test_count_table_templates_write_the_generic_render(n, patterns, fmt):
+    hist = _histogram(n)
+    rows = [["mask", f"{mask:#06x}", c] for mask, c in sorted(hist.counts.items())]
+    rows += [["pattern", ":".join(map(str, key)), c] for key, c in sorted(patterns.items())]
+    meta = {"command": "count", "masks": n}
+    want = "".join(_render(meta, ["kind", "key", "count"], rows, fmt))
+    pieces = list(cli._count_table(meta, hist, patterns, fmt))
+    assert "".join(pieces) == want
+    # the head, a piece per chunk of each kind of row, the close
+    assert len(pieces) == 2 + -(-n // _CHUNK_ROWS) + (1 if patterns else 0)
+    if fmt == "json":
+        assert json.loads(want)["rows"] == rows
+
+
+def test_a_histogram_is_read_alike_in_any_dict_order():
+    shuffled = _histogram(_CHUNK_ROWS + 5, seed=3)
+    ordered = PatternHistogram(counts=dict(sorted(shuffled.counts.items())),
+                               windows=shuffled.windows, window_ps=shuffled.window_ps)
+    masks, n = ordered._arrays()
+    counted = PatternHistogram._of_sorted(masks, n, ordered.windows, ordered.window_ps)
+    assert list(shuffled.counts) != list(ordered.counts)
+    for fmt in ("json", "csv"):
+        tables = {"".join(cli._count_table({}, h, h.reduce(ChannelMap.default()), fmt))
+                  for h in (shuffled, ordered, counted)}
+        assert len(tables) == 1
+    for cmap in (ChannelMap.default(), ChannelMap(tuple(MODES[c % 4] for c in range(16)))):
+        reduced = [h.reduce(cmap) for h in (shuffled, ordered, counted)]
+        assert reduced[0] == reduced[1] == reduced[2]
+        assert list(reduced[0]) == sorted(reduced[0])
+    assert shuffled.total_clicks() == ordered.total_clicks() == counted.total_clicks()
+    assert shuffled == ordered == counted and repr(counted) == repr(ordered)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -452,6 +452,35 @@ def test_located_errors_match_the_whole_file_parse(tmp_path):
             assert str(streamed.value) == message
 
 
+@pytest.mark.parametrize("channel", [16, 255, 256, 65535, 70000])
+def test_unknown_channel_after_held_back_records_is_located(tmp_path, channel):
+    # the first block is eight records, the last three within the reorder
+    # tolerance of its latest time and so held back into the second block,
+    # whose first new record is unknown; CSV channels from 256 on must not
+    # wrap to a known one
+    good = [(i % 16, 10_000 * i) for i in range(5)] + [(5, 70_000), (6, 70_500), (7, 70_900)]
+    records = good + [(channel, 71_000)] + [(i % 16, 80_000 + 1000 * i) for i in range(8)]
+    order = timetags._Reorderer()
+    order.push(np.array([c for c, _ in good], dtype=np.uint8),
+               np.array([t for _, t in good], dtype=np.uint64))
+    assert order.held_t.size == 3
+    text = raw_csv(records).encode()
+    assert len(raw_csv(good)) == 60  # a 63-byte read, 7 records' worth, ends after line 8
+    cases = [("csv", 7, text, f"line 9: unknown channel {channel}")]
+    if channel < 256:
+        cases.append(("binary", 8, raw_binary(records), f"record 9: unknown channel {channel}"))
+    for fmt, block, data, message in cases:
+        path = tmp_path / f"bad.{fmt}"
+        path.write_bytes(data)
+        with block_size(block), pytest.raises(ParseError) as streamed:
+            counted(TimetagFile(path, fmt), REP)
+        assert str(streamed.value) == message
+        parse = parse_timetags_binary if fmt == "binary" else parse_timetags_text
+        with pytest.raises(ParseError) as whole:
+            parse(data if fmt == "binary" else data.decode())
+        assert str(whole.value) == message
+
+
 def test_cli_count_streams_binary_with_the_same_output(tmp_path, monkeypatch):
     stream = dense_stream(pulses=2000, seed=9)
     path = tmp_path / "tags.bin"
