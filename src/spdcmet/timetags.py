@@ -69,6 +69,7 @@ _RECORD_DTYPE = np.dtype([("channel", "u1"), ("time", "<u8")])
 _BLOCK_RECORDS = 1 << 16  # records (binary) or lines (CSV) per block of a streamed file
 _REORDER_PS = 1000  # reorder tolerance of every parser
 _GEN_BLOCK = 1 << 15  # mode rows per block of the generator's arithmetic
+_GUIDE_BUCKETS = 1 << 12  # equal-width buckets of the pattern draw's guide table
 _TIME_LIMIT_PS = 1 << 60  # generated times share a uint64 key with a 4-bit channel
 _N_MASKS = 1 << N_CHANNELS
 _POPCOUNT8 = sum((np.arange(256, dtype=np.uint8) >> k) & 1 for k in range(8))
@@ -659,6 +660,11 @@ def _pattern_probs(distribution):
             raise ValueError(f"pattern {k} {pat}: expected {len(MODES)} per-mode "
                              f"click counts, each 0..4")
     probs = np.asarray(distribution.probs, dtype=float)
+    if probs.shape != (len(patterns),):
+        raise ValueError(f"distribution has {len(patterns)} patterns but probabilities "
+                         f"of shape {probs.shape}")
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("distribution has non-finite probabilities")
     if np.any(probs < -1e-15):
         raise ValueError("distribution has negative probabilities")
     probs = np.clip(probs, 0.0, None)
@@ -670,6 +676,29 @@ def _pattern_probs(distribution):
         probs = np.append(probs, 0.0)
     probs[patterns.index((0, 0, 0, 0))] += max(leftover, 0.0)
     return patterns, probs / probs.sum()
+
+
+def _choice(rng, probs, size):
+    """``rng.choice(len(probs), size, p=probs)`` for normalized ``probs``:
+    the same indices, as the narrowest signed integer type, and generator
+    state.  Like ``choice``, inverts ``rng.random(size)`` through the CDF;
+    a guide table gives the answer of each bucket floor(u * G) that no CDF
+    step falls strictly inside, so only uniforms in the other buckets are
+    searched.  Scaling by the power of two G is exact.
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    cdf *= _GUIDE_BUCKETS
+    edges = np.arange(_GUIDE_BUCKETS + 1, dtype=float)
+    lo = cdf.searchsorted(edges[:-1], side="right")  # the answer at the bucket's floor
+    hi = cdf.searchsorted(edges[1:], side="left")  # the answer just below its ceiling
+    table = np.where(lo == hi, lo, -1).astype(np.min_scalar_type(-probs.size))
+    u = rng.random(size)
+    u *= _GUIDE_BUCKETS
+    draw = table[u.astype(np.intp)]
+    split = np.flatnonzero(draw < 0)  # a CDF step inside the bucket
+    draw[split] = cdf.searchsorted(u[split], side="right")
+    return draw
 
 
 def generate_synthetic_timetags(distribution, pulses: int,
@@ -685,12 +714,15 @@ def generate_synthetic_timetags(distribution, pulses: int,
     jitter in [0, jitter_ps].  Times stay below 2^60 ps.
 
     Same seed, same stream, byte for byte, at a given numpy, because the
-    generator calls keep one order: a ``choice`` of all pulses' patterns;
+    generator draws keep one order: ``random(pulses)``, inverted to all
+    pulses' patterns as ``choice(len(patterns), pulses, p=probs)`` does;
     then per pattern (the empty one appended if absent) and per mode with
-    r > 0 clicks, over its n pulses in ascending order, ``random((n, 4))``,
-    whose row-wise stable argsort picks the r channels, and, if
-    jitter_ps > 0, ``integers(0, jitter_ps + 1, n * r)``, their jitters in
-    slot order.
+    r > 0 clicks, over its n pulses in ascending order, the 4n doubles of
+    ``random((n, 4))``, whose row-wise stable argsort picks the r channels,
+    and, if jitter_ps > 0, ``integers(0, jitter_ps + 1, n * r)``, their
+    jitters in slot order.  The doubles are drawn in consecutive calls cut
+    at every ``_GEN_BLOCK``-th row of all groups' rows, which draws the same
+    doubles as one call.
     """
     if pulses < 1:
         raise ValueError("pulses must be >= 1")
@@ -707,7 +739,7 @@ def generate_synthetic_timetags(distribution, pulses: int,
     patterns, probs = _pattern_probs(distribution)
 
     rng = np.random.default_rng(seed)
-    draw = rng.choice(len(patterns), size=pulses, p=probs)
+    draw = _choice(rng, probs, pulses)
     counts = np.bincount(draw, minlength=len(patterns))
     groups = [(k, m, r) for k, pat in enumerate(patterns) if counts[k]
               for m, r in enumerate(pat) if r]  # one per (pattern, mode) with clicks
@@ -715,35 +747,52 @@ def generate_synthetic_timetags(distribution, pulses: int,
         return _EMPTY
     k_g, m_g, r_g = (np.array(v) for v in zip(*groups))
     n_g = counts[k_g]
-    # each group's pulses in ascending order (a radix sort on the narrow key)
-    by_pattern = np.argsort(draw.astype(np.min_scalar_type(len(patterns) - 1)), kind="stable")
+    # the pulses that click, each pattern's in ascending order (a radix sort on the narrow key)
+    empty = patterns.index((0, 0, 0, 0))
+    clicked = np.flatnonzero(draw != empty)
+    by_pattern = clicked[np.argsort(draw[clicked], kind="stable")]
+    counts[empty] = 0  # its pulses are not in by_pattern
     starts = np.cumsum(counts) - counts
     pulse_t = np.concatenate([by_pattern[s:s + n] for s, n in zip(starts[k_g], n_g)],
                              dtype=np.uint64, casting="unsafe") * np.uint64(rep_period_ps)
-    del draw, by_pattern  # freed before the per-row buffers
-    u, keys = np.empty((pulse_t.size, 4)), np.zeros(n_g @ r_g, dtype=np.uint64)
+    del draw, clicked, by_pattern  # freed before the per-row arrays
+    # each full block of uniforms is ranked at once and only its int8 ranks kept
+    u, rank = np.empty((_GEN_BLOCK, 4)), np.empty((4, pulse_t.size), dtype=np.int8)
+    keys = np.zeros(n_g @ r_g, dtype=np.uint64)
     row = rec = 0
-    for n, r in zip(n_g.tolist(), r_g.tolist()):  # the generator calls, nothing else
-        rng.random(out=u[row:row + n])
+    for n, r in zip(n_g.tolist(), r_g.tolist()):  # the generator calls, and the ranking
+        stop = row + n
+        while row < stop:  # a call split at the block's edge draws the same doubles
+            a = row % _GEN_BLOCK
+            b = min(_GEN_BLOCK, a + stop - row)
+            rng.random(out=u[a:b])
+            row += b - a
+            if b == _GEN_BLOCK:
+                rank[:, row - b:row] = _stable_ranks(u)
         if jitter_ps > 0:
             keys[rec:rec + n * r] = rng.integers(0, jitter_ps + 1, size=n * r)
-        row, rec = row + n, rec + n * r
+        rec += n * r
+    if row % _GEN_BLOCK:
+        rank[:, row - row % _GEN_BLOCK:] = _stable_ranks(u[:row % _GEN_BLOCK])
     r_row = np.repeat(r_g.astype(np.int8), n_g)
     chan_row = np.repeat((4 * m_g).astype(np.int8), n_g)  # the mode's row of ``table``
     table = np.array([cmap.channels_of(m) for m in MODES], dtype=np.uint64).ravel()
     rec = 0
     for a in range(0, row, _GEN_BLOCK):  # each block's jitters become its records' keys
         rows = slice(a, a + _GEN_BLOCK)
-        rank, r, pulse, chan = _stable_ranks(u[rows]), r_row[rows], pulse_t[rows], chan_row[rows]
+        r, pulse, chan = r_row[rows], pulse_t[rows], chan_row[rows]
         first = np.cumsum(r, dtype=np.int64) - r  # row's first jitter in the block
-        block, parts = keys[rec:rec + first[-1] + r[-1]], []
-        for col in range(4):  # the rows that pick this column: its rank < r
-            i = np.flatnonzero(rank[col] < r)
-            parts.append(((pulse[i] + block[first[i] + rank[col][i]]) << 4) | table[chan[i] + col])
-        block[:] = np.concatenate(parts)
+        block = keys[rec:rec + first[-1] + r[-1]]
+        for s in range(4):  # slot s of each row with r > s: its column of rank s
+            i = slice(None) if s == 0 else np.flatnonzero(r > s)
+            rank_i = rank[:, rows][:, i]
+            col = sum(c * (rank_i[c] == s).view(np.int8) for c in range(1, 4))
+            at = first[i] + s
+            block[at] = ((pulse[i] + block[at]) << 4) | table[chan[i] + col]  # over its jitter
         rec += block.size
     # time << 4 | channel orders records as (time, channel); equal keys are equal records
     keys.sort()
-    channels = (keys & 15).astype(np.uint8)
+    channels = keys.astype(np.uint8)  # the low byte, whose low 4 bits are the channel
+    channels &= 15
     keys >>= 4
     return TimetagStream(channels=channels, times=keys)

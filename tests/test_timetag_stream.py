@@ -11,6 +11,7 @@ import tempfile
 import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -693,22 +694,88 @@ def per_pattern_generator(distribution, pulses, rep_period_ps, jitter_ps, seed, 
                    if jitter_ps > 0 else np.zeros(chs.shape, dtype=np.uint64))
             chunks_ch.append(chs.ravel())
             chunks_t.append((base[:, None] + jit).ravel())
-    ch, t = np.concatenate(chunks_ch), np.concatenate(chunks_t)
+    ch = np.concatenate(chunks_ch or [np.empty(0, dtype=np.uint8)])
+    t = np.concatenate(chunks_t or [np.empty(0, dtype=np.uint64)])
     order = np.lexsort((ch, t))
     return TimetagStream(channels=ch[order], times=t[order])
 
 
-@pytest.mark.parametrize("seed, jitter_ps, interleaved", [
-    (0, 100, False), (1, 15_000, True), (2, 0, False)])
-def test_generator_matches_the_per_pattern_loop(seed, jitter_ps, interleaved):
+def few_patterns(patterns, probs):
+    return SimpleNamespace(patterns=patterns, probs=probs)
+
+
+@pytest.mark.parametrize("dist, pulses, seed, jitter_ps, interleaved, block", [
+    # about 78k mode rows: more than two of the generator's blocks
+    (None, 100_000, 0, 100, False, None),
+    (None, 100_000, 1, 15_000, True, None),
+    (None, 100_000, 2, 0, False, None),
+    # blocks of 1000 rows: most groups straddle a block edge, some span several
+    (None, 30_000, 3, 100, False, 1000),
+    (few_patterns([(2, 0, 0, 0)], [1.0]), 2_000, 3, 100, False, 1000),  # ends on edges
+    (few_patterns([(0, 0, 0, 0), (1, 0, 0, 0), (0, 2, 1, 0), (4, 0, 0, 3)],
+                  [0.0, 0.6, 0.3, 0.1]), 20_000, 4, 100, False, None),
+    # the empty pattern absent: it gets the leftover mass 0.4
+    (few_patterns([(1, 0, 0, 0), (0, 2, 1, 0), (1, 1, 1, 1)], [0.3, 0.2, 0.1]),
+     20_000, 5, 100, False, None),
+    (few_patterns([(0, 0, 0, 0), (1, 0, 0, 0)], [1.0, 0.0]), 1_000, 6, 100, False, None),
+    # one group of about 60k rows, almost two blocks
+    (few_patterns([(1, 0, 0, 0), (0, 3, 0, 0)], [0.6, 0.1]), 100_000, 7, 100, True, None),
+], ids=["0-100-False", "1-15000-True", "2-0-False", "ingest-small-blocks",
+        "groups-end-on-block-edges", "empty-at-zero", "empty-absent", "all-empty",
+        "group-over-a-block"])
+def test_generator_matches_the_per_pattern_loop(dist, pulses, seed, jitter_ps, interleaved,
+                                                block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(timetags, "_GEN_BLOCK", block)
     cmap = (ChannelMap(tuple(MODES[c % 4] for c in range(16))) if interleaved
             else ChannelMap.default())
-    # about 78k mode rows: more than two of the generator's blocks
-    args = (ingest_distribution(), 100_000, REP, jitter_ps, seed, cmap)
+    args = (dist or ingest_distribution(), pulses, REP, jitter_ps, seed, cmap)
     got, want = generate_synthetic_timetags(*args), per_pattern_generator(*args)
     assert len(got) == len(want)
     np.testing.assert_array_equal(got.times, want.times)
     np.testing.assert_array_equal(got.channels, want.channels)
+    if not len(want):
+        assert got is timetags._EMPTY
+
+
+def edge_probs(n_steps):
+    """Whole multiples of 1/G with zeros between them: every CDF value is a
+    bucket edge."""
+    g = timetags._GUIDE_BUCKETS
+    probs = np.floor(np.arange(1, n_steps + 1) / n_steps**2 * g) / g
+    probs[1::3] = 0.0
+    probs[-1] = 1.0 - probs[:-1].sum()
+    return probs
+
+
+@pytest.mark.parametrize("probs", [
+    None,  # the ingest stream's 626 patterns
+    [1.0],
+    [0.0, 0.3, 0.0, 0.0, 0.7, 0.0],
+    [0.5, 0.25, 0.25],
+    [1e-300, 0.25 - 1e-300, 0.75],
+    [*([1e-7] * 1000), 1.0 - 1e-4],  # many steps inside one bucket
+    edge_probs(40),
+], ids=["ingest", "one", "zeros", "halves", "tiny", "crowded", "edges"])
+def test_guide_table_draw_equals_choice(probs):
+    if probs is None:
+        probs = timetags._pattern_probs(ingest_distribution())[1]
+    probs = np.asarray(probs) / np.sum(probs)
+    want_rng, got_rng = np.random.default_rng(11), np.random.default_rng(11)
+    want = want_rng.choice(probs.size, size=100_000, p=probs)
+    got = timetags._choice(got_rng, probs, 100_000)
+    np.testing.assert_array_equal(got, want)
+    assert got_rng.random() == want_rng.random()  # the same generator state after
+    # uniforms on and next to every bucket edge, inverted as choice does
+    g = timetags._GUIDE_BUCKETS
+    edges = np.arange(g) / g
+    u = np.concatenate([edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges, 1.0),
+                        [np.nextafter(1.0, 0.0)]])
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    np.testing.assert_array_equal(timetags._choice(SimpleNamespace(random=lambda n: u.copy()),
+                                                   probs, u.size),
+                                  cdf.searchsorted(u, side="right"))
 
 
 def test_stable_ranks_invert_a_stable_argsort():

@@ -191,6 +191,20 @@ def test_generator_rejects_per_mode_counts_outside_0_to_4(pattern):
         generate_synthetic_timetags(dist, pulses=10)
 
 
+@pytest.mark.parametrize("probs, message", [
+    ([np.nan, 0.5], "non-finite"),
+    ([np.inf, 0.5], "non-finite"),
+    ([0.5, -np.inf], "non-finite"),
+    ([0.5, 0.2, 0.1], r"2 patterns but probabilities of shape \(3,\)"),
+    ([[0.5, 0.2]], r"2 patterns but probabilities of shape \(1, 2\)"),
+], ids=["nan", "inf", "minus-inf", "too-many", "two-dimensional"])
+def test_generator_rejects_probabilities_choice_would_reject(probs, message, monkeypatch):
+    dist = SimpleNamespace(patterns=[(1, 0, 0, 0), (0, 1, 0, 0)], probs=probs)
+    monkeypatch.setattr(np.random, "default_rng", None)  # raised before any draw
+    with pytest.raises(ValueError, match=message):
+        generate_synthetic_timetags(dist, pulses=10)
+
+
 @pytest.mark.parametrize("period", [-5, 0])
 def test_generator_rejects_a_period_below_1_ps(period):
     with pytest.raises(ValueError, match="rep_period_ps must be >= 1"):
