@@ -320,7 +320,12 @@ def cmd_herald(args) -> int:
 
 
 def cmd_count(args) -> int:
-    if args.rep_period <= 0 and args.n_windows is not None:
+    if args.rep_period < 0:
+        raise ValueError(f"--rep-period must be >= 0 (0 anchors windows on first clicks), "
+                         f"got {args.rep_period}")
+    if args.n_windows is not None and args.n_windows < 0:
+        raise ValueError(f"--n-windows must be >= 0, got {args.n_windows}")
+    if args.rep_period == 0 and args.n_windows is not None:
         raise ValueError("--n-windows counts pulses and needs a pulse clock (--rep-period > 0)")
     records = timetags.TimetagFile(args.timetags, args.input_format)
     if args.map:

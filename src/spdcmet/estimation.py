@@ -510,6 +510,8 @@ def performance_curve(src, etas, d=4, coarse=96) -> list:
         fam, _, _ = engine.click_pair_series(src, det)
         phi_opt, fisher = argmax_over_phase(lambda p: fisher_information(fam, p), coarse,
                                             fam.scan_block)
+        if not fisher > 0.0:  # as at tau 0: no phase can be read, at any precision
+            raise ValueError(f"no phase information at tau={src.tau} and transmission {eta}")
         delta = 1.0 / math.sqrt(fisher)
         scale = math.sqrt(eta * nbar)
         points.append(PerformancePoint(

@@ -40,7 +40,6 @@ __all__ = [
     "truncation_tail",
     "rotation_matrices",
     "rotation_generator",
-    "sensing_transition_matrix",
 ]
 
 
@@ -162,7 +161,8 @@ def sensing_transition_matrix(n: int, phi) -> np.ndarray:
     source term in the 2n-photon sector; row k to the occupation
     (k, n-k) after the rotation.  It is G_n of :func:`rotation_matrices`
     with its columns reversed.  The model itself never builds one sector
-    alone; this stays as the single-sector target that the benchmark's
-    rotation-matrix probes time.
+    alone, so this is not public API: it is kept only as the single-sector
+    target of ``bench/probes.py``'s rotation-matrix probes, until a change
+    to the benchmark points them at :func:`rotation_matrices`.
     """
     return rotation_matrices(n, phi)[-1][..., ::-1]

@@ -111,9 +111,11 @@ def _herald_points(src: SourceParams, eta: float, k_values, n_max: int, phi=None
     w = np.where(pairs[:, 0] < pairs[:, 1], 2.0, 1.0)
     reach = pairs.sum(axis=1) >= np.array(k_values)[:, None]  # [count, pair]
     p_event, photons = np.cumsum(w * marginals, axis=1)[:, reach.sum(axis=1) - 1]
-    for k, p in zip(k_values, p_event):
+    for k, p, n in zip(k_values, p_event, photons):
         if not p > 0.0:
             raise HeraldError(f"herald condition k={k} has zero acceptance probability")
+        if not n > 0.0:  # the information is per heralded photon
+            raise HeraldError(f"herald condition k={k} heralds no photons at tau={src.tau}")
     live = marginals[0] > _TERM_FLOOR / 2
     pairs, w, ends = pairs[live], w[live], reach[:, live].sum(axis=1) - 1
     series = engine.PhaseSeries(engine._click_harmonics(src, det, pairs, pairs, n_max))

@@ -346,6 +346,20 @@ def test_herald_count_outside_the_support_is_a_usage_error(argv, capsys, tmp_pat
     assert captured.err.startswith("error:") and captured.err.count("\n") == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["herald", "--tau", "0", "--k-max", "0"], "heralds no photons"),
+    (["curve", "--tau", "0"], "no phase information"),
+])
+def test_zero_gain_is_a_usage_error(argv, message, capsys, tmp_path):
+    # the information per heralded photon, and the curve's 1/sqrt(F), divided by zero
+    out = tmp_path / "table.csv"
+    assert run([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 # ---------------------------------------------------------------------------
 # count
 
@@ -468,6 +482,20 @@ def test_count_window_and_pulse_count_outside_their_rule_are_usage_errors(
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert ("--rep-period" if "--n-windows" in argv else "at least 1 ps") in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--rep-period", "-5"], "--rep-period must be >= 0"),
+    (["--n-windows", "-1"], "--n-windows must be >= 0"),
+])
+def test_count_refuses_a_negative_period_or_pulse_count_before_opening_the_file(
+        tmp_path, capsys, argv, message):
+    # a missing file would exit 3: the settings are checked first
+    assert run(["count", str(tmp_path / "nope.bin"), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("rep", ["12500", "0"])
