@@ -327,13 +327,14 @@ def cmd_count(args) -> int:
         raise ValueError(f"--n-windows must be >= 0, got {args.n_windows}")
     if args.rep_period == 0 and args.n_windows is not None:
         raise ValueError("--n-windows counts pulses and needs a pulse clock (--rep-period > 0)")
+    rep = args.rep_period if args.rep_period > 0 else None
+    timetags.check_window(args.window, rep)
     records = timetags.TimetagFile(args.timetags, args.input_format)
     if args.map:
         with open(args.map) as fh:
             cmap = timetags.ChannelMap.from_text(fh.read())
     else:
         cmap = timetags.ChannelMap.default()
-    rep = args.rep_period if args.rep_period > 0 else None
     result = timetags.count_coincidences(
         records, window_ps=args.window, cmap=cmap, rep_period_ps=rep,
         n_windows=args.n_windows,
@@ -389,8 +390,7 @@ def cmd_curve(args) -> int:
     if args.eta_steps < 1:
         raise ValueError("eta-steps must be >= 1")
     etas = np.linspace(args.eta_start, args.eta_stop, args.eta_steps)
-    d = None if args.d == 0 else args.d
-    points = estimation.performance_curve(src, etas, d=d)
+    points = estimation.performance_curve(src, etas, d=args.d or None)  # 0: number-resolving
     meta = {
         "command": "curve",
         "version": __version__,
@@ -400,11 +400,8 @@ def cmd_curve(args) -> int:
         "snl_reference": 1.0,
         "heisenberg_limit": estimation.heisenberg_limit(src),
     }
-    columns = ["eta", "fisher_max", "phi_opt", "delta_phi",
-               "normalized_uncertainty", "heisenberg_normalized"]
-    rows = [[p.eta, p.fisher_max, p.phi_opt, p.delta_phi,
-             p.normalized_uncertainty, p.heisenberg_normalized] for p in points]
-    _write_output(args.out, _render(meta, columns, rows, args.format))
+    rows = [list(vars(p).values()) for p in points]  # a column per PerformancePoint field
+    _write_output(args.out, _render(meta, list(vars(points[0])), rows, args.format))
     return 0
 
 

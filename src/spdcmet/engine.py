@@ -221,6 +221,14 @@ def click_pair_series(src, det, n_max=None):
     return (PhaseSeries(_click_harmonics(src, det, *pairs, n_max)), *pairs)
 
 
+def _canonical_pairs(table, n_max):
+    """A path's click pairs (r_h, r_v) with r_h <= r_v and r_h + r_v <= n_max, one of each
+    polarization-swap orbit, the largest click total first."""
+    r = np.arange(min(table.max_clicks, n_max) + 1)
+    pairs = np.argwhere(np.triu(np.add.outer(r, r) <= n_max))
+    return pairs[np.argsort(-pairs.sum(axis=1), kind="stable")]
+
+
 def click_probability_tensor(src, rot, det, n_max=None):
     """Joint click-pattern probabilities P[r_ah, r_av, r_bh, r_bv].
 

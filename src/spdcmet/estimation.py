@@ -26,6 +26,7 @@ from .fock import SourceParams, pair_number_weights
 
 __all__ = [
     "argmax_over_phase",
+    "OrbitInformation",
     "fisher_information",
     "fisher_curve",
     "FringeFit",
@@ -44,6 +45,7 @@ __all__ = [
 ]
 
 PROB_FLOOR = 1e-12
+_TERM_FLOOR = 1e-14  # OrbitInformation drops the terms of patterns at or below it
 _SCAN_BLOCK = 4  # phases per call of an opaque phase scan; bounds its temporaries
 _GRID_DENSITY = 1000  # likelihood-scan points per 2 pi
 _TIE_TOL = 1e-6  # log-likelihood gap below which distinct maxima tie
@@ -214,6 +216,52 @@ def argmax_over_phase(fn, grid=96, block=_SCAN_BLOCK):
     lanes = (lambda v: v) if values.ndim == 1 else np.diagonal
     phi, f_min = _brent_min(lambda p: -lanes(fn(p)), grid[i] - step, grid[i] + step, 1e-9)
     return phi, -f_min
+
+
+class OrbitInformation:
+    """Fisher information per accepted event, at theta = 0, of the click patterns whose
+    reference-path click total reaches each count of ``k_values``; count 0 accepts all.
+    A call at a phase, or an array of phases leading the axes, gives a column per count;
+    ``p_event`` is each count's acceptance and ``photons`` that times its mean pair number.
+
+    A path's two modes share one table, so swapping H and V on one path maps phi to
+    phi + pi, and on both changes nothing: the sum over all patterns is the sum over the
+    canonical ones (:func:`engine._canonical_pairs`) of w_a w_b / 2 [t(phi) + t(phi + pi)],
+    w 2 for a pair r_h < r_v and 1 for r_h = r_v, even with period pi.  A pair's click
+    marginal does not depend on phase and bounds every pattern holding it, and terms of
+    P <= _TERM_FLOOR are dropped, so only pairs with a marginal above _TERM_FLOOR / 2
+    (2 for rounding) are compiled.  Reference sums run from the largest click total down,
+    so a count's column rounds the same however many counts share it.
+    """
+
+    def __init__(self, src, det, k_values, n_max):
+        q = pair_number_weights(src, n_max)
+        weights = np.stack([q, np.arange(n_max + 1) * q])  # per sector, and photon-weighted
+        paths = []  # per path: canonical pairs, orbit sizes, click marginals by those weights
+        for table in (det.table_a, det.table_b):
+            pairs = engine._canonical_pairs(table, n_max)
+            chances = [K.sum(axis=1) / (n + 1)  # of each pair, per sector
+                       for n, K in enumerate(engine._click_weights(table, pairs, n_max))]
+            paths.append((pairs, np.where(pairs[:, 0] < pairs[:, 1], 2.0, 1.0), weights @ chances))
+        (pairs_a, w_a, m_a), (pairs_b, w_b, m_b) = paths
+        reach = pairs_b.sum(axis=1) >= np.array(k_values)[:, None]  # [count, reference pair]
+        self.p_event, self.photons = np.cumsum(w_b * m_b, axis=1)[:, reach.sum(axis=1) - 1]
+        live_a, live_b = m_a[0] > _TERM_FLOOR / 2, m_b[0] > _TERM_FLOOR / 2
+        self._w, self._ends = (w_a[live_a], w_b[live_b]), reach[:, live_b].sum(axis=1) - 1
+        self._series = engine.PhaseSeries(engine._click_harmonics(
+            src, det, pairs_a[live_a], pairs_b[live_b], n_max))
+
+    def __call__(self, phi):
+        P, dP = self._series.raw(np.stack([phi, phi + np.pi]))
+        terms = np.divide(dP * dP, P, out=np.zeros_like(P), where=P > _TERM_FLOOR)
+        info = np.cumsum(self._w[0] @ (terms[0] + terms[1]) * self._w[1], axis=-1)[..., self._ends]
+        return np.where(self._ends >= 0, info, 0.0) / (2.0 * self.p_event)  # no live pair: no term
+
+    def maximize(self):
+        """(phi in [0, pi/2], information) at each count's best phase, from one shared search."""
+        phi, info = argmax_over_phase(self, np.linspace(0.0, np.pi / 2.0, 25),
+                                      max(-(-self._series.scan_block // 2), len(self._ends)))
+        return [abs(math.remainder(p, np.pi)) for p in phi], info
 
 
 def _fit_fringe_columns(phi, counts):
@@ -491,35 +539,32 @@ class PerformancePoint:
     heisenberg_normalized: float
 
 
-def performance_curve(src, etas, d=4, coarse=96) -> list:
+def performance_curve(src, etas, d=4) -> list:
     """Normalized uncertainty against balanced transmission.
 
-    For each eta the full unconditioned pattern family (both paths at the
-    same transmission) is scanned for its best phase; the returned figure
-    of merit is delta_phi * sqrt(eta * N_a) with N_a the mean photon
+    For each eta the Fisher information of all patterns (both paths at the
+    same transmission) is maximized over phase by :class:`OrbitInformation`
+    at count 0, as information per event times the event probability.  The
+    figure of merit is delta_phi * sqrt(eta * N_a) with N_a the mean photon
     number sent down the sensing path, directly comparable to a unit
     shot-noise line.  ``d=None`` uses number-resolving counters.
     """
     nbar = mean_sensing_photons(src)
     hl = heisenberg_limit(src)
+    n_max = engine.choose_truncation(src)
     points = []
     for eta in etas:
         if not eta > 0.0:  # no photon reaches a counter, so no information
             raise ValueError(f"transmission must be positive, got {eta}")
-        det = engine.detector_for_source(src, d, eta, eta)
-        fam, _, _ = engine.click_pair_series(src, det)
-        phi_opt, fisher = argmax_over_phase(lambda p: fisher_information(fam, p), coarse,
-                                            fam.scan_block)
+        kernel = OrbitInformation(src, engine.detector_for_source(src, d, eta, eta), (0,), n_max)
+        (phi_opt,), (info,) = kernel.maximize()
+        fisher = info * kernel.p_event[0]
         if not fisher > 0.0:  # as at tau 0: no phase can be read, at any precision
             raise ValueError(f"no phase information at tau={src.tau} and transmission {eta}")
-        delta = 1.0 / math.sqrt(fisher)
-        scale = math.sqrt(eta * nbar)
+        delta, scale = 1.0 / math.sqrt(fisher), math.sqrt(eta * nbar)  # hl is finite at tau > 0
         points.append(PerformancePoint(
-            eta=float(eta), fisher_max=float(fisher), phi_opt=float(phi_opt),
-            delta_phi=float(delta),
-            normalized_uncertainty=float(delta * scale),
-            heisenberg_normalized=float(hl * scale) if math.isfinite(hl) else math.inf,
-        ))
+            eta=float(eta), fisher_max=float(fisher), phi_opt=phi_opt, delta_phi=delta,
+            normalized_uncertainty=delta * scale, heisenberg_normalized=hl * scale))
     return points
 
 

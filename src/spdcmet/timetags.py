@@ -56,6 +56,7 @@ __all__ = [
     "parse_timetags_binary",
     "to_csv",
     "to_binary",
+    "check_window",
     "count_coincidences",
     "generate_synthetic_timetags",
 ]
@@ -592,6 +593,14 @@ class _WindowCounter:
                                            window_ps=float(self.window_ps))
 
 
+def check_window(window_ps: float, rep_period_ps: int | None = None):
+    """Refuse a window that is not a finite number of at least 1 ps, or longer than the period."""
+    if not (math.isfinite(window_ps) and window_ps >= 1):
+        raise ValueError(f"window must be a finite number of at least 1 ps, got {window_ps}")
+    if rep_period_ps is not None and window_ps > rep_period_ps:
+        raise ValueError("window must not exceed the repetition period")
+
+
 def count_coincidences(records, window_ps: float = DEFAULT_WINDOW_PS,
                        cmap: ChannelMap | None = None,
                        rep_period_ps: int | None = None,
@@ -612,10 +621,7 @@ def count_coincidences(records, window_ps: float = DEFAULT_WINDOW_PS,
     """
     if cmap is None:
         cmap = ChannelMap.default()
-    if not (math.isfinite(window_ps) and window_ps >= 1):
-        raise ValueError(f"window must be a finite number of at least 1 ps, got {window_ps}")
-    if rep_period_ps is not None and window_ps > rep_period_ps:
-        raise ValueError("window must not exceed the repetition period")
+    check_window(window_ps, rep_period_ps)
     if rep_period_ps is None and n_windows is not None:
         raise ValueError("n_windows counts pulses and needs a pulse clock (rep_period_ps)")
     counter = _WindowCounter(window_ps, rep_period_ps)

@@ -498,6 +498,20 @@ def test_count_refuses_a_negative_period_or_pulse_count_before_opening_the_file(
     assert message in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--window", "0"], "at least 1 ps"),
+    (["--rep-period", "0", "--window", "inf"], "at least 1 ps"),
+    (["--window", "20000"], "must not exceed the repetition period"),
+])
+def test_count_refuses_a_bad_window_before_opening_the_file(tmp_path, capsys, argv, message):
+    # the window rule of count_coincidences, checked before the missing file is opened
+    assert run(["count", str(tmp_path / "nope.bin"), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 @pytest.mark.parametrize("rep", ["12500", "0"])
 def test_count_fractional_window_keeps_a_click_below_it(tmp_path, rep):
     # 2500 ps into the window: inside a 2500.5 ps window in both modes
@@ -703,7 +717,8 @@ def test_number_resolving_curve_matches_the_direct_tensor(tmp_path):
         p, up, down = (click_probability_tensor(src, RotationSpec(phi_opt + s), det).ravel()
                        for s in (0.0, h, -h))
         dp = (up - down) / (2.0 * h)
-        direct = float((dp * dp / np.maximum(p, 1e-12)).sum())
+        kept = p > 1e-14  # the curve's floor rule: terms of smaller probabilities are dropped
+        direct = float(np.where(kept, dp * dp / np.where(kept, p, 1.0), 0.0).sum())
         assert fisher_max == pytest.approx(direct, rel=1e-9)
 
 

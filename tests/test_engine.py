@@ -14,6 +14,7 @@ from oracles import (
 )
 from spdcmet.detectors import DetectorModel, binomial_thinning_matrix
 from spdcmet.engine import (
+    _canonical_pairs,
     _click_harmonics,
     _occupations,
     _sector_harmonics,
@@ -40,7 +41,7 @@ from spdcmet.fock import (
     rotation_generator,
     rotation_matrices,
 )
-from spdcmet.heralding import _canonical_pairs, herald_table
+from spdcmet.heralding import herald_table
 
 EXPERIMENT = dict(tau=0.061, eta_a=0.23, eta_b=0.12)
 

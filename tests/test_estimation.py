@@ -555,7 +555,7 @@ def test_mean_sensing_photons_closed_form():
 def test_performance_curve_shape():
     src = SourceParams(0.05)
     etas = np.linspace(0.05, 1.0, 8)
-    points = performance_curve(src, etas, d=4, coarse=48)
+    points = performance_curve(src, etas, d=4)
     norm = np.array([p.normalized_uncertainty for p in points])
     hl = np.array([p.heisenberg_normalized for p in points])
     # unit transmission beats the shot-noise line but not the ultimate bound
@@ -570,7 +570,20 @@ def test_performance_curve_rejects_a_transmission_that_measures_nothing(eta):
     # at eta = 0 the information is rounding noise, and delta_phi * sqrt(eta)
     # would report a perfect 0
     with pytest.raises(ValueError, match=f"got {eta}"):
-        performance_curve(SourceParams(0.05), [eta, 0.5], d=4, coarse=48)
+        performance_curve(SourceParams(0.05), [eta, 0.5], d=4)
+
+
+@pytest.mark.parametrize("tau,etas", [(0.5, (0.3, 0.6, 0.9)), (0.9, (0.6, 0.9))])
+def test_high_gain_curve_obeys_data_processing(tau, etas):
+    # d = 4 counters coarse-grain number-resolving ones, and loss acts before
+    # counting, so neither can beat the loss-free number-resolving information
+    src = SourceParams(tau)
+    resolving = [p.fisher_max for p in performance_curve(src, etas, d=None)]
+    multiplexed = [p.fisher_max for p in performance_curve(src, etas, d=4)]
+    lossless = max(ideal_fisher_information(src, phi) for phi in np.linspace(0.0, np.pi, 9))
+    assert all(m <= r for m, r in zip(multiplexed, resolving))
+    assert all(a < b for a, b in zip(resolving, resolving[1:]))
+    assert resolving[-1] <= lossless
 
 
 # ---------------------------------------------------------------------------
@@ -720,12 +733,8 @@ def test_phase_search_on_a_window_refines_past_its_end():
 
 @pytest.mark.parametrize("grid,n", [(0, 0), (1, 1), (np.array([0.3]), 1)])
 def test_phase_search_needs_two_grid_points(grid, n):
-    message = f"at least two grid points, got {n}"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"at least two grid points, got {n}"):
         argmax_over_phase(trig_bump(1.0), grid)
-    if np.ndim(grid) == 0:
-        with pytest.raises(ValueError, match=message):
-            performance_curve(SourceParams(0.05), [0.5], d=4, coarse=grid)
 
 
 def test_phase_search_refines_a_grid_bracket_in_few_evaluations():

@@ -8,13 +8,17 @@ import pytest
 
 from spdcmet import engine
 from spdcmet.detectors import DetectorModel, binomial_thinning_matrix
-from spdcmet.engine import choose_truncation, click_probability_tensor, detector_for_source
+from spdcmet.engine import (
+    _canonical_pairs,
+    choose_truncation,
+    click_probability_tensor,
+    detector_for_source,
+)
+from spdcmet.estimation import _TERM_FLOOR, OrbitInformation
 from spdcmet.fock import RotationSpec, SourceParams, pair_number_weights
 from spdcmet.heralding import (
-    _TERM_FLOOR,
     HeraldError,
     HeraldSpec,
-    _canonical_pairs,
     _herald_points,
     _truncation,
     herald_point,
@@ -97,12 +101,10 @@ def mean_heralded_photons(src, eta, k, n_max):
     return float((np.arange(n_max + 1) * weights).sum() / weights.sum())
 
 
-def full_pattern_information(tau, eta, phi, n_max):
-    """Per count k <= 3, the accepted information at each of ``phi`` summed over
-    every click pattern of the full series, per heralded photon: rows of phases,
-    a column per count."""
-    src = SourceParams(tau)
-    det = DetectorModel.perfect_counting(eta_a=eta, eta_b=eta, c_max=n_max)
+def accepted_information(src, det, phi, n_max):
+    """Per count k <= 3, the information at each of ``phi`` summed over every click
+    pattern of the full series whose reference click total reaches k, per accepted
+    event: rows of phases, a column per count."""
     series, _, pairs_b = engine.click_pair_series(src, det, n_max=n_max)
     accepted = pairs_b.sum(axis=1)[:, None] >= np.arange(4)
     info = []
@@ -111,8 +113,16 @@ def full_pattern_information(tau, eta, phi, n_max):
         kept = p > 1e-14
         terms = np.where(kept, dp**2 / np.where(kept, p, 1.0), 0.0)
         info.append(terms.sum(-2) @ accepted / (p.sum(-2) @ accepted))
+    return np.concatenate(info)
+
+
+def full_pattern_information(tau, eta, phi, n_max):
+    """The herald's accepted information at each of ``phi`` over every click pattern,
+    per heralded photon: rows of phases, a column per count k <= 3."""
+    src = SourceParams(tau)
+    det = DetectorModel.perfect_counting(eta_a=eta, eta_b=eta, c_max=n_max)
     mean_n = [mean_heralded_photons(src, eta, k, n_max) for k in range(4)]
-    return np.concatenate(info) / mean_n
+    return accepted_information(src, det, phi, n_max) / mean_n
 
 
 @pytest.mark.parametrize("tau", [0.05, 0.3, 0.5])
@@ -130,6 +140,21 @@ def test_orbit_information_equals_the_full_pattern_sum(tau, eta):
     for phi, lo, hi in zip(phis, low, high):
         got = np.array([pt.value for pt in _herald_points(src, eta, range(4), n_max, phi)])
         assert np.all(got >= lo * (1.0 - 1e-13)) and np.all(got <= hi * (1.0 + 1e-13))
+
+
+@pytest.mark.parametrize("tau", [0.3, 0.5])
+@pytest.mark.parametrize("eta", [0.7, 1.0])
+def test_orbit_information_of_multiplexed_counters_equals_the_full_pattern_sum(tau, eta):
+    # curve reads the orbit kernel at count 0 for d = 4 counters too: the two
+    # modes of a path share one table, so their swap orbits hold as well
+    src = SourceParams(tau)
+    n_max = choose_truncation(src)
+    det = detector_for_source(src, 4, eta, eta)
+    phis = np.random.default_rng(22).uniform(0.0, 2.0 * np.pi, size=3)
+    full = accepted_information(src, det, np.concatenate([phis, phis + np.pi]), n_max)[:, 0]
+    low, high = np.sort(full.reshape(2, 3), axis=0)
+    got = OrbitInformation(src, det, (0,), n_max)(phis)[:, 0]
+    assert np.all(got >= low * (1.0 - 1e-13)) and np.all(got <= high * (1.0 + 1e-13))
 
 
 def click_marginals(src, table, pairs, n_max):
