@@ -464,22 +464,15 @@ def _window_ends(times, opens, bound):
     return np.where(past, times.size, ends)
 
 
-def _first_click_starts(times, bound):
-    """Start index of each first-click-anchored window of sorted times."""
-    ends = _window_ends(times, times, bound).tolist()
-    starts, i, n = [], 0, len(ends)
-    while i < n:
-        starts.append(i)
-        i = ends[i]
-    return starts
-
-
 class _WindowCounter:
     """Coincidence windows of one time-ordered stream, fed block by block.
 
     A click at integer offset o joins a window iff o < ``window_ps``, that
     is o < ``bound`` = ceil(``window_ps``).  Every window has a key: its
     pulse number with a pulse clock, its first click's time without one.
+    Without a clock a window opens at each click ``bound`` ps or more past
+    the one before it, and at the first click past each opening's window
+    end, found in runs that outlast a window by doubled jumps along the ends.
     A segmented pointer-doubling pass ORs each click's bit into the first
     click of its window, and window masks go into one bin per 16-bit
     pattern; the histogram keeps the nonzero bins as arrays, in mask
@@ -540,13 +533,19 @@ class _WindowCounter:
             raise ValueError("records must be time-ordered; parse with a reorder buffer")
         self.last_key = int(key[-1])
         owner = key  # each click's window key
-        if self.rep_period_ps is None:  # clicks before the open window's end join it
-            joined = 0 if self.open_key is None else int(_window_ends(
-                key, np.array([self.open_key], dtype=np.uint64), self.bound)[0])
-            opens = joined + np.array(_first_click_starts(key[joined:], self.bound),
-                                      dtype=np.intp)
-            owner = np.concatenate((np.full(joined, self.open_key, dtype=np.uint64),
-                                    np.repeat(key[opens], np.diff(opens, append=key.size))))
+        if self.rep_period_ps is None:
+            opens = np.zeros(n + 1, dtype=bool)  # index n, past the block, is a sink
+            opens[1:n] = np.diff(key) >= self.bound
+            opens[0 if self.open_key is None else _window_ends(
+                key, np.array([self.open_key], dtype=np.uint64), self.bound)[0]] = True
+            jump = None
+            while True:
+                owner = np.maximum.accumulate(np.where(opens[:n], key, self.open_key or 0))
+                if not np.any(key - owner >= self.bound):
+                    break
+                jump = (np.append(_window_ends(key, key, self.bound), n) if jump is None
+                        else jump[jump])
+                opens[jump[opens]] = True
         same = np.equal(owner[1:], owner[:-1], out=self._work(1, n - 1, np.bool_))
         first = self._work(3, n, np.bool_)  # the first click of each window
         first[0] = True

@@ -373,6 +373,31 @@ def test_forty_clicks_of_one_pulse_straddle_block_boundaries(tmp_path, monkeypat
         assert res.histogram.counts[0xFFFF] == 1
 
 
+@pytest.mark.parametrize("step, n, windows", [
+    (1000, 20_000, 6_667),  # one run of close clicks, three to a window
+    (2500, 2_000, 2_000),  # every click is a window past the one before it
+    (2499, 2_000, 1_000),  # two clicks to a window
+], ids=["one_run", "gap_at_bound", "two_per_window"])
+def test_long_first_click_runs_count_like_the_reference(monkeypatch, step, n, windows):
+    # in a run of closer clicks every window but the first opens at the
+    # first click past the end of the one before; in one block, the doubled
+    # jumps take 13 rounds to find one_run's 6,667 windows
+    records = [(i % 16, step * i) for i in range(n)]
+    want = reference_count(records, WINDOW, None)[0]
+    assert sum(want.values()) == windows
+    stream = TimetagStream.from_records(records)
+    for block in BLOCKS + (1 << 16,):
+        monkeypatch.setattr(timetags, "_BLOCK_RECORDS", block)
+        res = counted(stream, None)
+        assert (res.histogram.counts, res.histogram.windows) == (want, windows)
+    # two blocks of about n / 2 records: the window open at the end of the
+    # first is carried into the second, and in a run its clicks join it
+    cut = n // 2 + 1
+    halves = [TimetagStream(stream.channels[:cut], stream.times[:cut]),
+              TimetagStream(stream.channels[cut:], stream.times[cut:])]
+    assert counted(halves, None).histogram.counts == want
+
+
 @pytest.mark.parametrize("times, window", [
     ((18446744073709551000, 18446744073709551100), "2500"),
     # at one record a block the first is released alone, so its open window
@@ -610,16 +635,17 @@ def test_count_peak_memory_does_not_grow_with_the_file(tmp_path, monkeypatch):
         assert large < 1.5 * small, (fmt, options, newline, small, large)
 
 
-def test_pulse_clocked_blocks_allocate_no_block_sized_temporaries():
-    # fresh block-sized arrays let the heap shrink and regrow between
-    # blocks, with a number of page faults that varies with the data
+def warm_block_peaks(rep):
+    """Traced heap peak of feeding each of two 2^16-record blocks to a
+    counter that has already counted one, and the block's time bytes."""
     rng = np.random.default_rng(5)
     n = 1 << 16
     pulses = np.cumsum(rng.integers(0, 3, 3 * n)).astype(np.uint64)
     times = np.sort(pulses * np.uint64(REP) + rng.integers(0, WINDOW, 3 * n, dtype=np.uint64))
     channels = rng.integers(0, 16, 3 * n, dtype=np.uint8)
-    counter = timetags._WindowCounter(WINDOW, REP)
+    counter = timetags._WindowCounter(WINDOW, rep)
     counter.feed(TimetagStream(channels[:n], times[:n]))
+    peaks = []
     tracemalloc.start()
     try:
         for k in (1, 2):
@@ -627,10 +653,25 @@ def test_pulse_clocked_blocks_allocate_no_block_sized_temporaries():
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             counter.feed(block)
-            assert tracemalloc.get_traced_memory()[1] - before < block.times.nbytes // 4
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
     finally:
         tracemalloc.stop()
     assert counter.late == 0
+    return peaks, block.times.nbytes
+
+
+def test_pulse_clocked_blocks_allocate_no_block_sized_temporaries():
+    # fresh block-sized arrays let the heap shrink and regrow between
+    # blocks, with a number of page faults that varies with the data
+    peaks, nbytes = warm_block_peaks(REP)
+    assert max(peaks) < nbytes // 4
+
+
+def test_first_click_blocks_allocate_under_three_times_their_time_bytes():
+    # the same clicks without a pulse clock; each pulse's clicks span less
+    # than a window, so the click gaps alone open every window
+    peaks, nbytes = warm_block_peaks(None)
+    assert max(peaks) < 3 * nbytes
 
 
 def test_generator_output_is_frozen():
