@@ -21,6 +21,11 @@ degree n_max, compiled once at theta = 0 to its :class:`PhaseSeries`, which
 serves probabilities, exact phi-derivatives and the exact phase average.
 The dense tensor, single patterns and full distributions read the same
 compiled series, at phi - theta.
+
+One rule, :func:`_click_pairs`, gives the click pairs a path can register,
+and one builder, :func:`_click_weights`, their per-sector weights, for the
+series and the 2+2 conditional means alike; the means' survivor table is
+apply_loss of the lossless table with each photon counted.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import DetectorModel, PovmTable, binomial_thinning_matrix
+from .detectors import DetectorModel, apply_loss
 from .fock import (
     RotationSpec,  # noqa: F401  (re-exported)
     SourceParams,
@@ -194,38 +199,53 @@ def _sector_harmonics(src, weights_a, weights_b, degree):
     return c
 
 
-def _click_weights(table: PovmTable, pairs, n_max):
-    """K_n[i, k] = W[r_h, k] W[r_v, n - k] for pairs[i] = (r_h, r_v): the chance
-    that a path holding (k, n - k) photons clicks that pair, n = 0..n_max."""
+def _click_pairs(table, n_max):
+    """The click pairs (r_h, r_v) a path's counters can register, r_h major: r <= max_clicks
+    on each mode and r_h + r_v <= n_max.  Every other pair has probability zero."""
+    r = np.arange(min(table.max_clicks, n_max) + 1)
+    return np.argwhere(np.add.outer(r, r) <= n_max)
+
+
+def _check_patterns(det, *patterns):
+    """Refuse click patterns (r_ah, r_av, r_bh, r_bv) outside the counters' click range."""
+    for pattern in patterns:
+        if min(pattern) < 0:
+            raise ValueError("click counts must be non-negative")
+        if max(pattern[:2]) > det.table_a.max_clicks or max(pattern[2:]) > det.table_b.max_clicks:
+            raise ValueError(f"pattern {pattern} exceeds the detector click range")
+
+
+def _click_weights(W_h, W_v, pairs, n_max):
+    """K_n[i, k] = W_h[r_h, k] W_v[r_v, n - k] for pairs[i] = (r_h, r_v), n = 0..n_max: with
+    a path's table as both, the chance that it clicks that pair holding (k, n - k) photons."""
     h, v = np.transpose(pairs)
-    return [table.weights[h, : n + 1] * table.weights[v, n::-1] for n in range(n_max + 1)]
+    return [W_h[h, : n + 1] * W_v[v, n::-1] for n in range(n_max + 1)]
 
 
 def _click_harmonics(src, det, pairs_a, pairs_b, n_max):
     _check_capacity(det, n_max)
-    return _sector_harmonics(src, _click_weights(det.table_a, pairs_a, n_max),
-                             _click_weights(det.table_b, pairs_b, n_max), n_max)
+    W_a, W_b = det.table_a.weights, det.table_b.weights
+    return _sector_harmonics(src, _click_weights(W_a, W_a, pairs_a, n_max),
+                             _click_weights(W_b, W_b, pairs_b, n_max), n_max)
 
 
 def click_pair_series(src, det, n_max=None):
     """Click probabilities over phi, at theta = 0, of every pattern the cutoff allows.
 
     Returns (series, pairs_a, pairs_b); output [i, j] is the pattern
-    (*pairs_a[i], *pairs_b[j]).  A path's pairs (r_h, r_v) are those with
-    r_h + r_v <= n_max; every other pattern has probability zero.
+    (*pairs_a[i], *pairs_b[j]), over each path's :func:`_click_pairs`.
     """
     if n_max is None:
         n_max = choose_truncation(src)
-    pairs = [np.argwhere(np.add.outer(r, r) <= n_max) for r in
-             (np.arange(min(t.max_clicks, n_max) + 1) for t in (det.table_a, det.table_b))]
+    pairs = [_click_pairs(t, n_max) for t in (det.table_a, det.table_b)]
     return (PhaseSeries(_click_harmonics(src, det, *pairs, n_max)), *pairs)
 
 
 def _canonical_pairs(table, n_max):
-    """A path's click pairs (r_h, r_v) with r_h <= r_v and r_h + r_v <= n_max, one of each
-    polarization-swap orbit, the largest click total first."""
-    r = np.arange(min(table.max_clicks, n_max) + 1)
-    pairs = np.argwhere(np.triu(np.add.outer(r, r) <= n_max))
+    """A path's click pairs with r_h <= r_v, one of each polarization-swap orbit, the
+    largest click total first."""
+    pairs = _click_pairs(table, n_max)
+    pairs = pairs[pairs[:, 0] <= pairs[:, 1]]
     return pairs[np.argsort(-pairs.sum(axis=1), kind="stable")]
 
 
@@ -246,11 +266,7 @@ def click_probability_tensor(src, rot, det, n_max=None):
 
 def detection_probability(pattern, rot, src, det) -> float:
     """Probability of one click pattern (r_ah, r_av, r_bh, r_bv)."""
-    r_ah, r_av, r_bh, r_bv = pattern
-    if min(pattern) < 0:
-        raise ValueError("click counts must be non-negative")
-    if max(r_ah, r_av) > det.table_a.max_clicks or max(r_bh, r_bv) > det.table_b.max_clicks:
-        raise ValueError(f"pattern {pattern} exceeds the detector click range")
+    _check_patterns(det, pattern)
     return float(click_probability_tensor(src, rot, det)[tuple(pattern)])
 
 
@@ -302,6 +318,7 @@ class PatternFamily(PhaseSeries):
         self.src = src
         self.det = det
         self.patterns = tuple(tuple(p) for p in patterns)
+        _check_patterns(det, *self.patterns)
         self.theta = theta
         self.n_max = choose_truncation(src)
         rows_a = sorted({p[:2] for p in self.patterns})
@@ -324,28 +341,6 @@ def fourfold_family(src, det, theta=0.0) -> PatternFamily:
     return PatternFamily(src, det, fourfold_patterns(), theta=theta)
 
 
-def _path_event_weights(table: PovmTable, clicks: int, n_max: int):
-    """Per-sector chance that a path holding (k, n - k) photons clicks
-    ``clicks`` in total, and that chance weighted by the photons surviving
-    loss, n = 0..n_max.
-
-    Both sum over the pairs r_h + r_v = clicks, like :func:`_click_weights`:
-    the first of W[r_h, k] W[r_v, n - k], the second of the same products
-    with one factor swapped for the survivor-weighted table
-    S[r, c] = sum_j W0[r, j] j B[c, j] (W = W0 B^T splits into lossless
-    counting W0 and binomial thinning B).
-    """
-    h = np.arange(max(0, clicks - table.max_clicks), min(clicks, table.max_clicks) + 1)
-    v = clicks - h
-    W = table.weights
-    S = (table.base_weights * np.arange(table.c_max + 1)) @ binomial_thinning_matrix(
-        table.c_max, table.eta).T
-    rate = [(W[h, : n + 1] * W[v, n::-1]).sum(axis=0) for n in range(n_max + 1)]
-    surviving = [(S[h, : n + 1] * W[v, n::-1] + W[h, : n + 1] * S[v, n::-1]).sum(axis=0)
-                 for n in range(n_max + 1)]
-    return rate, surviving
-
-
 def fourfold_conditional_means(src, det):
     """Mean sensing-path photons per accepted 2+2 coincidence event.
 
@@ -357,9 +352,13 @@ def fourfold_conditional_means(src, det):
     """
     n_max = choose_truncation(src)
     _check_capacity(det, n_max)
-    rate_a, surviving_a = _path_event_weights(det.table_a, 2, n_max)
-    rate_b, _ = _path_event_weights(det.table_b, 2, n_max)
-
+    a, b = det.table_a, det.table_b
+    pairs_a, pairs_b = (p[p.sum(axis=1) == 2] for p in (_click_pairs(t, n_max) for t in (a, b)))
+    rate_a, rate_b = ([K.sum(axis=0) for K in _click_weights(t.weights, t.weights, pairs, n_max)]
+                      for t, pairs in ((a, pairs_a), (b, pairs_b)))
+    S = apply_loss(a.base_weights * np.arange(a.c_max + 1), a.eta)  # surviving photons counted
+    surviving_a = [(K_h + K_v).sum(axis=0) for K_h, K_v in zip(
+        _click_weights(S, a.weights, pairs_a, n_max), _click_weights(a.weights, S, pairs_a, n_max))]
     # rows: event rate, emitted and surviving photons on events
     weights_a = [np.stack([p, n * p, s]) for n, (p, s) in enumerate(zip(rate_a, surviving_a))]
     weights_b = [p[None] for p in rate_b]

@@ -240,8 +240,8 @@ class OrbitInformation:
         paths = []  # per path: canonical pairs, orbit sizes, click marginals by those weights
         for table in (det.table_a, det.table_b):
             pairs = engine._canonical_pairs(table, n_max)
-            chances = [K.sum(axis=1) / (n + 1)  # of each pair, per sector
-                       for n, K in enumerate(engine._click_weights(table, pairs, n_max))]
+            chances = [K.sum(axis=1) / (n + 1) for n, K in enumerate(  # of each pair, per sector
+                engine._click_weights(table.weights, table.weights, pairs, n_max))]
             paths.append((pairs, np.where(pairs[:, 0] < pairs[:, 1], 2.0, 1.0), weights @ chances))
         (pairs_a, w_a, m_a), (pairs_b, w_b, m_b) = paths
         reach = pairs_b.sum(axis=1) >= np.array(k_values)[:, None]  # [count, reference pair]

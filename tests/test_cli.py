@@ -782,6 +782,8 @@ def test_configuration_that_measures_nothing_is_a_usage_error(argv, capsys):
     (["fisher", "--d", "-2"], "at least one detector"),
     (["fringes", "--d", "-1"], "at least one detector"),
     (["curve", "--d", "-1"], "at least one detector"),
+    (["fisher", "--d", "1"], "click range"),  # one detector per mode cannot click twice
+    (["fringes", "--d", "1"], "click range"),
 ])
 def test_settings_that_measure_nothing_are_usage_errors(argv, message, capsys):
     # these used to raise a traceback, or to skip the stage and exit 0

@@ -127,6 +127,10 @@ def test_pattern_exceeding_arity_rejected():
     src, det = experiment_model()
     with pytest.raises(ValueError):
         detection_probability((5, 0, 0, 0), RotationSpec(0.1), src, det)
+    # a family is refused by the same check: one detector per mode cannot click twice
+    src, det = experiment_model(d=1)
+    with pytest.raises(ValueError, match=r"pattern \(2, 0, 0, 2\) exceeds the detector click range"):
+        fourfold_family(src, det)
 
 
 def test_loss_order_does_not_matter():
@@ -274,7 +278,7 @@ def _loop_path_click_stats(table, occ_h, occ_v, clicks):
     return p_event, surv_sum
 
 
-@pytest.mark.parametrize("d", [4, None])
+@pytest.mark.parametrize("d", [1, 2, 4, None])  # d = 1 and 2 clip the two-click pairs
 @pytest.mark.parametrize("tau", [0.061, 0.5])
 def test_conditional_means_match_the_per_occupation_loop(tau, d):
     src = SourceParams(tau)

@@ -160,7 +160,8 @@ def test_orbit_information_of_multiplexed_counters_equals_the_full_pattern_sum(t
 def click_marginals(src, table, pairs, n_max):
     """Each pair's click chance: sector n leaves a path in (k, n - k) with chance 1/(n+1)."""
     q = pair_number_weights(src, n_max) / np.arange(1, n_max + 2)
-    return sum(q_n * K.sum(axis=1) for q_n, K in zip(q, engine._click_weights(table, pairs, n_max)))
+    return sum(q_n * K.sum(axis=1) for q_n, K in zip(q, engine._click_weights(
+        table.weights, table.weights, pairs, n_max)))
 
 
 def herald_setup(tau, eta):

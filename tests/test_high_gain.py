@@ -5,6 +5,8 @@ polarization swap on one path as a half-turn of the phase."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdcmet.engine import choose_truncation, click_probability_tensor, detector_for_source
 from spdcmet.fock import RotationSpec, SourceParams, truncation_tail
@@ -32,4 +34,17 @@ def test_missing_mass_is_the_truncation_tail(model):
 def test_swapping_h_and_v_on_path_a_is_a_half_turn_of_phi(model):
     src, P, det = model
     turned = click_probability_tensor(src, RotationSpec(PHI + math.pi), det)
+    assert abs(P.transpose(1, 0, 2, 3) - turned).max() <= 1e-15
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([None, *range(1, 9)]), st.floats(0.01, 0.3),
+       st.floats(0.05, 1.0), st.floats(0.05, 1.0), st.floats(0.0, 2.0 * math.pi))
+def test_invariants_hold_for_every_counter_at_moderate_gain(d, tau, eta_a, eta_b, phi):
+    # d = 1 and 2 clip the click pairs a path can register, below the cutoff
+    src = SourceParams(tau)
+    det = detector_for_source(src, d, eta_a, eta_b)
+    P = click_probability_tensor(src, RotationSpec(phi), det)
+    assert abs((1.0 - P.sum()) - truncation_tail(src, choose_truncation(src))) <= 1e-14
+    turned = click_probability_tensor(src, RotationSpec(phi + math.pi), det)
     assert abs(P.transpose(1, 0, 2, 3) - turned).max() <= 1e-15
