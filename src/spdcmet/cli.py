@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__, calibration, engine, estimation, heralding, timetags
-from .fock import GainRangeError, SourceParams, truncation_tail
+from .fock import SourceParams, truncation_tail
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
@@ -100,14 +100,18 @@ def _render(meta, columns, rows, fmt, extra_sections=None):
     yield tail
 
 
-def _add_model_args(sp, tau=0.061, eta_a=0.23, eta_b=0.12):
-    sp.add_argument("--tau", type=float, default=tau, help="parametric gain")
-    sp.add_argument("--eta-a", type=float, default=eta_a, help="sensing-path transmission")
-    sp.add_argument("--eta-b", type=float, default=eta_b, help="reference-path transmission")
+def _add_model_args(sp, paths=True):
+    """The source and detector options; without ``paths``, only those that
+    do not name a path (gain, detectors per mode, tail bound)."""
+    sp.add_argument("--tau", type=float, default=0.061, help="parametric gain")
+    if paths:
+        sp.add_argument("--eta-a", type=float, default=0.23, help="sensing-path transmission")
+        sp.add_argument("--eta-b", type=float, default=0.12, help="reference-path transmission")
     sp.add_argument("--d", type=int, default=4,
                     help="detectors per mode; 0 means number-resolving counters")
-    sp.add_argument("--theta", type=float, default=0.0,
-                    help="reference-path control rotation, radians")
+    if paths:
+        sp.add_argument("--theta", type=float, default=0.0,
+                        help="reference-path control rotation, radians")
     sp.add_argument("--eps", type=float, default=1e-12, help="truncation tail bound")
 
 
@@ -362,7 +366,7 @@ def _count_table(meta, hist, pattern_counts, fmt):
     rows of a kind are one '%' call on a repeated row template, read from
     integer arrays; its cells are quoted where JSON quotes them."""
     patterns = sorted(pattern_counts.items())
-    tables = [(('"mask"', '"%#06x"', "%d"), hist._arrays()),
+    tables = [(('"mask"', '"%#06x"', "%d"), hist._sorted),
               (('"pattern"', '"%d:%d:%d:%d"', "%d"),
                np.array([(*key, n) for key, n in patterns], dtype=np.int64).reshape(-1, 5).T)]
     if fmt == "json":
@@ -477,7 +481,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
     if command in (None, "curve"):
         sp = sub.add_parser("curve", help="normalized uncertainty against transmission")
-        _add_model_args(sp)
+        _add_model_args(sp, paths=False)
         sp.add_argument("--eta-start", type=float, default=0.05)
         sp.add_argument("--eta-stop", type=float, default=1.0)
         sp.add_argument("--eta-steps", type=int, default=20)
@@ -492,15 +496,12 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
-    except (GainRangeError, ValueError) as exc:
-        if isinstance(exc, (calibration.CalibrationError, timetags.ParseError)):
-            print(f"error: {exc}", file=sys.stderr)
-            return DATA_ERROR
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
+    except (calibration.CalibrationError, timetags.ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
+    except ValueError as exc:  # GainRangeError and HeraldError among them
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

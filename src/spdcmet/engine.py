@@ -265,7 +265,13 @@ def click_probability_tensor(src, rot, det, n_max=None):
 
 
 def detection_probability(pattern, rot, src, det) -> float:
-    """Probability of one click pattern (r_ah, r_av, r_bh, r_bv)."""
+    """Probability of one click pattern (r_ah, r_av, r_bh, r_bv).
+
+    Each call compiles the whole click series to read one entry: 0.4-0.5 ms
+    at tau 0.1, d 4 on a 2-core VM (Python 3.11, numpy 2.4), so criterion
+    4's 3,800 calls spend about 1.5 s on it.  A caller that reads many
+    patterns should call ``click_probability_tensor`` once.
+    """
     _check_patterns(det, pattern)
     return float(click_probability_tensor(src, rot, det)[tuple(pattern)])
 

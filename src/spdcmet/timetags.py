@@ -30,9 +30,12 @@ maximum, a block reader releases every record up to that bound and holds
 back only the rest, so a file is validated, sorted and counted in fixed
 blocks with the same result as a whole-file parse, in memory that does
 not grow with the file.  A block that is in order and starts at or after
-the running maximum skips the running-maximum scan and the sort, and the
-counter does not scan a released block's order again; it still checks
-the order across blocks, and scans every block a caller supplies.
+the running maximum skips the running-maximum scan and the sort.  The
+reorderer marks each block it releases when it builds it, and the counter
+does not scan a marked block's order again; it still checks the order
+across blocks, and scans every block a caller supplies.  The counter
+hands its nonzero bins to ``PatternHistogram`` as the sorted mask and
+count arrays that are the histogram's only state.
 """
 
 from __future__ import annotations
@@ -90,9 +93,9 @@ class TimetagStream:
 
     channels: np.ndarray  # uint8
     times: np.ndarray  # uint64, non-decreasing
-    reordered: int = field(default=0, init=False, compare=False, repr=False)
+    reordered: int = field(default=0, compare=False, repr=False)
     # released by a reorderer, so in time order by construction
-    _released: bool = field(default=False, init=False, compare=False, repr=False)
+    _released: bool = field(default=False, compare=False, repr=False)
 
     @classmethod
     def from_records(cls, records) -> "TimetagStream":
@@ -174,14 +177,7 @@ class _Reorderer:
         else:
             cut = int(np.searchsorted(t, np.uint64(bound), side="right")) if bound >= 0 else 0
         self.held_ch, self.held_t = ch[cut:], t[cut:]
-        return _stream(ch[:cut], t[:cut], reordered=behind.size)
-
-
-def _stream(channels, times, reordered) -> TimetagStream:
-    out = TimetagStream(channels=channels, times=times)
-    object.__setattr__(out, "reordered", int(reordered))
-    object.__setattr__(out, "_released", True)
-    return out
+        return TimetagStream(ch[:cut], t[:cut], behind.size, _released=True)
 
 
 def _check_whole_records(nbytes: int) -> int:
@@ -384,36 +380,25 @@ class ChannelMap:
 class PatternHistogram:
     """Counts of 16-bit click patterns over processed windows.
 
-    Built from a ``counts`` dict (pattern mask -> count) in any order, or
-    by the window counter from two arrays: the masks with a count, in
-    ascending order, and their counts.  ``counts`` is then built from the
-    arrays when it is first read.
+    Kept as two int64 arrays: the masks with a count, in ascending order,
+    and their counts.  ``counts`` is a dict (pattern mask -> count) in any
+    order, sorted into them once, or the window counter's two arrays
+    themselves; the ``counts`` property builds the dict on each read, in
+    mask order.
     """
 
-    def __init__(self, counts: dict, windows: int, window_ps: float):
-        self._counts, self._sorted = counts, None
+    def __init__(self, counts, windows: int, window_ps: float):
+        if isinstance(counts, dict):
+            k = len(counts)
+            masks = np.fromiter(counts, dtype=np.int64, count=k)
+            order = np.argsort(masks)
+            counts = masks[order], np.fromiter(counts.values(), dtype=np.int64, count=k)[order]
+        self._sorted = counts
         self.windows, self.window_ps = windows, window_ps
-
-    @classmethod
-    def _of_sorted(cls, masks, n, windows, window_ps) -> "PatternHistogram":
-        out = cls(None, windows, window_ps)
-        out._sorted = masks, n
-        return out
 
     @property
     def counts(self) -> dict:
-        if self._counts is None:
-            self._counts = dict(zip(*(a.tolist() for a in self._sorted)))
-        return self._counts
-
-    def _arrays(self):
-        """The masks with a count, ascending, and their counts: integer arrays."""
-        if self._sorted is not None:
-            return self._sorted
-        k = len(self._counts)
-        masks = np.fromiter(self._counts, dtype=np.int64, count=k)
-        order = np.argsort(masks)
-        return masks[order], np.fromiter(self._counts.values(), dtype=np.int64, count=k)[order]
+        return dict(zip(*(a.tolist() for a in self._sorted)))
 
     def __eq__(self, other):
         if not isinstance(other, PatternHistogram):
@@ -426,13 +411,13 @@ class PatternHistogram:
                 f"window_ps={self.window_ps!r})")
 
     def total_clicks(self) -> int:
-        masks, n = self._arrays()
+        masks, n = self._sorted
         return int(_POPCOUNT[masks] @ n)
 
     def reduce(self, cmap: ChannelMap) -> dict:
         """Collapse channel patterns to per-mode click-count 4-tuples, in
         ascending tuple order."""
-        masks, n = self._arrays()
+        masks, n = self._sorted
         mode_masks = cmap.mode_masks()
         code = np.zeros(masks.size, dtype=np.int64)
         for m in MODES:  # per-mode click counts are base-5 digits of one code
@@ -450,7 +435,6 @@ class PatternHistogram:
 class CoincidenceResult:
     histogram: PatternHistogram
     pattern_counts: dict  # (r_ah, r_av, r_bh, r_bv) -> count
-    modes: tuple = MODES
     late_clicks: int = 0  # clicks past the window of their pulse, discarded
     reordered: int = 0  # records the parser sorted back into time order
 
@@ -588,8 +572,8 @@ class _WindowCounter:
             raise ValueError("n_windows smaller than the number of occupied pulses")
         self.bins[0] += n_windows - self.occupied
         nz = np.flatnonzero(self.bins)
-        return PatternHistogram._of_sorted(nz, self.bins[nz], windows=int(n_windows),
-                                           window_ps=float(self.window_ps))
+        return PatternHistogram((nz, self.bins[nz]), windows=int(n_windows),
+                                window_ps=float(self.window_ps))
 
 
 def check_window(window_ps: float, rep_period_ps: int | None = None):

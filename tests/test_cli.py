@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import spdcmet
-from spdcmet import cli, estimation
+from spdcmet import cli, estimation, timetags
 from spdcmet.calibration import model_rate_summary
 from spdcmet.cli import _CHUNK_ROWS, _render, _write_output, build_parser, main
 from spdcmet.engine import (
@@ -617,14 +617,18 @@ def test_csv_render_lays_out_meta_sections_header_then_rows(n, extra, lazy):
     assert "".join(_render(meta, ["c1", "c2", "c3"], given, "csv", extra)) == want
 
 
-def _histogram(n, seed=0):
-    """A histogram of ``n`` distinct masks, 0 and 0xFFFF among them, built
-    by hand from a dict in shuffled order."""
+def _shuffled_counts(n, seed=0):
+    """Counts of ``n`` distinct masks, 0 and 0xFFFF among them, as a dict in
+    shuffled order."""
     rng = np.random.default_rng(seed)
     masks = rng.permutation(np.r_[0, 0xFFFF, rng.choice(np.arange(1, 0xFFFF), n, replace=False)][:n])
-    counts = rng.integers(1, 1 << 62, n)
-    return PatternHistogram(counts=dict(zip(masks.tolist(), counts.tolist())),
-                            windows=int(counts.sum()), window_ps=2500.0)
+    return dict(zip(masks.tolist(), rng.integers(1, 1 << 62, n).tolist()))
+
+
+def _histogram(n, seed=0):
+    """A histogram of ``_shuffled_counts(n, seed)``, built by hand."""
+    counts = _shuffled_counts(n, seed)
+    return PatternHistogram(counts=counts, windows=sum(counts.values()), window_ps=2500.0)
 
 
 _COUNT_TABLE_MASKS = (0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3)
@@ -649,12 +653,17 @@ def test_count_table_templates_write_the_generic_render(n, patterns, fmt):
 
 
 def test_a_histogram_is_read_alike_in_any_dict_order():
-    shuffled = _histogram(_CHUNK_ROWS + 5, seed=3)
-    ordered = PatternHistogram(counts=dict(sorted(shuffled.counts.items())),
-                               windows=shuffled.windows, window_ps=shuffled.window_ps)
-    masks, n = ordered._arrays()
-    counted = PatternHistogram._of_sorted(masks, n, ordered.windows, ordered.window_ps)
-    assert list(shuffled.counts) != list(ordered.counts)
+    shuffled_counts = _shuffled_counts(_CHUNK_ROWS + 5, seed=3)
+    sorted_counts = dict(sorted(shuffled_counts.items()))
+    assert list(shuffled_counts) != list(sorted_counts)
+    windows = sum(shuffled_counts.values())
+    shuffled, ordered = (PatternHistogram(counts=c, windows=windows, window_ps=2500.0)
+                         for c in (shuffled_counts, sorted_counts))
+    counter = timetags._WindowCounter(2500.0, timetags.DEFAULT_REP_PERIOD_PS)
+    counter.bins[list(shuffled_counts)] = list(shuffled_counts.values())
+    counter.occupied = windows
+    counted = counter.histogram(windows)
+    assert list(shuffled.counts) == list(counted.counts) == list(sorted_counts)
     for fmt in ("json", "csv"):
         tables = {"".join(cli._count_table({}, h, h.reduce(ChannelMap.default()), fmt))
                   for h in (shuffled, ordered, counted)}
@@ -702,6 +711,18 @@ def test_curve_orderings(tmp_path):
     for row in rows:
         assert row["normalized_uncertainty"] >= row["heisenberg_normalized"] - 1e-9
     assert doc["meta"]["heisenberg_limit"] > 0.0
+
+
+@pytest.mark.parametrize("option", ["--theta", "--eta-a", "--eta-b"])
+def test_curve_refuses_the_options_it_never_reads(option, capsys):
+    # curve sweeps one balanced transmission with no control rotation
+    with pytest.raises(SystemExit) as info:
+        main(["curve", option, "0.5"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: spdcmet ")
+    assert captured.err.endswith(f"spdcmet: error: unrecognized arguments: {option} 0.5\n")
 
 
 def test_number_resolving_curve_matches_the_direct_tensor(tmp_path):

@@ -332,7 +332,8 @@ def test_whole_stream_its_slices_and_its_file_count_alike(tmp_path, monkeypatch,
     cuts = [0, 1, 50, 51, len(whole) // 2, len(whole)]
     slices = [TimetagStream(channels=whole.channels[a:b], times=whole.times[a:b])
               for a, b in zip(cuts, cuts[1:])]
-    slices[0] = timetags._stream(slices[0].channels, slices[0].times, whole.reordered)
+    slices[0] = TimetagStream(slices[0].channels, slices[0].times, whole.reordered,
+                              _released=True)
     same_result(counted(slices, rep), one_block)
     same_result(counted(TimetagFile(path, "binary"), rep), one_block)
 
