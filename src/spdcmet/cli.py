@@ -3,14 +3,14 @@
 Subcommands: fringes, fisher, calibrate, herald, count, curve.  Every
 output embeds a metadata block (parameters, seed, truncation, package
 version) and contains no timestamps, so identical invocations produce
-byte-identical files.  Exit codes: 0 success, 2 usage or invalid
-configuration, 3 data or model error.
+byte-identical files.  One writer, ``_render``, lays out the rows of
+every table, CSV or JSON, from '%' row templates over column arrays.  Exit
+codes: 0 success, 2 usage or invalid configuration, 3 data or model error.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -31,41 +31,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_output(path, pieces):
-    """Write text pieces as they come, to ``path`` or stdout."""
-    if path is None or path == "-":
-        sys.stdout.writelines(pieces)
-    else:
-        with open(path, "w") as fh:
-            fh.writelines(pieces)
-
-
-def _item(value):
-    """numpy integers and non-double floats; np.float64 is a float already"""
-    return value.item()
-
-
-def _chunks(rows):
-    rows = iter(rows)
-    return iter(lambda: list(itertools.islice(rows, _CHUNK_ROWS)), [])
-
-
-def _json_rows(rows):
-    """Text pieces, one per ``_CHUNK_ROWS`` rows and one to close, of rows
-    of scalar cells laid out as a top-level value of an indent-2 JSON
-    document.  An indent forces the pure-Python encoder, so the C encoder
-    writes each chunk with NUL item separators: a NUL inside a JSON string
-    is always escaped, so each raw NUL is an item boundary and "]NUL[" one
-    between rows."""
-    opened = False
-    for chunk in _chunks(rows):
-        flat = json.dumps(chunk, separators=("\0", ": "), default=_item)
-        yield (("\n    ],\n    [\n      " if opened else "[\n    [\n      ")
-               + flat[2:-2].replace("]\0[", "\n    ],\n    [\n      ").replace("\0", ",\n      "))
-        opened = True
-    yield "\n    ]\n  ]" if opened else "[]"
-
-
 def _frame(meta, columns, fmt, extra_sections=None):
     """The text before and after the rows of a table plus metadata, as CSV
     ('#' header) or JSON."""
@@ -73,7 +38,7 @@ def _frame(meta, columns, fmt, extra_sections=None):
         doc = {"meta": meta, "columns": list(columns), "rows": []}
         if extra_sections:
             doc.update(extra_sections)
-        text = json.dumps(doc, indent=2, sort_keys=True, default=_item)
+        text = json.dumps(doc, indent=2, sort_keys=True)
         # layout newlines are the only raw ones, and only a top-level key
         # sits two spaces in
         head, tail = text.split('\n  "rows": []', 1)
@@ -86,18 +51,50 @@ def _frame(meta, columns, fmt, extra_sections=None):
     return "\n".join(lines) + "\n", ""
 
 
-def _render(meta, columns, rows, fmt, extra_sections=None):
+def _render(meta, columns, parts, fmt, extra_sections=None):
     """Text pieces of a table plus metadata as CSV ('#' header) or JSON, the
-    latter byte for byte ``json.dumps(doc, indent=2, sort_keys=True)``; any
-    iterable of rows is read and rendered ``_CHUNK_ROWS`` rows at a time."""
+    latter byte for byte ``json.dumps(doc, indent=2, sort_keys=True)``.
+
+    ``parts`` are ``(cells, arrays)`` pairs, each a run of rows: ``cells``
+    are a row's '%' templates as JSON writes them ('%r' for a float, '%d'
+    for an int, quoted literals such as '"mask"' or '"%#06x"') and
+    ``arrays`` hold a column per conversion.  CSV unquotes the cells and
+    writes '%r' as '%.12g', as ``_fmt`` does.  Float cells are finite, so
+    that '%r' writes the float as JSON does.  Each ``_CHUNK_ROWS`` rows of a
+    part are one '%' call on the repeated row template, over its columns
+    stacked to one dtype: int and float columns stack as float64, exact
+    below 2**53."""
     head, tail = _frame(meta, columns, fmt, extra_sections)
-    yield head
     if fmt == "json":
-        yield from _json_rows(rows)
+        opening, sep, close = "[\n    ", ",\n    ", "\n  ]"
     else:
-        for chunk in _chunks(rows):
-            yield "".join([",".join(map(_fmt, row)) + "\n" for row in chunk])
-    yield tail
+        opening = sep = close = ""
+    yield head
+    lead = None  # text before the next chunk; None until a row is written
+    for cells, arrays in parts:
+        if fmt == "json":
+            row = "[\n      " + ",\n      ".join(cells) + "\n    ]"
+        else:
+            row = ",".join(c.strip('"') for c in cells).replace("%r", "%.12g") + "\n"
+        for i in range(0, len(arrays[0]), _CHUNK_ROWS):
+            values = np.stack([a[i:i + _CHUNK_ROWS] for a in arrays], axis=1)
+            yield ((opening if lead is None else lead)
+                   + sep.join([row] * len(values)) % tuple(values.ravel().tolist()))
+            lead = sep
+    yield ("[]" if fmt == "json" and lead is None else close) + tail
+
+
+def _emit(args, meta, columns, parts, extra=None):
+    """Write a command's table, its meta led by the command and package
+    version, to ``--out`` or stdout as it is rendered; exit code 0."""
+    pieces = _render({"command": args.command, "version": __version__, **meta},
+                     columns, parts, args.format, extra)
+    if args.out is None or args.out == "-":
+        sys.stdout.writelines(pieces)
+    else:
+        with open(args.out, "w") as fh:
+            fh.writelines(pieces)
+    return 0
 
 
 def _add_model_args(sp, paths=True):
@@ -143,10 +140,8 @@ def _truncation_meta(src):
             "truncation_tail": truncation_tail(src, n_max)}
 
 
-def _base_meta(args, src, command):
+def _base_meta(args, src):
     return {
-        "command": command,
-        "version": __version__,
         "tau": args.tau,
         "eta_a": args.eta_a,
         "eta_b": args.eta_b,
@@ -158,9 +153,18 @@ def _base_meta(args, src, command):
 
 
 def _phi_grid(args):
+    """The phases of ``fringes`` and ``fisher``, once they and ``--theta``
+    are found finite."""
     if args.phi_steps < 1:
         raise ValueError("phi-steps must be >= 1")
-    return np.linspace(args.phi_start, args.phi_stop, args.phi_steps, endpoint=False)
+    if not math.isfinite(args.theta):
+        raise ValueError(f"--theta must be finite, got {args.theta}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step is refused below
+        grid = np.linspace(args.phi_start, args.phi_stop, args.phi_steps, endpoint=False)
+    if not np.isfinite(grid).all():
+        raise ValueError(f"the phase grid from --phi-start {args.phi_start} to "
+                         f"--phi-stop {args.phi_stop} must be finite")
+    return grid
 
 
 def _pattern_label(pattern):
@@ -172,25 +176,23 @@ def _pattern_label(pattern):
 
 
 def cmd_fringes(args) -> int:
+    grid = _phi_grid(args)
     src = _source(args)
     det = _detector(args, src)
     family = engine.fourfold_family(src, det, theta=args.theta)
-    grid = _phi_grid(args)
     columns = ["phi"] + [_pattern_label(p) for p in family.patterns]
-    rows = [[phi] + list(p) for phi, p in zip(grid, family.probabilities(grid))]
-    meta = _base_meta(args, src, "fringes")
-    _write_output(args.out, _render(meta, columns, rows, args.format))
-    return 0
+    return _emit(args, _base_meta(args, src), columns,
+                 [(("%r",) * len(columns), [grid, *family.probabilities(grid).T])])
 
 
 def cmd_fisher(args) -> int:
     if args.bootstrap != 0 and not 0.0 < args.counts_per_phase < math.inf:
         raise ValueError(f"--counts-per-phase must be finite and positive, "
                          f"got {args.counts_per_phase}")
+    grid = _phi_grid(args)
     src = _source(args)
     det = _detector(args, src)
     family = engine.fourfold_family(src, det, theta=args.theta)
-    grid = _phi_grid(args)
 
     central, clipped = estimation.fisher_curve(family, grid)
     snl = estimation.snl_fisher(src, det)
@@ -222,11 +224,11 @@ def cmd_fisher(args) -> int:
         band_misses = int(np.sum((central < band_low) | (central > band_high)))
 
     columns = ["phi", "fisher", "clipped"]
-    rows = [[phi, v, int(c)] for phi, v, c in zip(grid, central, clipped)]
+    cells, arrays = ["%r", "%r", "%d"], [grid, central, clipped]
     if band_low is not None:
         columns += ["band_low", "band_high"]
-        rows = [row + [lo, hi] for row, lo, hi in zip(rows, band_low, band_high)]
-    meta = _base_meta(args, src, "fisher")
+        cells, arrays = cells + ["%r", "%r"], arrays + [band_low, band_high]
+    meta = _base_meta(args, src)
     meta.update({
         "snl": snl,
         "fisher_max": i_star,
@@ -242,8 +244,7 @@ def cmd_fisher(args) -> int:
         "ml_samples": args.ml_samples,
     })
     extra = {"ml_points": ml_points} if ml_points else None
-    _write_output(args.out, _render(meta, columns, rows, args.format, extra))
-    return 0
+    return _emit(args, meta, columns, [(cells, arrays)], extra)
 
 
 def _parse_rates_csv(text):
@@ -287,8 +288,6 @@ def cmd_calibrate(args) -> int:
         rates = _parse_rates_csv(fh.read())
     result = calibration.efficiencies_from_rates(rates)
     meta = {
-        "command": "calibrate",
-        "version": __version__,
         "rates_file": args.rates,
         "singles_a": rates.singles_a,
         "singles_b": rates.singles_b,
@@ -296,10 +295,8 @@ def cmd_calibrate(args) -> int:
     }
     columns = ["tau", "eta_a", "eta_b", "pair_probability",
                "residual_singles_a", "residual_singles_b", "residual_twofold"]
-    rows = [[result.tau, result.eta_a, result.eta_b, result.pair_probability,
-             *result.residuals]]
-    _write_output(args.out, _render(meta, columns, rows, args.format))
-    return 0
+    row = [result.tau, result.eta_a, result.eta_b, result.pair_probability, *result.residuals]
+    return _emit(args, meta, columns, [(("%r",) * len(row), [[v] for v in row])])
 
 
 def cmd_herald(args) -> int:
@@ -310,17 +307,14 @@ def cmd_herald(args) -> int:
         raise heralding.HeraldError(f"k-max must be a nonnegative herald count, got {args.k_max}")
     table = heralding.herald_table(args.tau, etas, range(args.k_max + 1))
     meta = {
-        "command": "herald",
-        "version": __version__,
         "tau": args.tau,
         "truncation": table.truncation,
         "truncation_tail": truncation_tail(SourceParams(args.tau), table.truncation),
         "etas": args.etas,
     }
     columns = ["k"] + [f"eta={_fmt(e)}" for e in etas]
-    rows = [[k] + list(vals) for k, vals in table.rows()]
-    _write_output(args.out, _render(meta, columns, rows, args.format))
-    return 0
+    return _emit(args, meta, columns,
+                 [(("%d",) + ("%r",) * len(etas), [table.k_values, *table.values.T])])
 
 
 def cmd_count(args) -> int:
@@ -345,8 +339,6 @@ def cmd_count(args) -> int:
     )
     hist = result.histogram
     meta = {
-        "command": "count",
-        "version": __version__,
         "records": len(records),
         "window_ps": args.window,
         "rep_period_ps": args.rep_period,
@@ -355,38 +347,16 @@ def cmd_count(args) -> int:
         "late_clicks": result.late_clicks,
         "reordered": result.reordered,
     }
-    _write_output(args.out, _count_table(meta, hist, result.pattern_counts, args.format))
-    return 0
+    return _emit(args, meta, ["kind", "key", "count"], _count_parts(hist, result.pattern_counts))
 
 
-def _count_table(meta, hist, pattern_counts, fmt):
-    """Text pieces of ``count``'s output, ``_render``'s bytes for its rows:
-    a mask row per pattern of ``hist``, in mask order, then a pattern row
-    per per-mode click-count tuple, in tuple order.  Each ``_CHUNK_ROWS``
-    rows of a kind are one '%' call on a repeated row template, read from
-    integer arrays; its cells are quoted where JSON quotes them."""
-    patterns = sorted(pattern_counts.items())
-    tables = [(('"mask"', '"%#06x"', "%d"), hist._sorted),
-              (('"pattern"', '"%d:%d:%d:%d"', "%d"),
-               np.array([(*key, n) for key, n in patterns], dtype=np.int64).reshape(-1, 5).T)]
-    if fmt == "json":
-        opening, sep, close = "[\n    ", ",\n    ", "\n  ]"
-    else:
-        opening = sep = close = ""
-    head, tail = _frame(meta, ["kind", "key", "count"], fmt)
-    yield head
-    lead = None  # text before the next chunk; None until a row is written
-    for cells, columns in tables:
-        if fmt == "json":
-            row = "[\n      " + ",\n      ".join(cells) + "\n    ]"
-        else:
-            row = ",".join(c.strip('"') for c in cells) + "\n"
-        for i in range(0, len(columns[0]), _CHUNK_ROWS):
-            values = np.stack([c[i:i + _CHUNK_ROWS] for c in columns], axis=1)
-            yield ((opening if lead is None else lead)
-                   + sep.join([row] * len(values)) % tuple(values.ravel().tolist()))
-            lead = sep
-    yield ("[]" if fmt == "json" and lead is None else close) + tail
+def _count_parts(hist, pattern_counts):
+    """``count``'s rows: a mask row per pattern of ``hist``, in mask order,
+    then a pattern row per per-mode click-count tuple, in tuple order."""
+    patterns = np.array([(*key, n) for key, n in sorted(pattern_counts.items())],
+                        dtype=np.int64).reshape(-1, 5)
+    return [(('"mask"', '"%#06x"', "%d"), hist._sorted),
+            (('"pattern"', '"%d:%d:%d:%d"', "%d"), patterns.T)]
 
 
 def cmd_curve(args) -> int:
@@ -396,17 +366,15 @@ def cmd_curve(args) -> int:
     etas = np.linspace(args.eta_start, args.eta_stop, args.eta_steps)
     points = estimation.performance_curve(src, etas, d=args.d or None)  # 0: number-resolving
     meta = {
-        "command": "curve",
-        "version": __version__,
         "tau": args.tau,
         "d": args.d,
         **_truncation_meta(src),
         "snl_reference": 1.0,
         "heisenberg_limit": estimation.heisenberg_limit(src),
     }
-    rows = [list(vars(p).values()) for p in points]  # a column per PerformancePoint field
-    _write_output(args.out, _render(meta, list(vars(points[0])), rows, args.format))
-    return 0
+    fields = list(vars(points[0]))  # a column per PerformancePoint field
+    return _emit(args, meta, fields,
+                 [(("%r",) * len(fields), np.array([list(vars(p).values()) for p in points]).T)])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import pytest
 import spdcmet
 from spdcmet import cli, estimation, timetags
 from spdcmet.calibration import model_rate_summary
-from spdcmet.cli import _CHUNK_ROWS, _render, _write_output, build_parser, main
+from spdcmet.cli import _CHUNK_ROWS, _render, build_parser, main
 from spdcmet.engine import (
     RotationSpec,
     choose_truncation,
@@ -570,51 +570,54 @@ def test_count_missing_file_exit(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# JSON rendering
+# table rendering
 
 
 def _table(n):
-    return [[i, f"k{i}", 0.25 * i] for i in range(n)]
+    """``n`` rows [i, "k<i>", i / 4]: their one part, and the rows JSON reads."""
+    i = np.arange(n)
+    return [(("%d", '"k%d"', "%r"), [i, i, 0.25 * i])], [[k, f"k{k}", 0.25 * k] for k in range(n)]
 
 
 _CHUNK_COUNTS = (0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS)
-_ML_POINTS = {"ml_points": [{"phi": 0.5, "i_ml": np.float32(1.5)}]}
+_ML_POINTS = {"ml_points": [{"phi": 0.5, "i_ml": 1.5}]}
+_FLOATS = np.array([-0.0, 1e300, 5e-324, 0.1])
+_FLOAT32S = np.array([0.1, -0.0, 1.5, 3e38], dtype=np.float32)
+_INT64S = np.array([0, 1, -7, 2 ** 62, 2 ** 62 + 1], dtype=np.int64)
 
 
-@pytest.mark.parametrize("rows, extra, meta, lazy", [
-    ([["a\0b", "]\0[", 'q"uote', "[", "caf\u00e9 \u2192", "\0", ""]], None, {}, False),
-    ([[float("nan"), float("inf"), -float("inf"), True, False, None],
-      [np.int64(7), np.float32(0.1), np.float64(2.5), -0.0, 1e300, 2 ** 70]], None, {}, False),
-    ([["mask", "0x0001", 3]], None, {}, False),
-    ([], None, {}, False),
-    ([[0.1, 2.0], [0.2, 3.0]], _ML_POINTS, {}, False),
-    ([[1, "x"], [2, "y"]], None, {"rows": [[9]], "columns": "c", "n": np.int64(2)}, False),
-    *[(_table(n), None, {"n": n}, False) for n in _CHUNK_COUNTS],
-    (_table(_CHUNK_ROWS + 1), _ML_POINTS, {"n": 1}, False),
-    (_table(2 * _CHUNK_ROWS + 3), None, {}, True),
-], ids=["strings", "numbers", "one_row", "empty", "extra_section", "meta_rows_key",
-        *[f"rows_{n}" for n in _CHUNK_COUNTS], "chunks_and_extra_section", "generator"])
-def test_json_render_equals_the_indented_encoder(rows, extra, meta, lazy):
+@pytest.mark.parametrize("parts, rows, extra, meta", [
+    ([(("%r", "%r"), [_FLOATS, _FLOAT32S])],
+     [[x, y.item()] for x, y in zip(_FLOATS.tolist(), _FLOAT32S)], None, {}),
+    # an all-int64 part stays int64, so 2**62 + 1 is not rounded to a float
+    ([(("%d", "%d"), [_INT64S, _INT64S[::-1]])],
+     [[a, b] for a, b in zip(_INT64S.tolist(), _INT64S[::-1].tolist())], None, {}),
+    ([(('"mask"', '"%#06x"', "%d"), [[1], [3]])], [["mask", "0x0001", 3]], None, {}),
+    ([], [], None, {}),
+    ([(("%r", "%r"), [[0.1, 0.2], [2.0, 3.0]])], [[0.1, 2.0], [0.2, 3.0]], _ML_POINTS, {}),
+    ([(("%d", '"x"'), [[1]]), (("%d", '"y"'), [[2]])], [[1, "x"], [2, "y"]], None,
+     {"rows": [[9]], "columns": "c", "n": 2}),
+    *[(*_table(n), None, {"n": n}) for n in _CHUNK_COUNTS],
+    (*_table(2 * _CHUNK_ROWS + 3), _ML_POINTS, {"n": 1}),
+], ids=["numbers", "int64", "one_row", "empty", "extra_section", "meta_rows_key",
+        *[f"rows_{n}" for n in _CHUNK_COUNTS], "chunks_and_extra_section"])
+def test_json_render_equals_the_indented_encoder(parts, rows, extra, meta):
     doc = {"meta": meta, "columns": ["c1", "c2"], "rows": rows, **(extra or {})}
-    want = json.dumps(doc, indent=2, sort_keys=True, default=lambda v: v.item()) + "\n"
-    given = (row for row in rows) if lazy else rows
-    assert "".join(_render(meta, ["c1", "c2"], given, "json", extra)) == want
+    want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert "".join(_render(meta, ["c1", "c2"], parts, "json", extra)) == want
 
 
-@pytest.mark.parametrize("n, extra, lazy", [
-    *[(n, None, False) for n in _CHUNK_COUNTS],
-    (_CHUNK_ROWS + 1, {"ml_points": [{"phi": 0.5, "i_ml": 1.5}]}, False),
-    (2 * _CHUNK_ROWS + 3, None, True),
-], ids=[*[f"rows_{n}" for n in _CHUNK_COUNTS], "chunks_and_extra_section", "generator"])
-def test_csv_render_lays_out_meta_sections_header_then_rows(n, extra, lazy):
+@pytest.mark.parametrize("n, extra", [
+    *[(n, None) for n in _CHUNK_COUNTS],
+    (2 * _CHUNK_ROWS + 3, _ML_POINTS),
+], ids=[*[f"rows_{n}" for n in _CHUNK_COUNTS], "chunks_and_extra_section"])
+def test_csv_render_lays_out_meta_sections_header_then_rows(n, extra):
     meta = {"command": "t", "x": 0.1, "n": n}
-    rows = _table(n)
     want = f"# command = t\n# x = 0.1\n# n = {n}\n"
     if extra:
         want += '# ml_points: [{"i_ml": 1.5, "phi": 0.5}]\n'
     want += "c1,c2,c3\n" + "".join(f"{i},k{i},{0.25 * i:.12g}\n" for i in range(n))
-    given = (row for row in rows) if lazy else rows
-    assert "".join(_render(meta, ["c1", "c2", "c3"], given, "csv", extra)) == want
+    assert "".join(_render(meta, ["c1", "c2", "c3"], _table(n)[0], "csv", extra)) == want
 
 
 def _shuffled_counts(n, seed=0):
@@ -643,13 +646,16 @@ def test_count_table_templates_write_the_generic_render(n, patterns, fmt):
     rows = [["mask", f"{mask:#06x}", c] for mask, c in sorted(hist.counts.items())]
     rows += [["pattern", ":".join(map(str, key)), c] for key, c in sorted(patterns.items())]
     meta = {"command": "count", "masks": n}
-    want = "".join(_render(meta, ["kind", "key", "count"], rows, fmt))
-    pieces = list(cli._count_table(meta, hist, patterns, fmt))
+    if fmt == "json":
+        want = json.dumps({"meta": meta, "columns": ["kind", "key", "count"], "rows": rows},
+                          indent=2, sort_keys=True) + "\n"
+    else:
+        want = f"# command = count\n# masks = {n}\nkind,key,count\n" + "".join(
+            ",".join(map(str, row)) + "\n" for row in rows)
+    pieces = list(_render(meta, ["kind", "key", "count"], cli._count_parts(hist, patterns), fmt))
     assert "".join(pieces) == want
     # the head, a piece per chunk of each kind of row, the close
     assert len(pieces) == 2 + -(-n // _CHUNK_ROWS) + (1 if patterns else 0)
-    if fmt == "json":
-        assert json.loads(want)["rows"] == rows
 
 
 def test_a_histogram_is_read_alike_in_any_dict_order():
@@ -665,7 +671,8 @@ def test_a_histogram_is_read_alike_in_any_dict_order():
     counted = counter.histogram(windows)
     assert list(shuffled.counts) == list(counted.counts) == list(sorted_counts)
     for fmt in ("json", "csv"):
-        tables = {"".join(cli._count_table({}, h, h.reduce(ChannelMap.default()), fmt))
+        tables = {"".join(_render({}, ["kind", "key", "count"],
+                                  cli._count_parts(h, h.reduce(ChannelMap.default())), fmt))
                   for h in (shuffled, ordered, counted)}
         assert len(tables) == 1
     for cmap in (ChannelMap.default(), ChannelMap(tuple(MODES[c % 4] for c in range(16)))):
@@ -679,17 +686,56 @@ def test_a_histogram_is_read_alike_in_any_dict_order():
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_render_memory_does_not_grow_with_the_row_count(tmp_path, fmt):
     def peak(n):
-        rows = (["mask", f"{i:#06x}", i] for i in range(n))
-        tracemalloc.start()
-        try:
-            _write_output(tmp_path / f"t{n}.{fmt}", _render({"n": n}, ["kind", "key", "count"],
-                                                             rows, fmt))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        i = np.arange(n)
+        parts = [(('"mask"', '"%#06x"', "%d"), [i, i])]
+        with open(tmp_path / f"t{n}.{fmt}", "w") as fh:
+            tracemalloc.start()
+            try:
+                fh.writelines(_render({"n": n}, ["kind", "key", "count"], parts, fmt))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
     small, large = peak(8192), peak(65536)
     assert large <= 1.5 * small
+
+
+def _small_argv(command, tmp_path):
+    """``command`` at settings small enough to run in a second or two."""
+    if command == "calibrate":
+        src = SourceParams(0.061)
+        rates = model_rate_summary(src, detector_for_source(src, 4, 0.23, 0.12))
+        path = tmp_path / "rates.csv"
+        path.write_text(f"{rates.singles_a!r},{rates.singles_b!r},{rates.twofold!r}\n")
+        return ["calibrate", str(path)]
+    if command == "count":
+        path = tmp_path / "tags.csv"
+        path.write_text("0,100\n1,200\n2,12600\n3,12700\n5,25000\n")
+        return ["count", str(path)]
+    return {"fringes": ["fringes", "--phi-steps", "7", "--theta", "0.3"],
+            "fisher": ["fisher", "--phi-steps", "8", "--bootstrap", "2", "--ml-reps", "2",
+                       "--ml-samples", "100"],
+            "herald": ["herald", "--tau", "0.1", "--etas", "0.9,1.0", "--k-max", "2"],
+            "curve": ["curve", "--d", "0", "--tau", "0.3", "--eta-steps", "3"]}[command]
+
+
+@pytest.mark.parametrize("command", cli._COMMANDS)
+def test_every_command_writes_the_json_of_the_stdlib_encoder(command, tmp_path, capsys,
+                                                             monkeypatch):
+    handed, render = [], cli._render  # the rows each command hands the writer
+
+    def spy(meta, columns, parts, fmt, extra_sections=None):
+        handed.extend(row for _, arrays in parts for row in np.stack(arrays, axis=1).tolist())
+        return render(meta, columns, parts, fmt, extra_sections)
+
+    monkeypatch.setattr(cli, "_render", spy)
+    assert run(_small_argv(command, tmp_path) + ["--format", "json"]) == 0
+    printed = capsys.readouterr().out
+    doc = json.loads(printed)
+    assert doc["meta"]["command"] == command and doc["rows"]
+    assert printed == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if command != "count":  # its keys are text; every other cell reads back exactly
+        assert doc["rows"] == handed
 
 
 # ---------------------------------------------------------------------------
@@ -792,6 +838,22 @@ def test_configuration_that_measures_nothing_is_a_usage_error(argv, capsys):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert ("gain and transmission" in captured.err
             or "transmission must be positive" in captured.err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fringes", "--phi-start", "nan"], "phase grid"),
+    (["fringes", "--theta", "nan"], "--theta must be finite"),
+    (["fringes", "--theta", "inf"], "--theta must be finite"),
+    (["fisher", "--phi-stop", "inf", "--bootstrap", "0", "--ml-reps", "0"], "phase grid"),
+    # finite bounds whose step overflows
+    (["fringes", "--phi-start", "1e308", "--phi-stop=-1e308"], "phase grid"),
+])
+def test_a_non_finite_phase_grid_or_theta_is_a_usage_error(argv, message, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("argv,message", [
